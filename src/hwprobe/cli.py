@@ -62,7 +62,12 @@ def cmd_run(args):
 def cmd_catalog(args):
     spec = catalog(args.name)
     if not args.run:
-        sys.stdout.write(canonical_text(spec))
+        text = canonical_text(spec)
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(text.encode())
+        else:
+            sys.stdout.write(text)
         return 0
     spec = _apply_flag_bounds(spec, args)
     return _run_and_emit(spec, args)
@@ -92,7 +97,9 @@ def build_parser():
                        help="degree bound for open-ended computations")
         p.add_argument("--window", type=int, default=None,
                        help="homological window for 'for all i' checks")
-        p.add_argument("--out", default=None, help="write the report here")
+        p.add_argument("--out", default=None,
+                       help="write the report here (for catalog without "
+                            "--run, the job document)")
         p.add_argument("--with-timing", action="store_true",
                        help="include wall-clock timing in the report "
                             "(breaks byte-for-byte determinism)")

@@ -42,17 +42,6 @@ def unit_vector(ring, comp) -> Vec:
     return {(comp, ring.zero_mono): 1}
 
 
-def vec_add(a: Vec, b: Vec, p: int) -> Vec:
-    out = dict(a)
-    for t, c in b.items():
-        v = (out.get(t, 0) + c) % p
-        if v:
-            out[t] = v
-        else:
-            out.pop(t, None)
-    return out
-
-
 def vec_sub(a: Vec, b: Vec, p: int) -> Vec:
     out = dict(a)
     for t, c in b.items():
@@ -116,23 +105,6 @@ def vec_degree(ring, v: Vec, twists):
 def vec_component(v: Vec, comp) -> dict:
     """Extract one component as a polynomial."""
     return {m: c for (cc, m), c in v.items() if cc == comp}
-
-
-def vec_from_polys(polys) -> Vec:
-    """Stack component polynomials {comp: poly} into a vector."""
-    out = {}
-    for comp, f in polys.items():
-        for m, c in f.items():
-            out[(comp, m)] = c
-    return out
-
-
-def vec_shift_comp(v: Vec, offset: int) -> Vec:
-    return {(c + offset, m): x for (c, m), x in v.items()}
-
-
-def cols_entry(col: Vec, row: int) -> dict:
-    return vec_component(col, row)
 
 
 def transpose_cols(ring, cols, nrows):

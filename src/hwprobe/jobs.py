@@ -401,7 +401,7 @@ def _is_anomalous(task_entry):
 
 
 def run_job(spec: dict, seed=0) -> Report:
-    started = time.time()
+    started = time.perf_counter()
     spec = dict(spec)
     bounds = dict(DEFAULT_BOUNDS)
     bounds.update(spec.get("bounds", {}))
@@ -426,7 +426,7 @@ def run_job(spec: dict, seed=0) -> Report:
             entry["status"] = "error"
             entry["error"] = f"{type(e).__name__}: {e}"
         entries.append(entry)
-    return Report(spec, ring, entries, bounds, time.time() - started)
+    return Report(spec, ring, entries, bounds, time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ equations like x^2 - y^3 (weights 3, 2) are honestly homogeneous.  Module
 arithmetic over R happens in S carrying the reduced Groebner basis of I.
 """
 
-from .groebner import groebner_basis, reduce_poly
+from .groebner import groebner_basis
 from .hilbert import monomial_quotient_dim
 from .ring import PolyRing
 
@@ -26,9 +26,11 @@ class QuotientRing:
                                  + ambient.format_poly(g))
         if gens:
             vecs = [{(0, m): c for m, c in g.items()} for g in gens]
-            gb = groebner_basis(ambient, vecs, (0,))
-            self.gb = tuple({m: c for (_, m), c in v.items()} for v in gb.elements)
+            self._ideal_basis = groebner_basis(ambient, vecs, (0,))
+            self.gb = tuple({m: c for (_, m), c in v.items()}
+                            for v in self._ideal_basis.elements)
         else:
+            self._ideal_basis = None
             self.gb = ()
         if any(len(h) == 1 and ambient.zero_mono in h for h in self.gb):
             raise ValueError("the ideal is the unit ideal")
@@ -38,7 +40,6 @@ class QuotientRing:
         self.is_hypersurface = len(self.gb) == 1
         self.hypersurface_poly = self.gb[0] if self.is_hypersurface else None
         self.domain = bool(domain)
-        self._caches = {}
 
     def __eq__(self, other):
         return (isinstance(other, QuotientRing) and other.ambient == self.ambient
@@ -59,10 +60,15 @@ class QuotientRing:
         return self.ambient.p
 
     def nf(self, f):
-        """Normal form of a polynomial modulo I."""
+        """Normal form of a polynomial modulo I.
+
+        Reduces against the Groebner basis built in ``__init__``, which is
+        monic-normalized and indexed once per ring.
+        """
         if not self.gb:
             return dict(f)
-        return reduce_poly(self.ambient, f, self.gb)
+        rem = self._ideal_basis.normal_form({(0, m): c for m, c in f.items()})
+        return {m: c for (_, m), c in rem.items()}
 
     def is_zero(self, f) -> bool:
         return not self.nf(f)

@@ -60,7 +60,13 @@ class Resolution:
         return len(self.level_twists[i])
 
     def betti_numbers(self, window):
-        self.extend(window + 1)
+        """Betti numbers b_0, ..., b_window.
+
+        Builds exactly the ``window`` differentials d_1, ..., d_window that
+        these need: b_i is the rank of F_i, the source of d_i, and d_1 comes
+        with the presentation.
+        """
+        self.extend(window)
         return [len(self.level_twists[i]) for i in range(window + 1)]
 
     def differential(self, i):
@@ -128,7 +134,7 @@ def syzygy_module(module: PresentedModule, n: int, trim=False):
 
 
 def betti_numbers(module: PresentedModule, window: int):
-    return resolution_of(module, window + 1).betti_numbers(window)
+    return resolution_of(module, window).betti_numbers(window)
 
 
 def complexity_estimate(module: PresentedModule, window: int):

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import hwprobe
+from hwprobe.catalog import catalog
+from hwprobe.jobs import canonical_text
 
 # The directory holding the hwprobe package this test process imported.  The
 # child gets it as an absolute PYTHONPATH entry, so it runs the same code from
@@ -25,6 +27,14 @@ def test_catalog_prints_valid_job(tmp_path):
     assert out.returncode == 0, out.stderr
     spec = json.loads(out.stdout)
     assert spec["field"] == 7
+
+
+def test_catalog_out_writes_job_document(tmp_path):
+    out = run_cli("catalog", "cusp-hw", "--out", "job.json", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ""
+    assert (tmp_path / "job.json").read_bytes() == \
+        canonical_text(catalog("cusp-hw")).encode()
 
 
 def test_run_jobfile_structured(tmp_path):

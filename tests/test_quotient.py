@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwprobe import NotDomainError, define_ring, parse_polynomial
+from hwprobe.groebner import reduce_poly
 from hwprobe.quotient import principal_irreducible_scan
 
 
@@ -75,3 +78,35 @@ def test_normal_form_in_quotient(threefold):
     # grevlex leading term of xw - yz is yz, so yz reduces to xw
     g = parse_polynomial(amb, "y*z")
     assert threefold.nf(g) == threefold.nf(f)
+
+
+NF_RINGS = {
+    "grevlex-threefold": lambda: define_ring(
+        ["x", "y", "z", "w"], [1, 1, 1, 1], 101, ["x*w - y*z"]),
+    "lex-gasharov-peeva": lambda: define_ring(
+        ["x1", "x2", "x3", "x4"], [1, 1, 1, 1], 5,
+        ["x1^2", "x2^2", "x3^2", "x3*x4", "x4^2", "x1*x4 + x2*x4",
+         "2*x1*x3 + x2*x3"], order="lex"),
+    "weighted-cusp": lambda: define_ring(
+        ["x", "y"], [3, 2], 7, ["x^2 - y^3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NF_RINGS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_nf_matches_reduce_poly(name, data):
+    # reduce_poly prepares a basis from rq.gb on every call; nf, which uses
+    # the basis the ring prepared once, must give the same remainder in the
+    # same insertion order, since reports print polynomials in dict order.
+    rq = NF_RINGS[name]()
+    amb = rq.ambient
+    degree = data.draw(st.integers(1, 8))
+    monos = amb.monomials_of_degree(degree)
+    if not monos:
+        return
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(monos),
+                                         st.integers(1, amb.p - 1)),
+                               max_size=8))
+    f = dict(terms)
+    assert list(rq.nf(f).items()) == list(reduce_poly(amb, f, rq.gb).items())

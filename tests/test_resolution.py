@@ -13,7 +13,9 @@ from hwprobe import (
     quotient_module,
     residue_field_module,
     syzygy_module,
+    tor_length,
 )
+from hwprobe.resolution import Resolution, resolution_of
 
 
 def P(rq, s):
@@ -42,6 +44,24 @@ def test_gp_module_betti(gp_ring):
 def test_residue_field_over_cusp_betti(cusp):
     k = residue_field_module(cusp)
     assert betti_numbers(k, 6) == [1, 2, 2, 2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("window", [0, 1, 5])
+def test_betti_numbers_build_only_the_levels_read(threefold, window):
+    # b_0..b_w need d_1..d_w; d_{w+1} would cost a level nobody reads
+    m = quotient_module(threefold, [P(threefold, "x"), P(threefold, "z")])
+    assert betti_numbers(m, window) == [1] + [2] * window
+    assert resolution_of(m, 1).length == max(window, 1)
+    res = Resolution(m)
+    assert res.betti_numbers(window) == [1] + [2] * window
+    assert res.length == max(window, 1)
+
+
+def test_tor_keeps_the_next_differential(threefold, threefold_mn):
+    # Tor_i reads d_{i+1}, so it must still build one level past b_i
+    m = quotient_module(threefold, [P(threefold, "x"), P(threefold, "z")])
+    tor_length(m, threefold_mn[1], 3)
+    assert resolution_of(m, 1).length >= 4
 
 
 def test_resolutions_are_minimal_and_exact(cusp, cusp_m):
