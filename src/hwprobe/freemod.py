@@ -107,15 +107,6 @@ def vec_component(v: Vec, comp) -> dict:
     return {m: c for (cc, m), c in v.items() if cc == comp}
 
 
-def transpose_cols(ring, cols, nrows):
-    """Columns of the transposed matrix: entry (j,c) becomes entry (c,j)."""
-    out = [dict() for _ in range(nrows)]
-    for c, col in enumerate(cols):
-        for (j, m), coef in col.items():
-            out[j][(c, m)] = coef
-    return out
-
-
 def matvec(ring, cols, v: Vec) -> Vec:
     """Apply the matrix with the given columns to v (components index cols)."""
     p = ring.p

@@ -37,19 +37,6 @@ def tpoly_shift(a, s):
     return {e + s: c for e, c in a.items()}
 
 
-def tpoly_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-    return out
-
-
 def tpoly_divide_exact(a, w):
     """Quotient a / (1 - t^w), or None when the division is inexact.
 
@@ -97,10 +84,6 @@ def monomial_quotient_dim(nvars, gens):
             continue
         best = max(best, len(sub))
     return best
-
-
-def _numer_key(gens):
-    return tuple(sorted(gens))
 
 
 def hilbert_numerator(ring, gens):

@@ -5,11 +5,22 @@ Hom(resolution, N); both land in subquotients of free modules over R that
 the syzygy engine presents.  Depth comes from Koszul homology on all ambient
 variables, grade from the first nonvanishing Ext against the ring, torsion
 from saturation (dimension one) or from the kernel of the biduality map.
+
+Every (co)homology here, Tate (co)homology and the acyclicity check of a
+complete resolution included, goes through one path.  A complex of free
+modules is any object with ``ring``, ``twists_at(i)`` (the generator degrees
+of C_i) and ``differential(i)`` (the columns of C_i -> C_{i-1}):
+``Resolution``, ``CompleteResolution`` and ``KoszulComplex``.  Two builders
+turn a complex C, a module N and an index i into cycle data
+``(twists, Z, B)`` for H_i(C (x) N) (``tensor_cycle_data``) or
+H^i(Hom(C, N)) (``hom_cycle_data``), or None when C_i or N is zero; the
+finishers ``h_module``, ``h_length`` and ``h_is_zero`` turn that into a
+module, a length or a vanishing test.
 """
 
 from itertools import combinations
 
-from .freemod import unit_vector, vec_component, vec_degree
+from .freemod import vec_component, vec_degree
 from .groebner import express_in_terms, kernel_into_quotient, saturate
 from .modules import (
     GradedMap,
@@ -68,6 +79,71 @@ def _hom_twists(f_twists, n_module):
 
 
 # ---------------------------------------------------------------------------
+# (co)homology of a free complex against a module
+
+
+def tensor_cycle_data(cx, n, i):
+    """Cycle data of H_i(C (x) N) inside C_i (x) N, or None if C_i or N is 0.
+
+    Z is the kernel of d_i (x) 1 modulo the relations of C_{i-1} (x) N; B is
+    the image of d_{i+1} (x) 1 plus the relations of C_i (x) N.
+    """
+    if cx.ring != n.ring:
+        raise HypothesisError("homology over different rings")
+    f_i = cx.twists_at(i)
+    if not f_i or n.is_zero():
+        return None
+    f_prev = cx.twists_at(i - 1)
+    g_n = n.ngens
+    z = kernel_into_quotient(
+        n.ring, _tensor_block_cols(cx.differential(i), g_n),
+        _free_tensor_rels(len(f_prev), n), _tensor_twists(f_prev, n))
+    b = (_tensor_block_cols(cx.differential(i + 1), g_n)
+         + _free_tensor_rels(len(f_i), n))
+    return _tensor_twists(f_i, n), z, b
+
+
+def hom_cycle_data(cx, n, i):
+    """Cycle data of H^i(Hom(C, N)) in Hom(C_i, N), or None if C_i or N is 0.
+
+    Z is the kernel of Hom(d_{i+1}, N) modulo the relations of
+    Hom(C_{i+1}, N); B is the image of Hom(d_i, N) plus the relations of
+    Hom(C_i, N).
+    """
+    if cx.ring != n.ring:
+        raise HypothesisError("cohomology over different rings")
+    f_i = cx.twists_at(i)
+    if not f_i or n.is_zero():
+        return None
+    f_next = cx.twists_at(i + 1)
+    g_n = n.ngens
+    z = kernel_into_quotient(
+        n.ring, _hom_block_cols(cx.differential(i + 1), len(f_i), g_n),
+        _free_tensor_rels(len(f_next), n), _hom_twists(f_next, n))
+    b = (_hom_block_cols(cx.differential(i), len(cx.twists_at(i - 1)), g_n)
+         + _free_tensor_rels(len(f_i), n))
+    return _hom_twists(f_i, n), z, b
+
+
+def h_module(ring, data):
+    """The (co)homology module Z/B of a builder's cycle data."""
+    if data is None:
+        return PresentedModule(ring, (), ())
+    mod, _ = subquotient(ring, *data)
+    return mod
+
+
+def h_length(ring, data):
+    """Length of Z/B from a builder's cycle data; None when infinite."""
+    return 0 if data is None else homology_length(ring, *data)
+
+
+def h_is_zero(ring, data):
+    """Whether Z/B from a builder's cycle data vanishes."""
+    return data is None or subquotient_is_zero(ring, *data)
+
+
+# ---------------------------------------------------------------------------
 # Tor
 
 
@@ -77,49 +153,20 @@ def tor(m, n, i):
         raise ValueError("Tor is indexed by nonnegative integers")
     if i == 0:
         return tensor(m, n)
-    z, b, twists = _tor_cycle_data(m, n, i)
-    if z is None:
-        return PresentedModule(m.ring, (), ())
-    mod, _ = subquotient(m.ring, twists, z, b)
-    return mod
+    return h_module(m.ring, tensor_cycle_data(resolution_of(m, i + 1), n, i))
 
 
 def tor_length(m, n, i):
     """Length of Tor_i(M, N); None when it has positive dimension."""
     if i == 0:
         return tensor(m, n).length()
-    z, b, twists = _tor_cycle_data(m, n, i)
-    if z is None:
-        return 0
-    return homology_length(m.ring, twists, z, b)
+    return h_length(m.ring, tensor_cycle_data(resolution_of(m, i + 1), n, i))
 
 
 def tor_is_zero(m, n, i):
     if i == 0:
         return tensor(m, n).is_zero()
-    z, b, twists = _tor_cycle_data(m, n, i)
-    if z is None:
-        return True
-    return subquotient_is_zero(m.ring, twists, z, b)
-
-
-def _tor_cycle_data(m, n, i):
-    if m.ring != n.ring:
-        raise HypothesisError("Tor over different rings")
-    res = resolution_of(m, i + 1)
-    if res.betti(i) == 0 or n.is_zero():
-        return None, None, None
-    g_n = n.ngens
-    f_i = res.twists_of_level(i)
-    f_im1 = res.twists_of_level(i - 1)
-    d_i = res.differential(i)
-    d_ip1 = res.differential(i + 1)
-    src = _tensor_twists(f_i, n)
-    tgt_rels = _free_tensor_rels(len(f_im1), n)
-    z = kernel_into_quotient(m.ring, _tensor_block_cols(d_i, g_n), tgt_rels,
-                             _tensor_twists(f_im1, n))
-    b = _tensor_block_cols(d_ip1, g_n) + _free_tensor_rels(len(f_i), n)
-    return z, b, src
+    return h_is_zero(m.ring, tensor_cycle_data(resolution_of(m, i + 1), n, i))
 
 
 # ---------------------------------------------------------------------------
@@ -182,51 +229,13 @@ def ext(m, n, i):
         raise ValueError("Ext is indexed by nonnegative integers")
     if i == 0:
         return hom(m, n)
-    z, b, twists = _ext_cycle_data(m, n, i)
-    if z is None:
-        return PresentedModule(m.ring, (), ())
-    mod, _ = subquotient(m.ring, twists, z, b)
-    return mod
+    return h_module(m.ring, hom_cycle_data(resolution_of(m, i + 1), n, i))
 
 
 def ext_is_zero(m, n, i):
     if i == 0:
         return hom(m, n).is_zero()
-    z, b, twists = _ext_cycle_data(m, n, i)
-    if z is None:
-        return True
-    return subquotient_is_zero(m.ring, twists, z, b)
-
-
-def ext_length(m, n, i):
-    if i == 0:
-        return hom(m, n).length()
-    z, b, twists = _ext_cycle_data(m, n, i)
-    if z is None:
-        return 0
-    return homology_length(m.ring, twists, z, b)
-
-
-def _ext_cycle_data(m, n, i):
-    if m.ring != n.ring:
-        raise HypothesisError("Ext over different rings")
-    res = resolution_of(m, i + 1)
-    if res.betti(i) == 0 or n.is_zero():
-        return None, None, None
-    g_n = n.ngens
-    f_i = res.twists_of_level(i)
-    f_ip1 = res.twists_of_level(i + 1)
-    d_ip1 = res.differential(i + 1)
-    d_i = res.differential(i)
-    src = _hom_twists(f_i, n)
-    d_out = _hom_block_cols(d_ip1, len(f_i), g_n)
-    z = kernel_into_quotient(m.ring, d_out, _free_tensor_rels(len(f_ip1), n),
-                             _hom_twists(f_ip1, n))
-    b = _hom_block_cols(d_i, len(res.twists_of_level(i - 1)), g_n)
-    # the incoming differential's source is C^{i-1}: its columns are indexed
-    # by F_{i-1} x N components, each a vector in C^i coordinates
-    b = b + _free_tensor_rels(len(f_i), n)
-    return z, b, src
+    return h_is_zero(m.ring, hom_cycle_data(resolution_of(m, i + 1), n, i))
 
 
 # ---------------------------------------------------------------------------
@@ -254,44 +263,38 @@ def transpose(m):
 # Koszul depth
 
 
-def koszul_differential(ring_q, j):
-    """Columns of K_j -> K_{j-1} for the Koszul complex on all variables."""
-    amb = ring_q.ambient
-    n = amb.nvars
-    p = amb.p
-    prev = list(combinations(range(n), j - 1))
-    idx = {s: i for i, s in enumerate(prev)}
-    cols = []
-    for s in combinations(range(n), j):
-        col = {}
-        for pos, v in enumerate(s):
-            rest = s[:pos] + s[pos + 1:]
-            mono = [0] * n
-            mono[v] = 1
-            col[(idx[rest], tuple(mono))] = 1 if pos % 2 == 0 else p - 1
-        cols.append(col)
-    return cols
+class KoszulComplex:
+    """The Koszul complex on all ambient variables, a complex of free modules.
 
+    K_j (j >= 0) has one generator per j-subset of the variables, of the
+    subset's weighted degree, so K_j is empty for j > n.
+    """
 
-def koszul_twists(ring_q, j):
-    w = ring_q.ambient.weights
-    return tuple(sum(w[i] for i in s)
-                 for s in combinations(range(ring_q.ambient.nvars), j))
+    def __init__(self, ring):
+        self.ring = ring
 
+    def twists_at(self, j):
+        w = self.ring.ambient.weights
+        return tuple(sum(w[i] for i in s)
+                     for s in combinations(range(self.ring.ambient.nvars), j))
 
-def _koszul_homology_is_zero(m, i):
-    ring = m.ring
-    n = ring.ambient.nvars
-    g = m.ngens
-    src = _tensor_twists(koszul_twists(ring, i), m)
-    tgt_twists = _tensor_twists(koszul_twists(ring, i - 1), m)
-    d_i = _tensor_block_cols(koszul_differential(ring, i), g)
-    tgt_rels = _free_tensor_rels(len(koszul_twists(ring, i - 1)), m)
-    z = kernel_into_quotient(ring, d_i, tgt_rels, tgt_twists)
-    b = _free_tensor_rels(len(koszul_twists(ring, i)), m)
-    if i < n:
-        b = _tensor_block_cols(koszul_differential(ring, i + 1), g) + b
-    return subquotient_is_zero(ring, src, z, b)
+    def differential(self, j):
+        """Columns of K_j -> K_{j-1}."""
+        amb = self.ring.ambient
+        n = amb.nvars
+        p = amb.p
+        prev = list(combinations(range(n), j - 1))
+        idx = {s: i for i, s in enumerate(prev)}
+        cols = []
+        for s in combinations(range(n), j):
+            col = {}
+            for pos, v in enumerate(s):
+                rest = s[:pos] + s[pos + 1:]
+                mono = [0] * n
+                mono[v] = 1
+                col[(idx[rest], tuple(mono))] = 1 if pos % 2 == 0 else p - 1
+            cols.append(col)
+        return cols
 
 
 def depth(m):
@@ -303,8 +306,9 @@ def depth(m):
     if m.is_zero():
         raise HypothesisError("depth of the zero module is undefined")
     n = m.ring.ambient.nvars
+    koszul = KoszulComplex(m.ring)
     for i in range(n, 0, -1):
-        if not _koszul_homology_is_zero(m, i):
+        if not h_is_zero(m.ring, tensor_cycle_data(koszul, m, i)):
             return n - i
     return n
 
@@ -393,24 +397,3 @@ def torsion_length(m, method="auto"):
         raise ArithmeticError("torsion submodule has positive dimension; "
                               "the ring is likely not a domain as asserted")
     return ln
-
-
-def direct_sum_map(maps):
-    """Block-diagonal map on direct sums (helper for additivity tests)."""
-    if not maps:
-        raise ValueError("empty direct sum")
-    src = maps[0].source
-    tgt = maps[0].target
-    for f in maps[1:]:
-        src = src.direct_sum(f.source)
-        tgt = tgt.direct_sum(f.target)
-    cols = []
-    off_t = 0
-    off_s = 0
-    out_cols = []
-    for f in maps:
-        for col in f.cols:
-            out_cols.append({(k + off_t, mm): c for (k, mm), c in col.items()})
-        off_t += f.target.ngens
-        off_s += f.source.ngens
-    return GradedMap(src, tgt, out_cols)

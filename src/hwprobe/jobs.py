@@ -26,7 +26,7 @@ from .modules import (
     quotient_module,
 )
 from .quotient import NotDomainError, define_ring
-from .resolution import betti_numbers, complexity_estimate, syzygy_module
+from .resolution import complexity_estimate, syzygy_module
 from .tate import complete_resolution, tate_ext_length, tate_tor_length
 from .theta import (
     COUNTEREXAMPLE_CANDIDATE,

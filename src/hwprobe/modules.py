@@ -83,9 +83,6 @@ class PresentedModule:
         """Canonical representative of a coset of the relation submodule."""
         return self.rel_gb().normal_form(v)
 
-    def element_is_zero(self, v):
-        return not self.element_nf(v)
-
     # -- Hilbert data ----------------------------------------------------------
 
     def hilbert_numerator(self):
@@ -117,9 +114,6 @@ class PresentedModule:
                 d = max(d, hb.monomial_quotient_dim(amb.nvars, init.get(j, ())))
             self._cache["dim"] = d
         return d
-
-    def min_gen_degrees(self):
-        return tuple(sorted(self.twists))
 
     # -- constructions ---------------------------------------------------------
 
@@ -272,10 +266,6 @@ def _formal_partial(ring, f, i):
 
 # ---------------------------------------------------------------------------
 # constructors
-
-
-def make_module(ring, twists, rel_cols, *, normalize=True):
-    return PresentedModule(ring, twists, rel_cols, normalize=normalize)
 
 
 def free_module(ring, twists):
@@ -442,14 +432,6 @@ class GradedMap:
 
     def is_surjective(self) -> bool:
         return self.cokernel().is_zero()
-
-    def is_isomorphism(self) -> bool:
-        return self.is_surjective() and self.is_injective()
-
-
-def identity_map(m):
-    from .freemod import unit_vector
-    return GradedMap(m, m, [unit_vector(m.ring.ambient, j) for j in range(m.ngens)])
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ class Resolution:
         self.extend(i)
         return self.diffs[i - 1]
 
-    def twists_of_level(self, i):
+    def twists_at(self, i):
+        """Generator degrees of F_i."""
         self.extend(max(i, 1))
         return self.level_twists[i]
 
@@ -126,7 +127,7 @@ def syzygy_module(module: PresentedModule, n: int, trim=False):
     if n == 0:
         return module
     res = resolution_of(module, n + 1)
-    m = PresentedModule(module.ring, res.twists_of_level(n),
+    m = PresentedModule(module.ring, res.twists_at(n),
                         res.differential(n + 1), normalize=False)
     if trim:
         m, _ = m.trim_free_summands()

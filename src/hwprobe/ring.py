@@ -46,10 +46,6 @@ class Lex:
 ORDER_KINDS = {"grevlex": WeightedGrevLex, "lex": Lex}
 
 
-class RingMismatch(ValueError):
-    """Operands belong to different rings."""
-
-
 class PolyRing:
     """Ambient polynomial ring: named variables, positive weights, F_p."""
 

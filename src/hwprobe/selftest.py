@@ -9,8 +9,7 @@ import random
 from .catalog import catalog, catalog_names
 from .grammar import parse_polynomial
 from .groebner import groebner_basis, syzygy_generators
-from .homalg import depth, dual, grade, tensor, tor_length, torsion_submodule, transpose
-from .isomorphism import is_isomorphic
+from .homalg import dual, grade, tensor, tor_length, torsion_submodule, transpose
 from .jobs import run_job
 from .modules import free_module, ideal_module, quotient_module
 from .quotient import define_ring

@@ -10,31 +10,20 @@ the resolution into a cycle.  Total acyclicity of the cycle and of its dual
 is always verified on a window.
 """
 
-from .freemod import compose_cols, transpose_cols, unit_vector, vec_degree
-from .groebner import (
-    express_in_terms,
-    invert_graded_matrix,
-    kernel_into_quotient,
-    vec_nf_ideal,
-)
+from .freemod import compose_cols, vec_degree
+from .groebner import express_in_terms, invert_graded_matrix, vec_nf_ideal
 from .homalg import (
-    _free_tensor_rels,
-    _hom_block_cols,
-    _hom_twists,
-    _tensor_block_cols,
-    _tensor_twists,
     depth,
+    h_is_zero,
+    h_length,
+    h_module,
+    hom_cycle_data,
+    tensor_cycle_data,
 )
 from .isomorphism import ISO, is_isomorphic
-from .modules import (
-    HypothesisError,
-    PresentedModule,
-    homology_length,
-    subquotient,
-    subquotient_is_zero,
-)
+from .modules import HypothesisError, PresentedModule, free_module
 from .quotient import QuotientRing
-from .resolution import resolution_of, syzygy_module
+from .resolution import resolution_of
 
 
 def _trivial_quotient(amb):
@@ -153,7 +142,10 @@ class CompleteResolution:
         return self.cycle[k]
 
     def verify(self, window):
-        """Square-zero and total acyclicity (complex and dual) on [-w, w]."""
+        """Square-zero and total acyclicity (complex and dual) on [-w, w].
+
+        Total acyclicity is H_i(T (x) R) = 0 and H^i(Hom(T, R)) = 0.
+        """
         ring = self.ring
         amb = ring.ambient
         for i in range(-window, window + 2):
@@ -162,31 +154,13 @@ class CompleteResolution:
             for c in comp:
                 if vec_nf_ideal(ring, c):
                     return False
+        r1 = free_module(ring, (0,))
         for i in range(-window, window + 1):
-            if not self._homology_zero(i):
+            if not h_is_zero(ring, tensor_cycle_data(self, r1, i)):
                 return False
-            if not self._dual_homology_zero(i):
+            if not h_is_zero(ring, hom_cycle_data(self, r1, i)):
                 return False
         return True
-
-    def _homology_zero(self, i):
-        ring = self.ring
-        z = kernel_into_quotient(ring, self.differential(i), [],
-                                 self.twists_at(i - 1))
-        return subquotient_is_zero(ring, self.twists_at(i), z,
-                                   list(self.differential(i + 1)))
-
-    def _dual_homology_zero(self, i):
-        # cohomology of Hom(T, R) at i: ker Hom(d_{i+1}) / im Hom(d_i)
-        ring = self.ring
-        n_i = len(self.twists_at(i))
-        d_out = transpose_cols(ring.ambient, self.differential(i + 1), n_i)
-        twists_out = tuple(-t for t in self.twists_at(i + 1))
-        z = kernel_into_quotient(ring, d_out, [], twists_out)
-        b = transpose_cols(ring.ambient, self.differential(i),
-                           len(self.twists_at(i - 1)))
-        src = tuple(-t for t in self.twists_at(i))
-        return subquotient_is_zero(ring, src, z, b)
 
 
 def complete_resolution(module: PresentedModule, q=None, window=6,
@@ -225,9 +199,9 @@ def complete_resolution(module: PresentedModule, q=None, window=6,
             raise HypothesisError("finite projective dimension: Tate "
                                   "(co)homology vanishes and no complete "
                                   "resolution exists")
-        low = PresentedModule(ring, res.twists_of_level(i0),
+        low = PresentedModule(ring, res.twists_at(i0),
                               res.differential(i0 + 1), normalize=False)
-        high = PresentedModule(ring, res.twists_of_level(i0 + q),
+        high = PresentedModule(ring, res.twists_at(i0 + q),
                                res.differential(i0 + q + 1), normalize=False)
         cert = is_isomorphic(high, low, allow_twist=True)
         if cert.verdict != ISO:
@@ -237,9 +211,9 @@ def complete_resolution(module: PresentedModule, q=None, window=6,
         amb = ring.ambient
         v_inv = invert_graded_matrix(ring, v_cols,
                                      tuple(t + shift for t in
-                                           res.twists_of_level(i0)))
-        levels = [res.twists_of_level(i0 + k) for k in range(q)]
-        levels.append(tuple(t + shift for t in res.twists_of_level(i0)))
+                                           res.twists_at(i0)))
+        levels = [res.twists_at(i0 + k) for k in range(q)]
+        levels.append(tuple(t + shift for t in res.twists_at(i0)))
         cycle = [list(res.differential(i0 + k + 1)) for k in range(q - 1)]
         cycle.append(compose_cols(amb, res.differential(i0 + q), v_inv))
         cr = CompleteResolution(ring, q, i0, cycle, levels, shift,
@@ -255,84 +229,33 @@ def complete_resolution(module: PresentedModule, q=None, window=6,
 # Tate homology and cohomology
 
 
-def _tate_tor_data(cr, n_module, i):
-    ring = cr.ring
-    g_n = n_module.ngens
-    if g_n == 0:
-        return None
-    src = _tensor_twists(cr.twists_at(i), n_module)
-    tgt = _tensor_twists(cr.twists_at(i - 1), n_module)
-    d_i = _tensor_block_cols(cr.differential(i), g_n)
-    z = kernel_into_quotient(ring, d_i,
-                             _free_tensor_rels(len(cr.twists_at(i - 1)), n_module),
-                             tgt)
-    b = _tensor_block_cols(cr.differential(i + 1), g_n) + \
-        _free_tensor_rels(len(cr.twists_at(i)), n_module)
-    return src, z, b
-
-
 def tate_tor(cr: CompleteResolution, n_module, i):
     """Tate homology at any integer index, as a presented module."""
-    data = _tate_tor_data(cr, n_module, i)
-    if data is None:
-        return PresentedModule(cr.ring, (), ())
-    src, z, b = data
-    mod, _ = subquotient(cr.ring, src, z, b)
-    return mod
+    return h_module(cr.ring, tensor_cycle_data(cr, n_module, i))
 
 
 def tate_tor_length(cr, n_module, i):
-    key = ("torlen", (i - cr.base) % cr.q, id(n_module))
-    got = cr._cache.get(key)
-    if got is not None:
-        return got
-    data = _tate_tor_data(cr, n_module, i)
-    if data is None:
-        out = 0
-    else:
-        src, z, b = data
-        out = homology_length(cr.ring, src, z, b)
-    cr._cache[key] = out
-    return out
-
-
-def _tate_ext_data(cr, n_module, i):
-    ring = cr.ring
-    g_n = n_module.ngens
-    if g_n == 0:
-        return None
-    n_i = len(cr.twists_at(i))
-    src = _hom_twists(cr.twists_at(i), n_module)
-    d_out = _hom_block_cols(cr.differential(i + 1), n_i, g_n)
-    z = kernel_into_quotient(
-        ring, d_out,
-        _free_tensor_rels(len(cr.twists_at(i + 1)), n_module),
-        _hom_twists(cr.twists_at(i + 1), n_module))
-    b = _hom_block_cols(cr.differential(i), len(cr.twists_at(i - 1)), g_n) + \
-        _free_tensor_rels(n_i, n_module)
-    return src, z, b
+    """Length of Tate homology at any integer index."""
+    return _periodic_length(cr, tensor_cycle_data, n_module, i)
 
 
 def tate_ext(cr: CompleteResolution, n_module, i):
     """Tate cohomology at any integer index, as a presented module."""
-    data = _tate_ext_data(cr, n_module, i)
-    if data is None:
-        return PresentedModule(cr.ring, (), ())
-    src, z, b = data
-    mod, _ = subquotient(cr.ring, src, z, b)
-    return mod
+    return h_module(cr.ring, hom_cycle_data(cr, n_module, i))
 
 
 def tate_ext_length(cr, n_module, i):
-    key = ("extlen", (i - cr.base) % cr.q, id(n_module))
+    """Length of Tate cohomology at any integer index."""
+    return _periodic_length(cr, hom_cycle_data, n_module, i)
+
+
+def _periodic_length(cr, cycle_data, n_module, i):
+    # The length depends on i only modulo the period.  The key holds the
+    # module itself, not its id(): the cache keeps it alive, so its identity
+    # hash cannot be reused by another module.
+    key = (cycle_data, (i - cr.base) % cr.q, n_module)
     got = cr._cache.get(key)
-    if got is not None:
-        return got
-    data = _tate_ext_data(cr, n_module, i)
-    if data is None:
-        out = 0
-    else:
-        src, z, b = data
-        out = homology_length(cr.ring, src, z, b)
-    cr._cache[key] = out
-    return out
+    if got is None:
+        got = h_length(cr.ring, cycle_data(cr, n_module, i))
+        cr._cache[key] = got
+    return got

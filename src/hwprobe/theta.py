@@ -21,7 +21,7 @@ from .modules import (
     PresentedModule,
     subquotient,
 )
-from .resolution import betti_numbers, resolution_of, syzygy_module
+from .resolution import betti_numbers, syzygy_module
 from .tate import complete_resolution, matrix_factorization_of, tate_tor_length
 
 CONJECTURE_HOLDS = "CONJECTURE_HOLDS"

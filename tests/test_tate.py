@@ -184,3 +184,31 @@ def test_tate_ext_module_matches_its_length(cusp, cusp_m):
     assert mod.length() == tate_ext_length(cr, md, 0)
     neg = tate_ext(cr, md, -2)
     assert neg.length() == tate_ext_length(cr, md, -2)
+
+
+def test_tate_length_cache_tells_temporary_modules_apart(cusp, cusp_m):
+    # the modules are temporaries, so CPython hands a freed module's address
+    # to the next one; a cache keyed by id() returns the other module's length
+    from hwprobe import residue_field_module
+    cr = complete_resolution(cusp_m, 2, window=4)
+    for j in range(40):
+        mod = residue_field_module(cusp) if j % 2 else free_module(cusp, (0,))
+        assert tate_tor_length(cr, mod, 0) == tate_tor(cr, mod, 0).length()
+
+
+def test_verify_rejects_a_square_zero_complex_that_is_not_exact(cusp, cusp_m):
+    # (x*A, B) is square-zero over R, but x*A kills less than the image of B
+    from hwprobe import CompleteResolution
+    from hwprobe.freemod import vec_mul_term
+    mf = matrix_factorization_of(cusp_m)
+    x = P(cusp, "x")
+    (x_mono, _), = x.items()
+    xa = [vec_mul_term(col, x_mono, 1, cusp.ambient.p) for col in mf.a_cols]
+    shift = mf.fdeg + 3
+    cr = CompleteResolution(
+        cusp, 2, 0, [xa, list(mf.b_cols)],
+        [mf.row_twists, tuple(t + 3 for t in mf.col_twists),
+         tuple(t + shift for t in mf.row_twists)],
+        shift, {"via": "test"})
+    assert cr.verify(2) is False
+    assert tate_tor_length(cr, free_module(cusp, (0,)), 0) > 0
