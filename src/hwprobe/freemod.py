@@ -5,6 +5,16 @@ dict mapping ``(component, monomial)`` to a nonzero coefficient.  The free
 module itself is described by a tuple of generator degrees (twists): the
 basis vector e_j of ``F = (+)_j S(-a_j)`` has degree ``a_j``, so the term
 ``(j, m)`` has degree ``deg(m) + a_j``.
+
+This module is the one home of sparse F_p arithmetic on such dicts:
+
+* ``vec_isub_term_mul`` is the only loop that adds c*x^m*v into an
+  accumulator; ``matvec`` (and so ``compose_cols``) calls it once per term;
+* ``row_reduce`` / ``row_insert`` are the only sparse echelon routine: rows
+  are dicts of any hashable key, the pivot of a row is its ``key``-maximal
+  entry;
+* ``PolyRing.add``, ``sub`` and ``scale`` never look at keys, so they serve
+  vectors as well as polynomials.
 """
 
 Vec = dict  # (component, Mono) -> coefficient
@@ -42,24 +52,9 @@ def unit_vector(ring, comp) -> Vec:
     return {(comp, ring.zero_mono): 1}
 
 
-def vec_sub(a: Vec, b: Vec, p: int) -> Vec:
-    out = dict(a)
-    for t, c in b.items():
-        v = (out.get(t, 0) - c) % p
-        if v:
-            out[t] = v
-        else:
-            out.pop(t, None)
-    return out
-
-
-def vec_scale(v: Vec, c: int, p: int) -> Vec:
-    c %= p
-    if not c:
-        return {}
-    if c == 1:
-        return dict(v)
-    return {t: cc * c % p for t, cc in v.items()}
+def vec_from_polys(polys) -> Vec:
+    """Stack polynomials into a vector: the i-th becomes component i."""
+    return {(i, m): c for i, f in enumerate(polys) for m, c in f.items()}
 
 
 def vec_mul_term(v: Vec, m, c: int, p: int) -> Vec:
@@ -112,16 +107,48 @@ def matvec(ring, cols, v: Vec) -> Vec:
     p = ring.p
     out = {}
     for (c, m), coef in v.items():
-        for (j, mm), cc in cols[c].items():
-            t = (j, tuple(x + y for x, y in zip(m, mm)))
-            val = (out.get(t, 0) + coef * cc) % p
-            if val:
-                out[t] = val
-            else:
-                del out[t]
+        vec_isub_term_mul(out, cols[c], m, -coef, p)
     return out
 
 
 def compose_cols(ring, outer_cols, inner_cols):
     """Columns of (outer o inner): inner maps into the source of outer."""
     return [matvec(ring, outer_cols, col) for col in inner_cols]
+
+
+def row_reduce(row: dict, pivots: dict, key, p: int) -> dict:
+    """Reduce a row against monic echelon pivots, in place.
+
+    ``pivots`` maps a pivot key to its row; a row's pivot is its
+    ``key``-maximal entry.  Stops at the first leading entry without a pivot.
+    """
+    while row:
+        t = max(row, key=key)
+        piv = pivots.get(t)
+        if piv is None:
+            return row
+        c = row[t]
+        for tt, cc in piv.items():
+            v = (row.get(tt, 0) - c * cc) % p
+            if v:
+                row[tt] = v
+            else:
+                row.pop(tt, None)
+    return row
+
+
+def row_insert(row: dict, pivots: dict, key, p: int):
+    """Reduce a row and add it, made monic, as a new pivot.
+
+    Returns the new pivot row, or None when the row reduces to zero.
+    """
+    row = row_reduce(row, pivots, key, p)
+    if not row:
+        return None
+    t = max(row, key=key)
+    c = row[t]
+    if c != 1:
+        inv = pow(c, p - 2, p)
+        row = {tt: cc * inv % p for tt, cc in row.items()}
+    pivots[t] = row
+    return row

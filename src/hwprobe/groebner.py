@@ -19,13 +19,14 @@ from collections import defaultdict
 from .freemod import (
     SchreyerOrder,
     TermOverPosition,
+    row_insert,
     unit_vector,
     vec_component,
     vec_degree,
+    vec_from_polys,
     vec_isub_term_mul,
     vec_leading,
     vec_mul_term,
-    vec_scale,
 )
 
 
@@ -88,7 +89,6 @@ def reduce_poly(ring, f, gb_polys):
 def _prepare(ring, vectors):
     """Monic-normalize a list of vectors; return (basis, lts, by_comp)."""
     inv = ring.field.inv
-    p = ring.p
     key = TermOverPosition(ring).key
     basis, lts = [], []
     by_comp = defaultdict(list)
@@ -97,7 +97,7 @@ def _prepare(ring, vectors):
             continue
         (c, m), lc = vec_leading(v, key)
         if lc != 1:
-            v = vec_scale(v, inv(lc), p)
+            v = ring.scale(v, inv(lc))
         by_comp[c].append(len(basis))
         basis.append(v)
         lts.append((c, m))
@@ -139,9 +139,9 @@ def _buchberger_core(ring, gens, twists, key, track=False):
         (c, m), lc = vec_leading(v, key)
         if lc != 1:
             s = inv(lc)
-            v = vec_scale(v, s, p)
+            v = ring.scale(v, s)
             if track:
-                rep = vec_scale(rep, s, p)
+                rep = ring.scale(rep, s)
         idx = len(basis)
         for i in by_comp[c]:
             lcm = mono_lcm(lts[i][1], m)
@@ -191,7 +191,6 @@ def _buchberger_core(ring, gens, twists, key, track=False):
 
 def _interreduce(ring, basis, key):
     """Canonical reduced basis: minimal leading terms, fully tail-reduced."""
-    p = ring.p
     divides = ring.mono_divides
     items = sorted((v for v in basis if v), key=lambda g: key(max(g, key=key)))
     kept = []
@@ -218,7 +217,7 @@ def _interreduce(ring, basis, key):
     out = []
     for g in kept:
         (c, m), lc = vec_leading(g, key)
-        out.append(vec_scale(g, ring.field.inv(lc), p))
+        out.append(ring.scale(g, ring.field.inv(lc)))
     out.sort(key=lambda g: key(max(g, key=key)))
     return tuple(out)
 
@@ -396,35 +395,6 @@ def express_in_terms(ring_q, v, gens, aux, twists):
 # minimal generators via degreewise linear algebra
 
 
-def _row_reduce(row, pivots, key, p):
-    """Reduce a coefficient row against monic echelon pivots (in place)."""
-    while row:
-        t = max(row, key=key)
-        piv = pivots.get(t)
-        if piv is None:
-            return row
-        c = row[t]
-        for tt, cc in piv.items():
-            v = (row.get(tt, 0) - c * cc) % p
-            if v:
-                row[tt] = v
-            else:
-                row.pop(tt, None)
-    return row
-
-
-def _row_insert(row, pivots, key, p, inv):
-    row = _row_reduce(row, pivots, key, p)
-    if not row:
-        return None
-    t = max(row, key=key)
-    c = row[t]
-    if c != 1:
-        row = {tt: cc * inv(c) % p for tt, cc in row.items()}
-    pivots[t] = row
-    return row
-
-
 def minimal_generators(ring_q, vectors, twists, modulo=None):
     """A minimal homogeneous generating set of the R-submodule <vectors>.
 
@@ -437,7 +407,6 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
     """
     ring = ring_q.ambient
     p = ring.p
-    inv = ring.field.inv
     key = TermOverPosition(ring).key
     reduce = modulo.normal_form if modulo is not None else (
         lambda v: vec_nf_ideal(ring_q, v))
@@ -461,35 +430,17 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
             if e < 0:
                 continue
             for m in ring.monomials_of_degree(e):
-                row = reduce(vec_mul_term(g, m, 1, p))
-                _row_insert(row, pivots, key, p, inv)
+                row_insert(reduce(vec_mul_term(g, m, 1, p)), pivots, key, p)
         while idx < len(items) and items[idx][0] == d:
             v = items[idx][2]
-            r = _row_reduce(dict(v), pivots, key, p)
-            if r:
+            if row_insert(dict(v), pivots, key, p) is not None:
                 kept.append((d, v))
-                _row_insert(dict(v), pivots, key, p, inv)
             idx += 1
     return [g for _, g in kept]
 
 
 # ---------------------------------------------------------------------------
 # presentation utilities
-
-
-def vec_poly_mul(ring, v, f):
-    """Multiply a vector by a scalar polynomial."""
-    p = ring.p
-    out = {}
-    for m, c in f.items():
-        for (comp, mm), cc in v.items():
-            t = (comp, tuple(x + y for x, y in zip(m, mm)))
-            val = (out.get(t, 0) + c * cc) % p
-            if val:
-                out[t] = val
-            else:
-                del out[t]
-    return out
 
 
 def minimalize_presentation(ring_q, cols, twists):
@@ -527,15 +478,9 @@ def minimalize_presentation(ring_q, cols, twists):
                 continue
             entry = vec_component(col, r)
             if entry:
-                q = ring.scale(entry, uinv)
                 col = dict(col)
-                qcol = vec_poly_mul(ring, pcol, q)
-                for t, c in qcol.items():
-                    v = (col.get(t, 0) - c) % p
-                    if v:
-                        col[t] = v
-                    else:
-                        col.pop(t, None)
+                for m, c in entry.items():
+                    vec_isub_term_mul(col, pcol, m, c * uinv, p)
                 col = vec_nf_ideal(ring_q, col)
             if col:
                 new_cols.append(col)
@@ -595,19 +540,14 @@ def invert_graded_matrix(ring_q, cols, row_twists):
     if len(det) != 1 or not u:
         raise ValueError("matrix is not invertible over the quotient ring")
     uinv = ring.field.inv(u)
-    inv_cols = []
-    for j in range(n):
-        col = {}
-        for i in range(n):
-            rows = tuple(r for r in range(n) if r != j)
-            cs = tuple(c for c in range(n) if c != i)
-            minor = poly_det(ring, entry, rows, cs)
-            sign = -1 if (i + j) % 2 else 1
-            cof = ring_q.nf(ring.scale(minor, sign * uinv))
-            for m, c in cof.items():
-                col[(i, m)] = c
-        inv_cols.append(col)
-    return inv_cols
+
+    def cofactor(i, j):
+        rows = tuple(r for r in range(n) if r != j)
+        cs = tuple(c for c in range(n) if c != i)
+        sign = -1 if (i + j) % 2 else 1
+        return ring_q.nf(ring.scale(poly_det(ring, entry, rows, cs), sign * uinv))
+
+    return [vec_from_polys(cofactor(i, j) for i in range(n)) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------

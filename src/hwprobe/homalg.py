@@ -20,7 +20,7 @@ module, a length or a vanishing test.
 
 from itertools import combinations
 
-from .freemod import vec_component, vec_degree
+from .freemod import vec_component, vec_degree, vec_from_polys
 from .groebner import express_in_terms, kernel_into_quotient, saturate
 from .modules import (
     GradedMap,
@@ -185,18 +185,15 @@ class HomData:
 
 
 def hom_data(m, n) -> HomData:
+    """Hom(M, N) as H^0 of Hom(F, N) for the presentation F_1 -> F_0 of M."""
     ring = m.ring
     if m.ring != n.ring:
         raise HypothesisError("Hom over different rings")
-    g_n = n.ngens
-    if m.ngens == 0 or g_n == 0:
+    data = hom_cycle_data(resolution_of(m, 1), n, 0)
+    if data is None:
         return HomData(PresentedModule(ring, (), ()), [], (), [], [])
-    free_twists = _hom_twists(m.twists, n)
-    d_out = _hom_block_cols(list(m.rels), m.ngens, g_n)
-    tgt_twists = tuple(b - e for e in m.rel_degrees() for b in n.twists)
-    tgt_rels = _free_tensor_rels(len(m.rels), n)
-    z = kernel_into_quotient(ring, d_out, tgt_rels, tgt_twists)
-    b = _free_tensor_rels(m.ngens, n)
+    free_twists, z, b = data
+    g_n = n.ngens
     mod, kept = subquotient(ring, free_twists, z, b)
     amb = ring.ambient
     maps = []
@@ -244,18 +241,9 @@ def ext_is_zero(m, n, i):
 
 def transpose(m):
     """Auslander transpose: cokernel of the dual of the minimal presentation."""
-    amb = m.ring.ambient
-    g = m.ngens
-    rel_degs = m.rel_degrees()
-    twists = tuple(-e for e in rel_degs)
-    cols = []
-    for j in range(g):
-        col = {}
-        for c, rel in enumerate(m.rels):
-            f = vec_component(rel, j)
-            for mm, coef in f.items():
-                col[(c, mm)] = coef
-        cols.append(col)
+    twists = tuple(-e for e in m.rel_degrees())
+    cols = [vec_from_polys(vec_component(rel, j) for rel in m.rels)
+            for j in range(m.ngens)]
     return PresentedModule(m.ring, twists, cols)
 
 
@@ -340,14 +328,8 @@ def biduality_map(m) -> GradedMap:
         return GradedMap(m, hd2.module, [])
     cols = []
     for j in range(m.ngens):
-        ev = {}
-        for ell, phi in enumerate(hd1.gen_maps):
-            f = vec_component(phi.cols[j], 0)
-            for mm, c in f.items():
-                ev[(ell, mm)] = c
-        if not hd1.gen_maps:
-            cols.append({})
-            continue
+        ev = vec_from_polys(vec_component(phi.cols[j], 0)
+                            for phi in hd1.gen_maps)
         if not ev:
             cols.append({})
             continue
@@ -355,11 +337,7 @@ def biduality_map(m) -> GradedMap:
                                   hd2.free_twists)
         if coords is None:
             raise ArithmeticError("biduality image failed to land in Hom(M*, R)")
-        col = {}
-        for ell, f in enumerate(coords):
-            for mm, c in f.items():
-                col[(ell, mm)] = c
-        cols.append(col)
+        cols.append(vec_from_polys(coords))
     return GradedMap(m, hd2.module, cols)
 
 
@@ -388,12 +366,3 @@ def torsion_submodule(m, method="auto"):
         eta = biduality_map(m)
         return eta.kernel()
     raise ValueError(f"unknown torsion method {method!r}")
-
-
-def torsion_length(m, method="auto"):
-    t, _ = torsion_submodule(m, method)
-    ln = t.length()
-    if ln is None:
-        raise ArithmeticError("torsion submodule has positive dimension; "
-                              "the ring is likely not a domain as asserted")
-    return ln

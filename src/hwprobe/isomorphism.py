@@ -12,7 +12,9 @@ runs out without a witness).
 
 import random
 from dataclasses import dataclass, field
+from operator import neg
 
+from .freemod import row_insert, vec_component, vec_isub_term_mul
 from .hilbert import std_monomials_of_degree
 from .modules import GradedMap, PresentedModule
 
@@ -34,24 +36,13 @@ class IsoResult:
 
 
 def _nullspace(rows, ncols, p):
-    """Basis of the nullspace of a sparse F_p matrix given as dict rows."""
+    """Basis of the nullspace of a sparse F_p matrix given as dict rows.
+
+    Rows are echelonized with their smallest column as the pivot.
+    """
     pivots = {}
     for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(row[c], p - 2, p)
-                pivots[c] = {cc: vv * inv % p for cc, vv in row.items()}
-                break
-            coef = row[c]
-            for cc, vv in piv.items():
-                nv = (row.get(cc, 0) - coef * vv) % p
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
+        row_insert(dict(row), pivots, neg, p)
     basis = []
     free_cols = [c for c in range(ncols) if c not in pivots]
     piv_cols = sorted(pivots, reverse=True)
@@ -90,22 +81,14 @@ def degree_zero_homs(m: PresentedModule, n: PresentedModule):
     for rel in m.rels:
         row_acc = {}  # N coordinate term -> {unknown index: coefficient}
         for u_idx, (j, (k, mono)) in enumerate(unknowns):
-            terms = {}
-            for (jj, mono_r), coef in rel.items():
-                if jj != j:
-                    continue
-                t = (k, tuple(x + y for x, y in zip(mono, mono_r)))
-                terms[t] = (terms.get(t, 0) + coef) % p
-            if not terms:
+            # the unknown sends generator j to x^mono e_k
+            f = amb.mul_term(vec_component(rel, j), mono, 1)
+            if not f:
                 continue
-            img = n.element_nf({t: c for t, c in terms.items() if c})
+            img = n.element_nf({(k, mm): c for mm, c in f.items()})
             for t, c in img.items():
-                acc = row_acc.setdefault(t, {})
-                acc[u_idx] = (acc.get(u_idx, 0) + c) % p
-        for row in row_acc.values():
-            row = {u: c for u, c in row.items() if c}
-            if row:
-                rows.append(row)
+                row_acc.setdefault(t, {})[u_idx] = c
+        rows.extend(row_acc.values())
     basis = _nullspace(rows, len(unknowns), p)
     out = []
     for vec in basis:
@@ -190,27 +173,15 @@ def is_isomorphic(m: PresentedModule, n: PresentedModule, allow_twist=False,
     for bar, cols in bars:
         row = {i * g + j: bar[i][j] for i in range(n.ngens)
                for j in range(g) if bar[i][j]}
-        r = dict(row)
-        while r:
-            c = min(r)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(r[c], p - 2, p)
-                pivots[c] = {cc: vv * inv % p for cc, vv in r.items()}
-                indep.append((bar, cols))
-                break
-            coef = r[c]
-            for cc, vv in piv.items():
-                nv = (r.get(cc, 0) - coef * vv) % p
-                if nv:
-                    r[cc] = nv
-                else:
-                    r.pop(cc, None)
+        if row_insert(row, pivots, neg, p) is not None:
+            indep.append((bar, cols))
     dim_w = len(indep)
     if dim_w == 0:
         return IsoResult(NOT_ISO, twist=s,
                          invariant="no degree-zero map hits the generators",
                          detail={"hom0_dim": len(homs)})
+
+    zero = m.ring.ambient.zero_mono
 
     def combo_cols(coeffs):
         cols = [dict() for _ in range(g)]
@@ -218,12 +189,7 @@ def is_isomorphic(m: PresentedModule, n: PresentedModule, allow_twist=False,
             if not c:
                 continue
             for j in range(g):
-                for t, v in hcols[j].items():
-                    nv = (cols[j].get(t, 0) + c * v) % p
-                    if nv:
-                        cols[j][t] = nv
-                    else:
-                        cols[j].pop(t, None)
+                vec_isub_term_mul(cols[j], hcols[j], zero, -c, p)
         return cols
 
     def combo_bar(coeffs):

@@ -40,8 +40,7 @@ from .theta import (
     theta_additivity_check,
 )
 
-DEFAULT_BOUNDS = {"degree": 20, "window": 10, "twist_window": 12,
-                  "iso_budget": 500}
+DEFAULT_BOUNDS = {"degree": 20, "window": 10, "iso_budget": 500}
 
 
 class JobError(Exception):
@@ -67,12 +66,21 @@ def load_jobspec(text: str) -> dict:
     for key in ("field", "variables", "weights", "tasks"):
         if key not in spec:
             raise JobError(f"job file is missing the {key!r} field")
+    _job_bounds(spec)
+    return spec
+
+
+def _job_bounds(spec: dict) -> dict:
+    """The defaults overridden by the spec's bounds; unknown keys are errors."""
     bounds = dict(DEFAULT_BOUNDS)
     bounds.update(spec.get("bounds", {}))
     for k, v in bounds.items():
+        if k not in DEFAULT_BOUNDS:
+            raise JobError(f"unknown bound {k!r}; known bounds are "
+                           f"{sorted(DEFAULT_BOUNDS)}")
         if not isinstance(v, int) or v <= 0:
             raise JobError(f"bound {k!r} must be a positive integer, got {v!r}")
-    return spec
+    return bounds
 
 
 def _parse(ring_amb, text, where):
@@ -403,8 +411,7 @@ def _is_anomalous(task_entry):
 def run_job(spec: dict, seed=0) -> Report:
     started = time.perf_counter()
     spec = dict(spec)
-    bounds = dict(DEFAULT_BOUNDS)
-    bounds.update(spec.get("bounds", {}))
+    bounds = _job_bounds(spec)
     ring = build_ring(spec)
     modules = build_modules(spec, ring)
     ctx = TaskContext(ring, modules, bounds, seed)

@@ -12,10 +12,7 @@ polynomial ring.
 """
 
 from . import hilbert as hb
-from .freemod import (
-    vec_component,
-    vec_degree,
-)
+from .freemod import matvec, vec_component, vec_degree
 from .groebner import (
     InhomogeneousError,
     kernel_into_quotient,
@@ -372,35 +369,12 @@ class GradedMap:
             if d is None or (c and d != self.source.twists[j] + self.shift):
                 return False
         gb = self.target.rel_gb()
-        p = amb.p
-        for rel in self.source.rels:
-            img = {}
-            for (j, m), coef in rel.items():
-                for (k, mm), cc in self.cols[j].items():
-                    t = (k, tuple(a + b for a, b in zip(m, mm)))
-                    v = (img.get(t, 0) + coef * cc) % p
-                    if v:
-                        img[t] = v
-                    else:
-                        del img[t]
-            if gb.normal_form(img):
-                return False
-        return True
+        return not any(gb.normal_form(self.apply(rel))
+                       for rel in self.source.rels)
 
     def apply(self, v):
         """Image of an element given in source generator coordinates."""
-        amb = self.ring.ambient
-        p = amb.p
-        out = {}
-        for (j, m), coef in v.items():
-            for (k, mm), cc in self.cols[j].items():
-                t = (k, tuple(a + b for a, b in zip(m, mm)))
-                val = (out.get(t, 0) + coef * cc) % p
-                if val:
-                    out[t] = val
-                else:
-                    del out[t]
-        return out
+        return matvec(self.ring.ambient, self.cols, v)
 
     def compose(self, inner):
         """self o inner."""

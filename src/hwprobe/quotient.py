@@ -5,6 +5,9 @@ equations like x^2 - y^3 (weights 3, 2) are honestly homogeneous.  Module
 arithmetic over R happens in S carrying the reduced Groebner basis of I.
 """
 
+from operator import neg
+
+from .freemod import row_insert
 from .groebner import groebner_basis
 from .hilbert import monomial_quotient_dim
 from .ring import PolyRing
@@ -76,9 +79,6 @@ class QuotientRing:
     def variables(self):
         return [self.ambient.var(i) for i in range(self.ambient.nvars)]
 
-    def irrelevant_ideal(self):
-        return self.variables()
-
 
 def _quadratic_form_rank(ring: PolyRing, f) -> int:
     """Rank of the Gram matrix of a quadratic form (all weights 1, p odd)."""
@@ -95,20 +95,10 @@ def _quadratic_form_rank(ring: PolyRing, f) -> int:
         else:
             gram[i][j] = (gram[i][j] + c) % p
             gram[j][i] = (gram[j][i] + c) % p
-    rank = 0
-    mat = [row[:] for row in gram]
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        for r in range(n):
-            if r != rank and mat[r][col]:
-                q = mat[r][col] * inv % p
-                mat[r] = [(a - q * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+    pivots = {}
+    for row in gram:
+        row_insert({j: v for j, v in enumerate(row) if v}, pivots, neg, p)
+    return len(pivots)
 
 
 def _poly_divides(ring: PolyRing, g, f) -> bool:

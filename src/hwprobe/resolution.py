@@ -70,14 +70,18 @@ class Resolution:
         return [len(self.level_twists[i]) for i in range(window + 1)]
 
     def differential(self, i):
-        """Columns of d_i (i >= 1)."""
-        if i < 1:
-            raise ValueError("differentials are indexed from 1")
+        """Columns of d_i: F_i -> F_{i-1}; d_0 is the zero map F_0 -> 0."""
+        if i < 0:
+            raise ValueError("differentials are indexed from 0")
+        if i == 0:
+            return [{} for _ in self.level_twists[0]]
         self.extend(i)
         return self.diffs[i - 1]
 
     def twists_at(self, i):
-        """Generator degrees of F_i."""
+        """Generator degrees of F_i; F_i is zero for i < 0."""
+        if i < 0:
+            return ()
         self.extend(max(i, 1))
         return self.level_twists[i]
 

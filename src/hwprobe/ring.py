@@ -133,6 +133,9 @@ class PolyRing:
         return got
 
     # -- polynomial arithmetic ---------------------------------------------
+    #
+    # ``add``, ``sub`` and ``scale`` never look at the keys of their dicts,
+    # so they serve free-module vectors ((component, monomial) keys) too.
 
     def zero(self) -> Poly:
         return {}
@@ -213,14 +216,6 @@ class PolyRing:
             out = self.mul(out, f)
         return out
 
-    def poly_arith(self, f: Poly, g: Poly, which: str) -> Poly:
-        """Exact sum or product; zero coefficients are never stored."""
-        if which == "add":
-            return self.add(f, g)
-        if which == "mul":
-            return self.mul(f, g)
-        raise ValueError(f"unknown operation {which!r}")
-
     # -- structure ----------------------------------------------------------
 
     def homogeneous_degree(self, f: Poly):
@@ -234,9 +229,6 @@ class PolyRing:
         if len(degs) > 1:
             return None
         return degs.pop()
-
-    def is_homogeneous(self, f: Poly) -> bool:
-        return self.homogeneous_degree(f) is not None
 
     def leading_term(self, f: Poly):
         """Order-maximal term ``(monomial, coefficient)`` of a nonzero poly."""

@@ -10,7 +10,7 @@ the resolution into a cycle.  Total acyclicity of the cycle and of its dual
 is always verified on a window.
 """
 
-from .freemod import compose_cols, vec_degree
+from .freemod import compose_cols, vec_degree, vec_from_polys
 from .groebner import express_in_terms, invert_graded_matrix, vec_nf_ideal
 from .homalg import (
     depth,
@@ -24,14 +24,6 @@ from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
 from .quotient import QuotientRing
 from .resolution import resolution_of
-
-
-def _trivial_quotient(amb):
-    rq = amb.__dict__.get("_trivial_quotient")
-    if rq is None:
-        rq = QuotientRing(amb, [])
-        amb.__dict__["_trivial_quotient"] = rq
-    return rq
 
 
 class MatrixFactorization:
@@ -92,7 +84,7 @@ def matrix_factorization_of(module: PresentedModule) -> MatrixFactorization:
     if len(a_cols) != module.ngens:
         raise HypothesisError("minimal presentation of an MCM module over a "
                               "hypersurface must be square")
-    triv = _trivial_quotient(amb)
+    triv = QuotientRing(amb, [])
     f = ring.hypersurface_poly
     b_cols = []
     for j in range(module.ngens):
@@ -101,11 +93,7 @@ def matrix_factorization_of(module: PresentedModule) -> MatrixFactorization:
         if coords is None:
             raise RuntimeError("lift of f*I through the presentation failed; "
                                "this indicates a bug, not a legal state")
-        col = {}
-        for c, poly in enumerate(coords):
-            for m, coef in poly.items():
-                col[(c, m)] = coef
-        b_cols.append(col)
+        b_cols.append(vec_from_polys(coords))
     return MatrixFactorization(ring, a_cols, module.twists, b_cols)
 
 

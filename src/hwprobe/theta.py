@@ -11,7 +11,7 @@ always certifies stabilization by recomputing at the next stable index.
 import random
 from dataclasses import dataclass, field
 
-from .freemod import unit_vector
+from .freemod import unit_vector, vec_from_polys
 from .groebner import express_in_terms, minimal_generators, minimalize_presentation
 from .homalg import depth, dual, ext_is_zero, tensor, tor_length, torsion_submodule
 from .isomorphism import ISO, is_isomorphic
@@ -158,11 +158,7 @@ def cokernel_with_projection(f: GradedMap):
                                   y.twists)
         if coords is None:
             raise ArithmeticError("projection to the cokernel failed")
-        col = {}
-        for ell, poly in enumerate(coords):
-            for m, c in poly.items():
-                col[(ell, m)] = c
-        proj_cols.append(col)
+        proj_cols.append(vec_from_polys(coords))
     return z, GradedMap(y, z, proj_cols)
 
 

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwprobe import PolyRing, define_ring, parse_polynomial
-from hwprobe.freemod import matvec, vec_mul_term
+from hwprobe.freemod import matvec, vec_component, vec_mul_term
 from hwprobe.groebner import (
     InhomogeneousError,
     colon_by_elements,
@@ -226,7 +228,6 @@ def test_minimal_generators_drops_redundant():
 def test_express_in_terms_round_trip(cusp, cusp_m):
     # membership with tracked division certificates: re-expressing an
     # element through the returned coordinates reproduces it modulo I
-    from hwprobe.freemod import vec_sub
     from hwprobe.groebner import express_in_terms, vec_nf_ideal
     amb = cusp.ambient
     gens = list(cusp_m.rels)
@@ -247,7 +248,7 @@ def test_express_in_terms_round_trip(cusp, cusp_m):
                     rebuilt[(cc, mm)] = v
                 else:
                     rebuilt.pop((cc, mm), None)
-    assert vec_nf_ideal(cusp, vec_sub(target, rebuilt, 7)) == {}
+    assert vec_nf_ideal(cusp, amb.sub(target, rebuilt)) == {}
     # an element outside the submodule has no expression
     outside = {(0, amb.zero_mono): 1}
     assert express_in_terms(cusp, outside, gens, [], cusp_m.twists) is None
@@ -286,3 +287,32 @@ def test_random_ideals_match_independent_cas():
         got = {to_sp(v).monic() for v in ours.elements}
         want = {sp.Poly(e, *xs, modulus=7).monic() for e in oracle.exprs}
         assert got == want, f"trial {trial} disagrees with the oracle"
+
+
+
+MV_RING = PolyRing(["x", "y", "z"], [1, 2, 1], 7)
+_mv_monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+def _mv_vectors(ncomp):
+    return st.dictionaries(st.tuples(st.integers(0, ncomp - 1), _mv_monos),
+                           st.integers(1, 6), max_size=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_matvec_matches_entrywise_products(data):
+    # (A v)_j = sum_c A[j][c] * v_c, each product and sum taken in PolyRing
+    r = MV_RING
+    n_src = data.draw(st.integers(1, 3))
+    n_tgt = data.draw(st.integers(1, 3))
+    cols = [data.draw(_mv_vectors(n_tgt)) for _ in range(n_src)]
+    v = data.draw(_mv_vectors(n_src))
+    want = {}
+    for j in range(n_tgt):
+        total = {}
+        for c in range(n_src):
+            total = r.add(total, r.mul(vec_component(cols[c], j),
+                                       vec_component(v, c)))
+        want.update({(j, m): coef for m, coef in total.items()})
+    assert matvec(r, cols, v) == want

@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hwprobe import (
     ISO,
     NOT_ISO,
@@ -9,6 +12,7 @@ from hwprobe import (
     quotient_module,
     syzygy_module,
 )
+from hwprobe.isomorphism import _nullspace
 
 
 def P(rq, s):
@@ -88,3 +92,37 @@ def test_mixed_degree_not_isomorphic(cusp, cusp_m):
     b = cusp_m.direct_sum(residue_field_module(cusp).twist(-2))
     res = is_isomorphic(a, b, allow_twist=True)
     assert res.verdict == NOT_ISO
+
+
+
+def _dense_rank(rows, ncols, p):
+    mat = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                q = mat[i][col] * inv % p
+                mat[i] = [(a - q * b) % p for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_nullspace_is_the_kernel(data):
+    p = data.draw(st.sampled_from([2, 5, 101]))
+    ncols = data.draw(st.integers(1, 7))
+    rows = data.draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), st.integers(1, p - 1),
+                        max_size=ncols), max_size=6))
+    basis = _nullspace(rows, ncols, p)
+    for vec in basis:
+        for row in rows:
+            assert sum(c * vec.get(k, 0) for k, c in row.items()) % p == 0
+    assert len(basis) == ncols - _dense_rank(rows, ncols, p)
+    assert _dense_rank(basis, ncols, p) == len(basis)

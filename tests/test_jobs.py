@@ -191,3 +191,12 @@ def test_emit_rejects_unknown_format():
     report = run_job(minimal_spec())
     with pytest.raises(ValueError):
         emit(report, format="yaml")
+
+
+def test_unknown_bound_is_rejected():
+    # a bound that no code applies must fail, not be echoed in the report
+    spec = minimal_spec(bounds={"window": 4, "twist_window": 12})
+    with pytest.raises(JobError, match="twist_window"):
+        load_jobspec(json.dumps(spec))
+    with pytest.raises(JobError, match="twist_window"):
+        run_job(spec)

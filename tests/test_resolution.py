@@ -117,3 +117,14 @@ def test_complexity_classifications(cusp, cusp_m, gp_ring):
     k = residue_field_module(gp_ring)
     est = complexity_estimate(k, 6)
     assert est["classification"] in ("polynomial-growth", "inconclusive")
+
+
+def test_levels_below_f0_are_zero():
+    # k over F7[x,y]/(x^2): F_{-1} is the zero module and d_0 the zero map
+    # out of F_0, whatever the resolution has been extended to
+    r = define_ring(["x", "y"], [1, 1], 7, ["x^2"])
+    res = resolution_of(residue_field_module(r), 3)
+    assert res.twists_at(-1) == ()
+    assert res.differential(0) == [{}]
+    with pytest.raises(ValueError):
+        res.differential(-1)
