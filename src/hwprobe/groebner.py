@@ -190,8 +190,14 @@ def _buchberger_core(ring, gens, twists, key, track=False):
 
 
 def _interreduce(ring, basis, key):
-    """Canonical reduced basis: minimal leading terms, fully tail-reduced."""
+    """Canonical reduced basis: minimal leading terms, fully tail-reduced.
+
+    One pass suffices: every tail term of an element is smaller than its
+    leading term, so reducing the tail against the whole kept set never
+    meets that element's own leading term, and no leading term changes.
+    """
     divides = ring.mono_divides
+    inv = ring.field.inv
     items = sorted((v for v in basis if v), key=lambda g: key(max(g, key=key)))
     kept = []
     kept_lts = []
@@ -201,24 +207,15 @@ def _interreduce(ring, basis, key):
             continue
         kept.append(g)
         kept_lts.append((c, m))
-    # tail-reduce to the fixpoint; each change strictly decreases the
-    # element in the multiset order on term keys, so this terminates
-    while True:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            b, lts, by_comp = _prepare(ring, others)
-            r, _ = _reduce(ring, kept[i], b, lts, by_comp, key)
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
-        if not changed:
-            break
+    b, lts, by_comp = _prepare(ring, kept)
     out = []
-    for g in kept:
-        (c, m), lc = vec_leading(g, key)
-        out.append(ring.scale(g, ring.field.inv(lc)))
-    out.sort(key=lambda g: key(max(g, key=key)))
+    for g, lt in zip(kept, kept_lts):
+        lc = g[lt]
+        tail = {t: v for t, v in g.items() if t != lt}
+        rem, _ = _reduce(ring, tail, b, lts, by_comp, key)
+        if rem != tail:
+            g = {lt: lc, **rem}
+        out.append(ring.scale(g, inv(lc)))
     return tuple(out)
 
 
@@ -276,14 +273,7 @@ def syzygy_generators(ring, gens, twists, key=None):
     key = key or TermOverPosition(ring).key
     _check_homogeneous(ring, gens, twists)
     _, _, syz = _buchberger_core(ring, gens, twists, key, track=True)
-    nonzero = [g for g in gens if g]
-    if nonzero:
-        lead = []
-        for g in gens:
-            lead.append(vec_leading(g, key)[0] if g else (0, ring.zero_mono))
-        skey = SchreyerOrder(key, lead).key
-    else:
-        skey = TermOverPosition(ring).key
+    skey = schreyer_order_for(ring, gens, key).key
     out = [s for s in syz if s]
     out.sort(key=lambda s: skey(max(s, key=skey)))
     return out

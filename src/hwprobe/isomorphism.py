@@ -112,28 +112,6 @@ def _bar_matrix(m, n, cols):
     return bar
 
 
-def _det_mod_p(mat, p):
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det % p
-        det = det * m[col][col] % p
-        inv = pow(m[col][col], p - 2, p)
-        for r in range(col + 1, n):
-            if m[r][col]:
-                q = m[r][col] * inv % p
-                m[r] = [(a - q * b) % p for a, b in zip(m[r], m[col])]
-    return det % p
-
-
 def is_isomorphic(m: PresentedModule, n: PresentedModule, allow_twist=False,
                   sample_budget=500, exhaust_limit=200_000, seed=0) -> IsoResult:
     """Three-valued graded isomorphism test.
@@ -192,15 +170,16 @@ def is_isomorphic(m: PresentedModule, n: PresentedModule, allow_twist=False,
                 vec_isub_term_mul(cols[j], hcols[j], zero, -c, p)
         return cols
 
-    def combo_bar(coeffs):
-        bar = [[0] * g for _ in range(g)]
-        for c, (b, _cols) in zip(coeffs, indep):
-            if not c:
-                continue
-            for i in range(g):
-                for j in range(g):
-                    bar[i][j] = (bar[i][j] + c * b[i][j]) % p
-        return bar
+    def invertible(coeffs):
+        # the combined bar matrix is invertible iff all g of its rows insert
+        pivots = {}
+        for i in range(g):
+            row = [sum(c * b[i][j] for c, (b, _cols) in zip(coeffs, indep)) % p
+                   for j in range(g)]
+            if row_insert({j: x for j, x in enumerate(row) if x},
+                          pivots, neg, p) is None:
+                return False
+        return True
 
     def certify(coeffs):
         cert = GradedMap(ms, n, combo_cols(coeffs))
@@ -223,14 +202,14 @@ def is_isomorphic(m: PresentedModule, n: PresentedModule, allow_twist=False,
                     yield from rec(prefix + (c,), k - 1)
 
             for coeffs in rec(base, tail):
-                if _det_mod_p(combo_bar(coeffs), p):
+                if invertible(coeffs):
                     return certify(coeffs)
         return IsoResult(NOT_ISO, twist=s, invariant="exhausted bar space",
                          detail={"bar_dim": dim_w, "tested": count})
     rng = random.Random(seed)
     for _ in range(sample_budget):
         coeffs = tuple(rng.randrange(p) for _ in range(dim_w))
-        if any(coeffs) and _det_mod_p(combo_bar(coeffs), p):
+        if any(coeffs) and invertible(coeffs):
             return certify(coeffs)
     return IsoResult(UNDECIDED, twist=s,
                      detail={"bar_dim": dim_w, "sampled": sample_budget})

@@ -41,6 +41,8 @@ from .theta import (
 )
 
 DEFAULT_BOUNDS = {"degree": 20, "window": 10, "iso_budget": 500}
+JOB_KEYS = {"field", "variables", "weights", "ideal", "domain", "modules",
+            "tasks", "bounds", "name", "expected"}
 
 
 class JobError(Exception):
@@ -71,7 +73,14 @@ def load_jobspec(text: str) -> dict:
 
 
 def _job_bounds(spec: dict) -> dict:
-    """The defaults overridden by the spec's bounds; unknown keys are errors."""
+    """The defaults overridden by the spec's bounds.
+
+    Unknown top-level keys and unknown bound keys are errors.
+    """
+    unknown = sorted(set(spec) - JOB_KEYS)
+    if unknown:
+        raise JobError(f"unknown job key {unknown[0]!r}; known keys are "
+                       f"{sorted(JOB_KEYS)}")
     bounds = dict(DEFAULT_BOUNDS)
     bounds.update(spec.get("bounds", {}))
     for k, v in bounds.items():

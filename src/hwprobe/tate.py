@@ -240,10 +240,9 @@ def tate_ext_length(cr, n_module, i):
 def _periodic_length(cr, cycle_data, n_module, i):
     # The length depends on i only modulo the period.  The key holds the
     # module itself, not its id(): the cache keeps it alive, so its identity
-    # hash cannot be reused by another module.
+    # hash cannot be reused by another module.  An infinite length is
+    # None, so the lookup tests membership.
     key = (cycle_data, (i - cr.base) % cr.q, n_module)
-    got = cr._cache.get(key)
-    if got is None:
-        got = h_length(cr.ring, cycle_data(cr, n_module, i))
-        cr._cache[key] = got
-    return got
+    if key not in cr._cache:
+        cr._cache[key] = h_length(cr.ring, cycle_data(cr, n_module, i))
+    return cr._cache[key]

@@ -5,9 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwprobe import PolyRing, define_ring, parse_polynomial
-from hwprobe.freemod import matvec, vec_component, vec_mul_term
+from hwprobe.freemod import (
+    TermOverPosition,
+    matvec,
+    vec_component,
+    vec_leading,
+    vec_mul_term,
+)
 from hwprobe.groebner import (
     InhomogeneousError,
+    _buchberger_core,
+    _prepare,
+    _reduce,
     colon_by_elements,
     groebner_basis,
     minimal_generators,
@@ -316,3 +325,71 @@ def test_matvec_matches_entrywise_products(data):
                                        vec_component(v, c)))
         want.update({(j, m): coef for m, coef in total.items()})
     assert matvec(r, cols, v) == want
+
+
+def fixpoint_interreduce(ring, basis, key):
+    """Reference interreduction: tail-reduce every element against all the
+    others, re-preparing them each time, until a round changes nothing."""
+    divides = ring.mono_divides
+    items = sorted((v for v in basis if v), key=lambda g: key(max(g, key=key)))
+    kept = []
+    kept_lts = []
+    for g in items:
+        c, m = max(g, key=key)
+        if any(cc == c and divides(mm, m) for cc, mm in kept_lts):
+            continue
+        kept.append(g)
+        kept_lts.append((c, m))
+    while True:
+        changed = False
+        for i in range(len(kept)):
+            others = kept[:i] + kept[i + 1:]
+            b, lts, by_comp = _prepare(ring, others)
+            r, _ = _reduce(ring, kept[i], b, lts, by_comp, key)
+            if r != kept[i]:
+                kept[i] = r
+                changed = True
+        if not changed:
+            break
+    out = []
+    for g in kept:
+        _, lc = vec_leading(g, key)
+        out.append(ring.scale(g, ring.field.inv(lc)))
+    out.sort(key=lambda g: key(max(g, key=key)))
+    return tuple(out)
+
+
+IR_RINGS = [
+    PolyRing(["x", "y", "z"], [1, 1, 1], 7),
+    PolyRing(["x", "y", "z"], [1, 1, 1], 7, order="lex"),
+    PolyRing(["x", "y", "z"], [1, 2, 3], 7),
+    PolyRing(["x", "y", "z"], [2, 1, 3], 5, order="lex"),
+]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_pass_interreduction_matches_fixpoint(data):
+    r = data.draw(st.sampled_from(IR_RINGS))
+    ncomp = data.draw(st.integers(1, 2))
+    twists = tuple(data.draw(st.integers(0, 1)) for _ in range(ncomp))
+    gens = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        d = data.draw(st.integers(max(twists) + 1, max(twists) + 4))
+        terms = [(c, m) for c in range(ncomp)
+                 for m in r.monomials_of_degree(d - twists[c])]
+        chosen = data.draw(st.lists(st.sampled_from(terms), min_size=1,
+                                    max_size=4, unique=True))
+        gens.append({t: data.draw(st.integers(1, r.p - 1)) for t in chosen})
+    key = TermOverPosition(r).key
+    basis, _, _ = _buchberger_core(r, gens, twists, key)
+    got = groebner_basis(r, gens, twists).elements
+    want = fixpoint_interreduce(r, basis, key)
+    # equal item for item, insertion order of every dict included
+    assert [list(g.items()) for g in got] == [list(g.items()) for g in want]
+    lts = [vec_leading(g, key) for g in got]
+    assert all(lc == 1 for _, lc in lts)
+    for i, g in enumerate(got):
+        for c, m in g:
+            assert not any(j != i and cj == c and r.mono_divides(mj, m)
+                           for j, ((cj, mj), _) in enumerate(lts))

@@ -46,6 +46,13 @@ def test_load_rejects_bad_bounds():
         load_jobspec(json.dumps(spec))
 
 
+def test_unknown_top_level_key_is_rejected():
+    # an ignored "order" would silently build a grevlex ring
+    spec = minimal_spec(order="lex")
+    with pytest.raises(JobError, match="'order'"):
+        load_jobspec(json.dumps(spec))
+
+
 def test_unparseable_polynomial_names_position():
     spec = minimal_spec(ideal=["x^2 - q^3"])
     with pytest.raises(JobError) as e:
@@ -144,7 +151,7 @@ def test_iso_verdicts_carry_certificates():
             assert "certificate_matrix" in t["result"]
 
 
-@pytest.mark.parametrize("name", ["cusp-hw", "a1-threefold-theta"])
+@pytest.mark.parametrize("name", catalog_names())
 def test_golden_structured_reports(name):
     got = emit(run_job(catalog(name), seed=0), format="structured")
     path = GOLDEN / f"{name}.json"

@@ -212,3 +212,24 @@ def test_verify_rejects_a_square_zero_complex_that_is_not_exact(cusp, cusp_m):
         shift, {"via": "test"})
     assert cr.verify(2) is False
     assert tate_tor_length(cr, free_module(cusp, (0,)), 0) > 0
+
+
+def test_tate_length_memo_keeps_infinite_lengths(monkeypatch):
+    # over F_7[x,y,z]/(xy) the module R/(x) has infinite Tate lengths; an
+    # infinite length is None, and the memo must keep it like any other
+    from hwprobe import tate
+    r = define_ring(["x", "y", "z"], [1, 1, 1], 7, ["x*y"])
+    m = quotient_module(r, [P(r, "x")])
+    cr = complete_resolution(m, 2, window=3)
+    calls = []
+
+    def counting(ring, data):
+        calls.append(data)
+        return h_length(ring, data)
+
+    h_length = tate.h_length
+    monkeypatch.setattr(tate, "h_length", counting)
+    first = [tate_tor_length(cr, m, i) for i in range(-2, 3)]
+    second = [tate_tor_length(cr, m, i) for i in range(-2, 3)]
+    assert first == second and None in first
+    assert len(calls) == cr.q
