@@ -43,6 +43,19 @@ from .theta import (
 DEFAULT_BOUNDS = {"degree": 20, "window": 10, "iso_budget": 500}
 JOB_KEYS = {"field", "variables", "weights", "ideal", "domain", "modules",
             "tasks", "bounds", "name", "expected"}
+# the fields each module type reads, besides "type"
+_MODULE_FIELDS = {
+    "quotient": ("ideal",),
+    "ideal": ("gens",),
+    "free": ("twists",),
+    "presentation": ("twists", "matrix"),
+    "syzygy": ("of", "n", "trim"),
+    "dual": ("of",),
+    "transpose": ("of",),
+    "tensor": ("left", "right"),
+    "direct_sum": ("left", "right"),
+    "twist": ("of", "s"),
+}
 
 
 class JobError(Exception):
@@ -72,15 +85,38 @@ def load_jobspec(text: str) -> dict:
     return spec
 
 
+def _check_keys(what, entry, known):
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise JobError(f"unknown {what} key {unknown[0]!r}; known keys are "
+                       f"{sorted(known)}")
+
+
 def _job_bounds(spec: dict) -> dict:
     """The defaults overridden by the spec's bounds.
 
-    Unknown top-level keys and unknown bound keys are errors.
+    A key that nothing reads is an error: at the top level, in the bounds,
+    in a module definition (per type) and in a task (per op).
     """
-    unknown = sorted(set(spec) - JOB_KEYS)
-    if unknown:
-        raise JobError(f"unknown job key {unknown[0]!r}; known keys are "
-                       f"{sorted(JOB_KEYS)}")
+    _check_keys("job", spec, JOB_KEYS)
+    modules = spec.get("modules", {})
+    tasks = spec.get("tasks", [])
+    if not isinstance(modules, dict) or not all(
+            isinstance(d, dict) for d in modules.values()):
+        raise JobError("modules must be an object of module definitions")
+    if not isinstance(tasks, list) or not all(isinstance(t, dict) for t in tasks):
+        raise JobError("tasks must be a list of task objects")
+    for name, d in modules.items():
+        kind = d.get("type")
+        if kind not in _MODULE_FIELDS:
+            raise JobError(f"module {name!r}: unknown module type {kind!r}")
+        _check_keys(f"{kind!r} module", d, ("type",) + _MODULE_FIELDS[kind])
+    for t in tasks:
+        op = t.get("op")
+        if op not in TASKS:
+            raise JobError(f"unknown task op {op!r}; available: "
+                           + ", ".join(sorted(TASKS)))
+        _check_keys(f"{op!r} task", t, ("op",) + TASKS[op][1])
     bounds = dict(DEFAULT_BOUNDS)
     bounds.update(spec.get("bounds", {}))
     for k, v in bounds.items():
@@ -348,23 +384,27 @@ def _task_freeness(ctx, t):
             "free": ln == 0}
 
 
+# op -> (handler, the task keys it reads besides "op")
 TASKS = {
-    "tor_lengths": _task_tor_lengths,
-    "theta": _task_theta,
-    "theta_additivity": _task_theta_additivity,
-    "hw_check": _task_hw_check,
-    "even_dim_torsion_check": _task_even_dim,
-    "depth_zero_check": _task_depth_zero,
-    "rigidity_probe": _task_rigidity,
-    "tate_tor": lambda ctx, t: _task_tate(ctx, t, "tor"),
-    "tate_ext": lambda ctx, t: _task_tate(ctx, t, "ext"),
-    "periodicity": _task_periodicity,
-    "is_isomorphic": _task_is_isomorphic,
-    "betti": _task_betti,
-    "invariants": _task_invariants,
-    "hilbert": _task_hilbert,
-    "torsion_length": _task_torsion_length,
-    "freeness_via_transpose": _task_freeness,
+    "tor_lengths": (_task_tor_lengths, ("module", "against", "lo", "hi")),
+    "theta": (_task_theta, ("module", "against")),
+    "theta_additivity": (_task_theta_additivity,
+                         ("module", "on", "count", "seed")),
+    "hw_check": (_task_hw_check, ("module",)),
+    "even_dim_torsion_check": (_task_even_dim, ("module",)),
+    "depth_zero_check": (_task_depth_zero, ("module",)),
+    "rigidity_probe": (_task_rigidity, ("module", "against", "window")),
+    "tate_tor": (lambda ctx, t: _task_tate(ctx, t, "tor"),
+                 ("module", "against", "q", "window", "lo", "hi")),
+    "tate_ext": (lambda ctx, t: _task_tate(ctx, t, "ext"),
+                 ("module", "against", "q", "window", "lo", "hi")),
+    "periodicity": (_task_periodicity, ("module", "q", "window")),
+    "is_isomorphic": (_task_is_isomorphic, ("module", "other", "allow_twist")),
+    "betti": (_task_betti, ("module", "window")),
+    "invariants": (_task_invariants, ("module",)),
+    "hilbert": (_task_hilbert, ("module", "lo", "hi")),
+    "torsion_length": (_task_torsion_length, ("module", "method")),
+    "freeness_via_transpose": (_task_freeness, ("module",)),
 }
 
 _ANOMALY_VERDICTS = {COUNTEREXAMPLE_CANDIDATE, "ANOMALY"}
@@ -426,11 +466,8 @@ def run_job(spec: dict, seed=0) -> Report:
     ctx = TaskContext(ring, modules, bounds, seed)
     entries = []
     for t in spec.get("tasks", []):
-        op = t.get("op")
-        handler = TASKS.get(op)
-        if handler is None:
-            raise JobError(f"unknown task op {op!r}; available: "
-                           + ", ".join(sorted(TASKS)))
+        op = t["op"]
+        handler, _ = TASKS[op]
         entry = {"op": op, "args": {k: v for k, v in t.items() if k != "op"}}
         try:
             entry["result"] = handler(ctx, t)

@@ -1,16 +1,28 @@
 """Minimal graded free resolutions over quotient rings.
 
-Each step computes the R-syzygies of the previous differential's columns and
-cuts them to a minimal generating set, so every differential has entries in
-the irrelevant ideal and the Betti numbers can be read off directly.
-Resolutions are cached on the module and extended on demand; a cache entry is
-either absent or a fully computed prefix.
+Each step finds a minimal generating set of the kernel of the previous
+differential, so every differential has entries in the irrelevant ideal and
+the Betti numbers can be read off directly.  The ring's dimension picks one
+of two ways to do it:
+
+* dim R > 0: the R-syzygies of the columns come from a tracked Schreyer run
+  (``syzygies_over_quotient``) and are cut down by ``minimal_generators``;
+* dim R = 0: every graded piece of a free module is a finite F_p-space with
+  basis (generator j, standard monomial m), so the kernel in degree D is the
+  nullspace of one sparse matrix, and the new minimal generators in degree D
+  are the kernel vectors independent of sum_x x * Z_{D - w(x)} (the strand
+  frame of La Scala and Stillman, JSC 1998).  No Buchberger run is needed.
+
+Both fill the same ``diffs`` and ``level_twists``.  Resolutions are cached on
+the module and extended on demand; a cache entry is either absent or a fully
+computed prefix.
 """
 
 import math
 
-from .freemod import compose_cols, vec_degree
+from .freemod import compose_cols, row_insert, vec_degree, vec_mul_term
 from .groebner import minimal_generators, syzygies_over_quotient, vec_nf_ideal
+from .hilbert import std_monomials_of_degree
 from .modules import PresentedModule
 
 
@@ -30,6 +42,8 @@ class Resolution:
         self.diffs = [first]
         self.level_twists = [module.twists,
                              tuple(vec_degree(amb, c, module.twists) for c in first)]
+        # standard monomials of R by degree; only an Artinian R has finitely many
+        self._std = _std_monomials(self.ring) if self.ring.dim == 0 else None
 
     @property
     def length(self):
@@ -45,18 +59,62 @@ class Resolution:
                 self.diffs.append([])
                 self.level_twists.append(())
                 continue
-            syz = syzygies_over_quotient(self.ring, cols, ambient_twists)
-            nxt = minimal_generators(self.ring, syz, src_twists)
+            if self._std is not None:
+                nxt = self._strand_step(cols, src_twists)
+            else:
+                syz = syzygies_over_quotient(self.ring, cols, ambient_twists)
+                nxt = minimal_generators(self.ring, syz, src_twists)
             self.diffs.append(nxt)
             self.level_twists.append(
                 tuple(vec_degree(amb, c, src_twists) for c in nxt))
         return self
 
+    def _strand_step(self, cols, twists):
+        """Minimal generators of the kernel of ``cols`` over an Artinian ring.
+
+        Rows of the degree-D matrix are the images of the basis vectors
+        x^m * e_j of the source, each followed by an identity coordinate
+        (key (-1, n), below every image key (component, monomial), so image
+        entries pivot first); the rows left with identity pivots after
+        elimination span the kernel Z_D.  The vectors of Z_D independent of
+        sum_x x * Z_{D - w(x)} are the new generators in degree D.
+        """
+        ring = self.ring
+        amb = ring.ambient
+        p = amb.p
+        std = self._std
+        top = len(std) - 1
+        variables = [(tuple(int(i == k) for i in range(amb.nvars)), w)
+                     for k, w in enumerate(amb.weights)]
+        kernels = {}
+        out = []
+        for d in range(min(twists), max(twists) + top + 1):
+            basis = [(j, m) for j, a in enumerate(twists) if 0 <= d - a <= top
+                     for m in std[d - a]]
+            if not basis:
+                continue
+            pivots = {}
+            for n, (j, m) in enumerate(basis):
+                row = vec_nf_ideal(ring, vec_mul_term(cols[j], m, 1, p))
+                row[(-1, n)] = 1
+                row_insert(row, pivots, None, p)
+            z_d = [{basis[n]: c for (_, n), c in row.items()}
+                   for (comp, _), row in pivots.items() if comp < 0]
+            kernels[d] = z_d
+            span = {}
+            for x, w in variables:
+                for z in kernels.get(d - w, ()):
+                    row_insert(vec_nf_ideal(ring, vec_mul_term(z, x, 1, p)),
+                               span, None, p)
+            out.extend(z for z in z_d if row_insert(dict(z), span, None, p))
+        return out
+
     def betti(self, i):
         """Rank of the i-th free module (b_0 = number of generators)."""
         if i < 0:
             raise ValueError("negative homological degree")
-        self.extend(max(i, 1))
+        if i > self.length:
+            self.extend(i)
         return len(self.level_twists[i])
 
     def betti_numbers(self, window):
@@ -66,7 +124,8 @@ class Resolution:
         these need: b_i is the rank of F_i, the source of d_i, and d_1 comes
         with the presentation.
         """
-        self.extend(window)
+        if window > self.length:
+            self.extend(window)
         return [len(self.level_twists[i]) for i in range(window + 1)]
 
     def differential(self, i):
@@ -75,14 +134,16 @@ class Resolution:
             raise ValueError("differentials are indexed from 0")
         if i == 0:
             return [{} for _ in self.level_twists[0]]
-        self.extend(i)
+        if i > self.length:
+            self.extend(i)
         return self.diffs[i - 1]
 
     def twists_at(self, i):
         """Generator degrees of F_i; F_i is zero for i < 0."""
         if i < 0:
             return ()
-        self.extend(max(i, 1))
+        if i > self.length:
+            self.extend(i)
         return self.level_twists[i]
 
     def is_minimal(self):
@@ -93,7 +154,8 @@ class Resolution:
     def verify(self, upto=None):
         """d_i o d_{i+1} = 0 over R for i up to the requested bound."""
         upto = upto if upto is not None else self.length - 1
-        self.extend(upto + 1)
+        if upto + 1 > self.length:
+            self.extend(upto + 1)
         for i in range(1, upto + 1):
             comp = compose_cols(self.ring.ambient, self.differential(i),
                                 self.differential(i + 1))
@@ -103,13 +165,32 @@ class Resolution:
         return True
 
 
+def _std_monomials(ring):
+    """Standard monomials of an Artinian R, listed by degree up to the top.
+
+    Each variable has a pure power x^e in the initial ideal, so no standard
+    monomial has degree above sum (e - 1) * w(x).
+    """
+    amb = ring.ambient
+    init = ring._initial_ideal
+    bound = 0
+    for k, w in enumerate(amb.weights):
+        e = min(g[k] for g in init if sum(g) == g[k])
+        bound += (e - 1) * w
+    table = [std_monomials_of_degree(amb, init, d) for d in range(bound + 1)]
+    while not table[-1]:
+        table.pop()
+    return table
+
+
 def resolution_of(module: PresentedModule, length: int) -> Resolution:
     """The cached minimal free resolution, extended to the given length."""
     res = module._cache.get("resolution")
     if res is None:
         res = Resolution(module)
         module._cache["resolution"] = res
-    res.extend(length)
+    if length > res.length:
+        res.extend(length)
     return res
 
 
@@ -142,6 +223,16 @@ def betti_numbers(module: PresentedModule, window: int):
     return resolution_of(module, window).betti_numbers(window)
 
 
+def _line_fit(points):
+    """Least-squares slope of y on x and the sum of squared residuals."""
+    n = len(points)
+    mx = sum(x for x, _ in points) / n
+    my = sum(y for _, y in points) / n
+    sxx = sum((x - mx) ** 2 for x, _ in points)
+    slope = sum((x - mx) * (y - my) for x, y in points) / sxx
+    return slope, sum((y - my - slope * (x - mx)) ** 2 for x, y in points)
+
+
 def complexity_estimate(module: PresentedModule, window: int):
     """Window classification of Betti growth; a heuristic, never a proof."""
     if window < 4:
@@ -160,17 +251,17 @@ def complexity_estimate(module: PresentedModule, window: int):
         return out
     xs = [i for i in range(1, window + 1) if b[i] > 0]
     if len(xs) >= 4:
-        logs = [(math.log(i), math.log(b[i])) for i in xs[len(xs) // 2:]]
-        n = len(logs)
-        sx = sum(x for x, _ in logs)
-        sy = sum(y for _, y in logs)
-        sxx = sum(x * x for x, _ in logs)
-        sxy = sum(x * y for x, y in logs)
-        denom = n * sxx - sx * sx
-        if denom > 1e-12:
-            slope = (n * sxy - sx * sy) / denom
+        # on the tail, log b_i is a line in log i (polynomial growth) or in
+        # i (exponential growth); two points fit both exactly
+        ends = xs[len(xs) // 2:]
+        degree, power_err = _line_fit([(math.log(i), math.log(b[i])) for i in ends])
+        rate, exp_err = _line_fit([(i, math.log(b[i])) for i in ends])
+        if len(ends) >= 3 and exp_err < power_err:
+            out["classification"] = "exponential-growth"
+            out["fitted_ratio"] = round(math.exp(rate), 2)
+        else:
             out["classification"] = "polynomial-growth"
-            out["fitted_degree"] = round(slope, 2)
-            return out
+            out["fitted_degree"] = round(degree, 2)
+        return out
     out["classification"] = "inconclusive"
     return out

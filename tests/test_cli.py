@@ -14,12 +14,17 @@ from hwprobe.jobs import canonical_text
 HWPROBE_ROOT = str(Path(hwprobe.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, cwd=None):
+def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (HWPROBE_ROOT, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "hwprobe.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+                          capture_output=True, text=True, cwd=cwd,
+                          env=child_env())
 
 
 def test_catalog_prints_valid_job(tmp_path):

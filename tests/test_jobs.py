@@ -207,3 +207,23 @@ def test_unknown_bound_is_rejected():
         load_jobspec(json.dumps(spec))
     with pytest.raises(JobError, match="twist_window"):
         run_job(spec)
+
+
+def test_unknown_task_argument_is_rejected():
+    # a misspelled "window" would silently run with the default window 10
+    spec = minimal_spec(tasks=[{"op": "betti", "module": "m", "windw": 2}])
+    with pytest.raises(JobError, match="'windw'"):
+        load_jobspec(json.dumps(spec))
+    with pytest.raises(JobError, match="'windw'"):
+        run_job(spec)
+    spec["tasks"][0]["window"] = spec["tasks"][0].pop("windw")
+    assert len(run_job(spec).tasks[0]["result"]["betti"]) == 5
+
+
+def test_unknown_module_field_is_rejected():
+    modules = {"m": {"type": "ideal", "gens": ["x", "y"], "colour": "red"}}
+    spec = minimal_spec(modules=modules)
+    with pytest.raises(JobError, match="'colour'"):
+        load_jobspec(json.dumps(spec))
+    with pytest.raises(JobError, match="'colour'"):
+        run_job(spec)

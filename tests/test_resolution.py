@@ -114,9 +114,18 @@ def test_complexity_classifications(cusp, cusp_m, gp_ring):
     from conftest import gp_matrix_cols
     n = PresentedModule(gp_ring, (0, 0), gp_matrix_cols(gp_ring, 1))
     assert complexity_estimate(n, 6)["classification"] == "bounded"
+    # beta_i = (3^(i+1) - 1)/2 over GP: exponential, ratio 3
     k = residue_field_module(gp_ring)
-    est = complexity_estimate(k, 6)
-    assert est["classification"] in ("polynomial-growth", "inconclusive")
+    est = complexity_estimate(k, 7)
+    assert est["betti"][7] == 3280
+    assert est["classification"] == "exponential-growth"
+    assert est["fitted_ratio"] == 3.0
+    # control: beta_i = C(i+2, 2) over a codimension-3 complete intersection
+    ci = define_ring(["x", "y", "z"], [1, 1, 1], 5, ["x^2", "y^2", "z^2"])
+    est = complexity_estimate(residue_field_module(ci), 7)
+    assert est["betti"] == [(i + 1) * (i + 2) // 2 for i in range(8)]
+    assert est["classification"] == "polynomial-growth"
+    assert 1 < est["fitted_degree"] < 3
 
 
 def test_levels_below_f0_are_zero():
@@ -128,3 +137,31 @@ def test_levels_below_f0_are_zero():
     assert res.differential(0) == [{}]
     with pytest.raises(ValueError):
         res.differential(-1)
+
+
+def test_readers_extend_only_missing_levels(threefold, monkeypatch):
+    # every extend call must build a level: reading an existing level
+    # (hom_data reads F_0, F_1 and d_1) costs no call
+    from hwprobe.homalg import hom_data
+    calls = []
+    real_extend = Resolution.extend
+
+    def counting_extend(self, t):
+        calls.append((self.length, t))
+        return real_extend(self, t)
+
+    monkeypatch.setattr(Resolution, "extend", counting_extend)
+    m = quotient_module(threefold, [P(threefold, "x"), P(threefold, "z")])
+    n = quotient_module(threefold, [P(threefold, "x"), P(threefold, "y")])
+    hom_data(m, n)
+    hom_data(m, n)
+    assert calls == []
+    res = resolution_of(m, 1)
+    assert res.twists_at(3) == (3, 3)
+    assert calls == [(1, 3)]
+    res.twists_at(3), res.differential(3), res.betti(2), res.betti_numbers(3)
+    res.verify(2)
+    tor_length(m, n, 2)
+    resolution_of(m, 3)
+    assert calls == [(1, 3)]
+    assert res.betti(4) == 2 and calls == [(1, 3), (3, 4)]

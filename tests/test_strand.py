@@ -1,0 +1,137 @@
+"""The strand path of Resolution (dim R = 0) against routes it does not use.
+
+* a Groebner reference built here from ``syzygies_over_quotient`` and
+  ``minimal_generators`` (the dim > 0 path), compared on graded Betti tables;
+* for the Koszul ring GP, the Poincare series 1/H_R(-t) (Froberg), from the
+  ring's own Hilbert numerator;
+* the Betti-Hilbert identity sum (-1)^i beta_i(t) H_R(t) = H_M(t) below the
+  lowest twist of the first level left out.
+"""
+
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hwprobe import PolyRing, PresentedModule, define_ring, residue_field_module
+from hwprobe.freemod import vec_degree
+from hwprobe.groebner import minimal_generators, syzygies_over_quotient
+from hwprobe.hilbert import hilbert_numerator, series_coefficients
+from hwprobe.resolution import Resolution
+
+
+def betti_table(levels):
+    return Counter((i, a) for i, twists in enumerate(levels) for a in twists)
+
+
+def groebner_levels(module, window):
+    """Generator degrees of F_0..F_window by tracked syzygies over R."""
+    ring = module.ring
+    amb = ring.ambient
+    cols = list(module.rels)
+    levels = [module.twists, tuple(vec_degree(amb, c, module.twists) for c in cols)]
+    while len(levels) <= window:
+        if cols:
+            syz = syzygies_over_quotient(ring, cols, levels[-2])
+            cols = minimal_generators(ring, syz, levels[-1])
+        levels.append(tuple(vec_degree(amb, c, levels[-1]) for c in cols))
+    return levels
+
+
+def strand_resolution(module, window):
+    assert module.ring.dim == 0
+    res = Resolution(module)
+    res.extend(window)
+    return res
+
+
+def gp_n(gp_ring):
+    from conftest import gp_matrix_cols
+    return PresentedModule(gp_ring, (0, 0), gp_matrix_cols(gp_ring, 1))
+
+
+def test_gp_modules_match_groebner_reference(gp_ring):
+    for module in (residue_field_module(gp_ring), gp_n(gp_ring)):
+        res = strand_resolution(module, 4)
+        assert betti_table(res.level_twists) == betti_table(groebner_levels(module, 4))
+        assert res.verify(3)
+        assert res.is_minimal()
+
+
+def test_gp_residue_field_is_koszul_up_to_level_7(gp_ring):
+    # Froberg: over a Koszul algebra P_k(t) = 1 / H_R(-t), with H_R read from
+    # the initial ideal, never from the resolution
+    amb = gp_ring.ambient
+    h = series_coefficients(amb, hilbert_numerator(amb, gp_ring._initial_ideal),
+                            0, 7)
+    assert h[:4] == [1, 4, 3, 0]
+    h_neg = [(-1) ** j * c for j, c in enumerate(h)]
+    inv = [1]
+    for i in range(1, 8):
+        inv.append(-sum(h_neg[j] * inv[i - j] for j in range(1, i + 1)))
+    res = strand_resolution(residue_field_module(gp_ring), 7)
+    assert res.betti_numbers(7) == inv
+    assert inv[7] == 3280
+    # k has a linear resolution: F_i is generated in degree i
+    assert all(set(res.twists_at(i)) == {i} for i in range(8))
+    assert res.is_minimal()
+
+
+def random_form(data, amb, deg):
+    monos = amb.monomials_of_degree(deg)
+    coeffs = data.draw(st.lists(st.integers(0, amb.p - 1), min_size=len(monos),
+                                max_size=len(monos)))
+    return {m: c for m, c in zip(monos, coeffs) if c}
+
+
+def random_artinian_module(data):
+    """A random presentation over F_p[x,y,z]/(x^2, y^2, z^2, random forms).
+
+    The extra forms have degree 2, which makes them quadrics under the
+    standard grading.
+    """
+    p = data.draw(st.sampled_from([3, 5, 101]))
+    weights = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 1, 3)]))
+    amb = PolyRing(["x", "y", "z"], weights, p)
+    extra = [random_form(data, amb, 2)
+             for _ in range(data.draw(st.integers(0, 2)))]
+    ring = define_ring(["x", "y", "z"], weights, p,
+                       ["x^2", "y^2", "z^2"] + [q for q in extra if q])
+    twists = tuple(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
+    cols = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        d = max(twists) + 1
+        cols.append({(j, m): c for j, a in enumerate(twists)
+                     for m, c in random_form(data, amb, d - a).items()})
+    return PresentedModule(ring, twists, cols)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_artinian_presentations_match_groebner_reference(data):
+    module = random_artinian_module(data)
+    res = strand_resolution(module, 4)
+    assert betti_table(res.level_twists) == betti_table(groebner_levels(module, 4))
+    assert res.verify(3)
+    assert res.is_minimal()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_betti_hilbert_identity_on_random_presentations(data):
+    module = random_artinian_module(data)
+    ring = module.ring
+    amb = ring.ambient
+    window = 4
+    res = strand_resolution(module, window + 1)
+    left_out = res.twists_at(window + 1)
+    lo = min(module.twists)
+    hi = min(left_out) - 1 if left_out else lo + 8
+    h_r = series_coefficients(amb, hilbert_numerator(amb, ring._initial_ideal),
+                              0, hi - lo)
+    total = [0] * (hi - lo + 1)
+    for i in range(window + 1):
+        for a in res.twists_at(i):
+            for d in range(a, hi + 1):
+                total[d - lo] += (-1) ** i * h_r[d - a]
+    assert total == module.hilbert_function(lo, hi)
