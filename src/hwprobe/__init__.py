@@ -50,7 +50,7 @@ from .resolution import (
     minimal_free_resolution,
     syzygy_module,
 )
-from .ring import Lex, PolyRing, WeightedGrevLex
+from .ring import PolyRing
 from .tate import (
     CompleteResolution,
     MatrixFactorization,

@@ -125,9 +125,9 @@ def build_parser():
     return ap
 
 
-def main(argv=None):
+def main():
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args()
     try:
         return args.fn(args)
     except JobError as e:

@@ -20,32 +20,28 @@ This module is the one home of sparse F_p arithmetic on such dicts:
 Vec = dict  # (component, Mono) -> coefficient
 
 
-class TermOverPosition:
-    """Compare by the ring order on monomials; ties go to the lower component."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        mk = ring.mono_key
-        self.key = lambda t: (mk(t[1]), -t[0])
+def term_key(ring):
+    """Term-over-position order: the ring's order on monomials first, ties
+    going to the lower component."""
+    mk = ring.mono_key
+    return lambda t: (mk(t[1]), -t[0])
 
 
-class SchreyerOrder:
+def schreyer_key(prev_key, lts):
     """Order on the free module induced by leading terms of a generator list.
 
-    ``u e_i > v e_j`` iff ``lt(u g_i) > lt(v g_j)`` in the previous order,
-    with ties broken by the smaller index i.  ``lts[i]`` is the leading term
+    ``u e_i > v e_j`` iff ``lt(u g_i) > lt(v g_j)`` under ``prev_key``, with
+    ties broken by the smaller index i.  ``lts[i]`` is the leading term
     ``(component, monomial)`` of g_i in the previous free module.
     """
+    lts = tuple(lts)
 
-    def __init__(self, prev_key, lts):
-        self.lts = tuple(lts)
+    def key(t):
+        i, u = t
+        c, m = lts[i]
+        return (prev_key((c, tuple(x + y for x, y in zip(u, m)))), -i)
 
-        def key(t):
-            i, u = t
-            c, m = self.lts[i]
-            return (prev_key((c, tuple(x + y for x, y in zip(u, m)))), -i)
-
-        self.key = key
+    return key
 
 
 def unit_vector(ring, comp) -> Vec:

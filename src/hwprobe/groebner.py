@@ -17,9 +17,9 @@ import heapq
 from collections import defaultdict
 
 from .freemod import (
-    SchreyerOrder,
-    TermOverPosition,
     row_insert,
+    schreyer_key,
+    term_key,
     unit_vector,
     vec_component,
     vec_degree,
@@ -78,7 +78,7 @@ def reduce_poly(ring, f, gb_polys):
     """Normal form of a polynomial modulo a list of polynomials."""
     if not gb_polys:
         return dict(f)
-    key = TermOverPosition(ring).key
+    key = term_key(ring)
     basis, lts, by_comp = _prepare(ring, [{(0, m): c for m, c in g.items()}
                                           for g in gb_polys if g])
     rem, _ = _reduce(ring, {(0, m): c for m, c in f.items()},
@@ -89,7 +89,7 @@ def reduce_poly(ring, f, gb_polys):
 def _prepare(ring, vectors):
     """Monic-normalize a list of vectors; return (basis, lts, by_comp)."""
     inv = ring.field.inv
-    key = TermOverPosition(ring).key
+    key = term_key(ring)
     basis, lts = [], []
     by_comp = defaultdict(list)
     for v in vectors:
@@ -222,10 +222,10 @@ def _interreduce(ring, basis, key):
 class GroebnerBasis:
     """A reduced Groebner basis of a homogeneous submodule of a free module."""
 
-    def __init__(self, ring, elements, twists, key=None):
+    def __init__(self, ring, elements, twists):
         self.ring = ring
         self.twists = tuple(twists)
-        self.key = key or TermOverPosition(ring).key
+        self.key = term_key(ring)
         self.elements = tuple(elements)
         self._basis, self._lts, self._by_comp = _prepare(ring, self.elements)
 
@@ -255,35 +255,35 @@ class GroebnerBasis:
         return out
 
 
-def groebner_basis(ring, gens, twists, key=None):
+def groebner_basis(ring, gens, twists):
     """Reduced Groebner basis of the submodule generated by ``gens`` over S."""
-    key = key or TermOverPosition(ring).key
+    key = term_key(ring)
     _check_homogeneous(ring, gens, twists)
     basis, _, _ = _buchberger_core(ring, gens, twists, key)
-    return GroebnerBasis(ring, _interreduce(ring, basis, key), twists, key)
+    return GroebnerBasis(ring, _interreduce(ring, basis, key), twists)
 
 
-def syzygy_generators(ring, gens, twists, key=None):
+def syzygy_generators(ring, gens, twists):
     """Generators of the syzygy module of ``gens`` over S.
 
     The returned vectors live in the free module with one component per
     generator; applying the generators to each syzygy gives zero.  They form
     a Groebner basis with respect to the Schreyer order induced by the run.
     """
-    key = key or TermOverPosition(ring).key
+    key = term_key(ring)
     _check_homogeneous(ring, gens, twists)
     _, _, syz = _buchberger_core(ring, gens, twists, key, track=True)
-    skey = schreyer_order_for(ring, gens, key).key
+    skey = schreyer_order_for(ring, gens)
     out = [s for s in syz if s]
     out.sort(key=lambda s: skey(max(s, key=skey)))
     return out
 
 
-def schreyer_order_for(ring, gens, key=None):
-    """The Schreyer order induced on syzygies of ``gens``."""
-    key = key or TermOverPosition(ring).key
+def schreyer_order_for(ring, gens):
+    """The key of the Schreyer order induced on syzygies of ``gens``."""
+    key = term_key(ring)
     lead = [vec_leading(g, key)[0] if g else (0, ring.zero_mono) for g in gens]
-    return SchreyerOrder(key, lead)
+    return schreyer_key(key, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +313,11 @@ def vec_nf_ideal(ring_q, v):
     return out
 
 
-def module_groebner(ring_q, gens, twists, key=None):
+def module_groebner(ring_q, gens, twists):
     """Groebner basis of <gens> + I*F, for membership over R = S/I."""
     ncomp = len(twists)
     return groebner_basis(ring_q.ambient, list(gens) + ideal_block_gens(ring_q, ncomp),
-                          twists, key)
+                          twists)
 
 
 def syzygies_over_quotient(ring_q, cols, twists):
@@ -362,7 +362,7 @@ def express_in_terms(ring_q, v, gens, aux, twists):
     """
     ring = ring_q.ambient
     p = ring.p
-    key = TermOverPosition(ring).key
+    key = term_key(ring)
     combined = list(gens) + list(aux) + ideal_block_gens(ring_q, len(twists))
     _check_homogeneous(ring, combined, twists)
     basis, reps, _ = _buchberger_core(ring, combined, twists, key, track=True)
@@ -397,7 +397,7 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
     """
     ring = ring_q.ambient
     p = ring.p
-    key = TermOverPosition(ring).key
+    key = term_key(ring)
     reduce = modulo.normal_form if modulo is not None else (
         lambda v: vec_nf_ideal(ring_q, v))
     items = []

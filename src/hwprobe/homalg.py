@@ -224,14 +224,10 @@ def ext(m, n, i):
     """Ext^i(M, N) as a presented module; Ext^0 is Hom."""
     if i < 0:
         raise ValueError("Ext is indexed by nonnegative integers")
-    if i == 0:
-        return hom(m, n)
     return h_module(m.ring, hom_cycle_data(resolution_of(m, i + 1), n, i))
 
 
 def ext_is_zero(m, n, i):
-    if i == 0:
-        return hom(m, n).is_zero()
     return h_is_zero(m.ring, hom_cycle_data(resolution_of(m, i + 1), n, i))
 
 

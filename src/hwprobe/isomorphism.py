@@ -12,6 +12,7 @@ runs out without a witness).
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from operator import neg
 
 from .freemod import row_insert, vec_component, vec_isub_term_mul
@@ -21,6 +22,8 @@ from .modules import GradedMap, PresentedModule
 ISO = "ISO"
 NOT_ISO = "NOT_ISO"
 UNDECIDED = "UNDECIDED"
+
+_EXHAUST_LIMIT = 200_000  # largest bar space searched exhaustively
 
 
 @dataclass
@@ -113,7 +116,7 @@ def _bar_matrix(m, n, cols):
 
 
 def is_isomorphic(m: PresentedModule, n: PresentedModule, allow_twist=False,
-                  sample_budget=500, exhaust_limit=200_000, seed=0) -> IsoResult:
+                  sample_budget=500, seed=0) -> IsoResult:
     """Three-valued graded isomorphism test.
 
     ISO comes with an invertible generator-level certificate; NOT_ISO with a
@@ -189,19 +192,11 @@ def is_isomorphic(m: PresentedModule, n: PresentedModule, allow_twist=False,
                          detail={"hom0_dim": len(homs), "bar_dim": dim_w})
 
     count = (p ** dim_w - 1) // (p - 1)
-    if count <= exhaust_limit:
+    if count <= _EXHAUST_LIMIT:
         for lead in range(dim_w):
             base = (0,) * lead + (1,)
-            tail = dim_w - lead - 1
-
-            def rec(prefix, k):
-                if k == 0:
-                    yield prefix
-                    return
-                for c in range(p):
-                    yield from rec(prefix + (c,), k - 1)
-
-            for coeffs in rec(base, tail):
+            for tail in product(range(p), repeat=dim_w - lead - 1):
+                coeffs = base + tail
                 if invertible(coeffs):
                     return certify(coeffs)
         return IsoResult(NOT_ISO, twist=s, invariant="exhausted bar space",

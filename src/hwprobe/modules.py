@@ -152,46 +152,21 @@ class PresentedModule:
     # -- rank and Fitting loci ---------------------------------------------------
 
     def rank(self):
-        """Generic rank over the fraction field of an asserted domain."""
+        """Generic rank over the fraction field of an asserted domain.
+
+        The rank is g - s for the largest s with a nonzero s x s minor mod I.
+        If every s x s minor lies in I, Laplace expansion puts every larger
+        minor there too, so s grows until the next size has none.
+        """
         if not self.ring.domain:
             raise HypothesisError("rank needs the ring asserted to be a domain")
-        g = self.ngens
-        if g == 0:
-            return 0
-        r = self._matrix_rank_mod_ideal()
-        return g - r
+        s = 0
+        while self.fitting_minors(s + 1):
+            s += 1
+        return self.ngens - s
 
     def _entry(self, row, col):
         return vec_component(self.rels[col], row)
-
-    def _matrix_rank_mod_ideal(self):
-        """Largest r with a nonzero r x r minor of the presentation mod I."""
-        amb = self.ring.ambient
-        nc = len(self.rels)
-        g = self.ngens
-        level = {((), ())}
-        r = 0
-        while r < min(g, nc):
-            nxt = set()
-            for rows, cols in level:
-                for i in range(g):
-                    if i in rows:
-                        continue
-                    for j in range(nc):
-                        if j in cols:
-                            continue
-                        key = (tuple(sorted(rows + (i,))), tuple(sorted(cols + (j,))))
-                        nxt.add(key)
-            good = set()
-            for rows, cols in sorted(nxt):
-                det = poly_det(amb, self._entry, rows, cols)
-                if not self.ring.is_zero(det):
-                    good.add((rows, cols))
-            if not good:
-                return r
-            level = good
-            r += 1
-        return r
 
     def fitting_minors(self, size):
         """Nonzero (mod I) size x size minors of the presentation matrix."""

@@ -13,6 +13,9 @@ from .hilbert import monomial_quotient_dim
 from .ring import PolyRing
 
 
+_SCAN_BUDGET = 200_000  # candidate divisors per degree before giving up
+
+
 class NotDomainError(ValueError):
     """The principal ideal visibly factors, contradicting a domain assertion."""
 
@@ -114,7 +117,7 @@ def _poly_divides(ring: PolyRing, g, f) -> bool:
     return True
 
 
-def principal_irreducible_scan(ring: PolyRing, f, budget=200_000):
+def principal_irreducible_scan(ring: PolyRing, f):
     """Best-effort irreducibility check for a homogeneous polynomial.
 
     Returns True (irreducible), False (a factorization was found), or None
@@ -147,7 +150,7 @@ def principal_irreducible_scan(ring: PolyRing, f, budget=200_000):
         if not monos:
             continue
         count = p ** (len(monos) - 1)
-        if count > budget:
+        if count > _SCAN_BUDGET:
             return None
         from itertools import product
         for lead in range(len(monos)):
@@ -162,7 +165,7 @@ def principal_irreducible_scan(ring: PolyRing, f, budget=200_000):
 
 
 def define_ring(variables, weights, p, ideal_gens, *, order="grevlex",
-                domain=False, check_domain=True) -> QuotientRing:
+                domain=False) -> QuotientRing:
     """Construct R = F_p[variables]/(ideal_gens) with the given weights.
 
     ``ideal_gens`` may be polynomials (dicts) or strings in the polynomial
@@ -178,7 +181,7 @@ def define_ring(variables, weights, p, ideal_gens, *, order="grevlex",
             g = parse_polynomial(ring, g)
         gens.append(g)
     rq = QuotientRing(ring, gens, domain=domain)
-    if domain and check_domain and rq.is_hypersurface and len(rq.ideal_gens) >= 1:
+    if domain and rq.is_hypersurface:
         verdict = principal_irreducible_scan(ring, rq.gb[0])
         if verdict is False:
             raise NotDomainError("hypersurface equation factors; not a domain: "

@@ -13,41 +13,32 @@ Mono = tuple  # exponent vector
 Poly = dict   # Mono -> coefficient in [1, p)
 
 
-class WeightedGrevLex:
+def _grevlex(weights):
     """Weighted degree first, ties broken reverse-lexicographically.
 
     ``u > v`` iff ``deg u > deg v``, or degrees agree and the last nonzero
     entry of ``u - v`` is negative.
     """
-
-    kind = "grevlex"
-
-    def __init__(self, weights):
-        self.weights = tuple(weights)
-
-    def mono_key(self, m: Mono):
-        w = self.weights
-        return (sum(e * wi for e, wi in zip(m, w)),
+    def mono_key(m: Mono):
+        return (sum(e * wi for e, wi in zip(m, weights)),
                 tuple(-e for e in reversed(m)))
+    return mono_key
 
 
-class Lex:
+def _lex(weights):
     """Pure lexicographic order on exponent vectors."""
-
-    kind = "lex"
-
-    def __init__(self, weights):
-        self.weights = tuple(weights)
-
-    def mono_key(self, m: Mono):
-        return m
+    return lambda m: m
 
 
-ORDER_KINDS = {"grevlex": WeightedGrevLex, "lex": Lex}
+# name -> builder: weights -> sort key of a monomial (larger is larger)
+ORDERS = {"grevlex": _grevlex, "lex": _lex}
 
 
 class PolyRing:
-    """Ambient polynomial ring: named variables, positive weights, F_p."""
+    """Ambient polynomial ring: named variables, positive weights, F_p.
+
+    ``order`` names the monomial order, a key of ``ORDERS``.
+    """
 
     def __init__(self, names, weights, p, order="grevlex"):
         names = tuple(names)
@@ -63,10 +54,11 @@ class PolyRing:
         self.nvars = len(names)
         self.field = PrimeField(p)
         self.p = self.field.p
-        if isinstance(order, str):
-            order = ORDER_KINDS[order](weights)
+        if order not in ORDERS:
+            raise ValueError(f"unknown monomial order {order!r}; "
+                             f"expected one of {sorted(ORDERS)}")
         self.order = order
-        self.mono_key = order.mono_key
+        self.mono_key = ORDERS[order](weights)
         self.zero_mono = (0,) * self.nvars
         self._mono_deg_cache = {}
         self._monos_by_deg = {}
@@ -74,10 +66,10 @@ class PolyRing:
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.names == self.names
                 and other.weights == self.weights and other.p == self.p
-                and other.order.kind == self.order.kind)
+                and other.order == self.order)
 
     def __hash__(self):
-        return hash((self.names, self.weights, self.p, self.order.kind))
+        return hash((self.names, self.weights, self.p, self.order))
 
     def __repr__(self):
         vs = ",".join(self.names)

@@ -29,7 +29,7 @@ from .resolution import resolution_of
 class MatrixFactorization:
     """A pair (A, B) of square matrices over S with AB = BA = f * I."""
 
-    def __init__(self, ring, a_cols, a_row_twists, b_cols, verify=True):
+    def __init__(self, ring, a_cols, a_row_twists, b_cols):
         if not ring.is_hypersurface:
             raise HypothesisError("matrix factorizations need a hypersurface ring")
         self.ring = ring
@@ -44,8 +44,7 @@ class MatrixFactorization:
             raise ValueError("matrix factorization matrices must be square")
         self.col_twists = tuple(vec_degree(amb, c, self.row_twists)
                                 for c in self.a_cols)
-        if verify:
-            self._verify()
+        self._verify()
 
     def _verify(self):
         amb = self.ring.ambient
@@ -76,9 +75,10 @@ def matrix_factorization_of(module: PresentedModule) -> MatrixFactorization:
     trimmed, free = module.trim_free_summands()
     if free:
         raise HypothesisError("module has free summands; trim them first")
-    if depth(module) != ring.dim:
+    dep = depth(module)
+    if dep != ring.dim:
         raise HypothesisError("module is not maximal Cohen-Macaulay "
-                              f"(depth {depth(module)} < dim {ring.dim})")
+                              f"(depth {dep} < dim {ring.dim})")
     amb = ring.ambient
     a_cols = list(module.rels)
     if len(a_cols) != module.ngens:
@@ -151,8 +151,8 @@ class CompleteResolution:
         return True
 
 
-def complete_resolution(module: PresentedModule, q=None, window=6,
-                        search_limit=None) -> CompleteResolution:
+def complete_resolution(module: PresentedModule, q=None,
+                        window=6) -> CompleteResolution:
     """Build and verify the periodic complete resolution of a module.
 
     With a hypersurface ring (and q absent or 2) the matrix factorization
@@ -180,7 +180,7 @@ def complete_resolution(module: PresentedModule, q=None, window=6,
         raise HypothesisError("a period must be given for non-hypersurface rings")
     if q < 2 or q % 2:
         raise HypothesisError("the period must be even and >= 2")
-    limit = search_limit if search_limit is not None else max(ring.dim + 2, 3)
+    limit = max(ring.dim + 2, 3)
     res = resolution_of(module, limit + q + 1)
     for i0 in range(limit + 1):
         if res.betti(i0 + 1) == 0:

@@ -162,16 +162,18 @@ def cokernel_with_projection(f: GradedMap):
     return z, GradedMap(y, z, proj_cols)
 
 
-def random_short_exact_sequence(y: PresentedModule, rng: random.Random,
-                                degree_span=2, max_gens=2):
-    """A random submodule X of Y with 0 -> X -> Y -> Y/X -> 0."""
+def random_short_exact_sequence(y: PresentedModule, rng: random.Random):
+    """A random submodule X of Y with 0 -> X -> Y -> Y/X -> 0.
+
+    X has one or two generators, at most two degrees above Y's lowest.
+    """
     ring = y.ring
     amb = ring.ambient
     p = amb.p
     lo = min(y.twists)
     gens = []
-    for _ in range(rng.randrange(1, max_gens + 1)):
-        d = lo + rng.randrange(degree_span + 1)
+    for _ in range(rng.randrange(1, 3)):
+        d = lo + rng.randrange(3)
         v = {}
         for k, b in enumerate(y.twists):
             e = d - b

@@ -94,3 +94,72 @@ def test_every_public_def_is_referenced():
         for p in sorted((REPO / sub).rglob("*.py")):
             refs[str(p)] = p.read_text()
     assert _unreferenced_public_defs(defs, refs) == []
+
+
+def _unset_defaults(def_sources, call_sources):
+    """Defaulted parameters that no call sets.
+
+    A call ``f(...)`` or ``obj.f(...)`` matches every def named ``f``, and
+    ``C(...)`` matches ``C.__init__``.  It sets a parameter when it passes it
+    by keyword, passes enough positional arguments to reach it, or uses
+    ``*`` or ``**``.  Returns ``(path, line, def name, parameter)``.
+    """
+    calls = defaultdict(list)  # callee name -> [(positional count, keywords)]
+    for source in call_sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                calls[name].append((float("inf"), set()))
+            else:
+                calls[name].append((len(node.args),
+                                    {k.arg for k in node.keywords}))
+    found = []
+    for path, source in def_sources.items():
+        tree = ast.parse(source)
+        owner = {}  # method -> callee name, with self not passed positionally
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for d in node.body:
+                    if isinstance(d, ast.FunctionDef):
+                        owner[d] = node.name if d.name == "__init__" else d.name
+        for d in ast.walk(tree):
+            if not isinstance(d, ast.FunctionDef):
+                continue
+            name = owner.get(d, d.name)
+            params = d.args.posonlyargs + d.args.args
+            skip = 1 if d in owner else 0
+            defaulted = [(a.arg, i - skip) for i, a in enumerate(params)
+                         if i >= len(params) - len(d.args.defaults)]
+            defaulted += [(a.arg, None) for a, dv in
+                          zip(d.args.kwonlyargs, d.args.kw_defaults)
+                          if dv is not None]
+            for arg, pos in defaulted:
+                if not any(arg in kws or (pos is not None and npos > pos)
+                           for npos, kws in calls[name]):
+                    found.append((path, d.lineno, d.name, arg))
+    return sorted(found)
+
+
+def test_unset_defaults_are_detected():
+    lib = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n\n"
+           "class C:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
+           "    def m(self, z=0):\n        return z\n\n\n"
+           "def g(u=0):\n    return u\n")
+    caller = ("f(0, 1, d=2)\nC(1)\nC().m()\ng(*[])\n")
+    assert _unset_defaults({"lib.py": lib}, {"main.py": caller}) == [
+        ("lib.py", 1, "f", "c"), ("lib.py", 1, "f", "e"),
+        ("lib.py", 6, "__init__", "y"), ("lib.py", 9, "m", "z")]
+
+
+def test_every_default_is_set_by_some_call():
+    # a parameter that no call in the package, the tests, the demos or the
+    # benchmark harness sets has one value in use: make it a constant
+    defs = {str(p): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    calls = dict(defs)
+    for sub in ("tests", "demos", "bench"):
+        for p in sorted((REPO / sub).rglob("*.py")):
+            calls[str(p)] = p.read_text()
+    assert _unset_defaults(defs, calls) == []

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from hwprobe import (
     ISO,
     NOT_ISO,
+    UNDECIDED,
     PresentedModule,
     define_ring,
     free_module,
@@ -126,3 +127,16 @@ def test_nullspace_is_the_kernel(data):
             assert sum(c * vec.get(k, 0) for k, c in row.items()) % p == 0
     assert len(basis) == ncols - _dense_rank(rows, ncols, p)
     assert _dense_rank(basis, ncols, p) == len(basis)
+
+
+def test_large_bar_space_is_sampled(threefold):
+    # Hom(R^2, R^2)_0 has bar dimension 4: (101^4 - 1) / 100 points are too
+    # many to exhaust, so the search samples
+    f = free_module(threefold, (0, 0))
+    res = is_isomorphic(f, f, sample_budget=0)
+    assert res.verdict == UNDECIDED
+    assert res.detail == {"bar_dim": 4, "sampled": 0}
+    res = is_isomorphic(f, f)
+    assert res.verdict == ISO
+    assert res.detail["bar_dim"] == 4
+    assert res.certificate.check()

@@ -14,6 +14,8 @@ from hwprobe import (
     residue_field_module,
     tensor,
 )
+from hwprobe.freemod import vec_component
+from hwprobe.groebner import poly_det
 
 
 def P(rq, s):
@@ -131,3 +133,55 @@ def test_element_normal_form(cusp, cusp_m):
     v1 = {(0, (0, 1)): 1}   # y * gen_x
     v2 = {(1, (1, 0)): 1}   # x * gen_y
     assert cusp_m.element_nf(v1) == cusp_m.element_nf(v2)
+
+
+def search_rank_mod_ideal(m):
+    """Reference: the largest r with a nonzero r x r minor mod I, found by
+    growing only the row and column sets of the nonzero minors."""
+    amb = m.ring.ambient
+
+    def entry(row, col):
+        return vec_component(m.rels[col], row)
+
+    nc = len(m.rels)
+    g = m.ngens
+    level = {((), ())}
+    r = 0
+    while r < min(g, nc):
+        nxt = set()
+        for rows, cols in level:
+            for i in range(g):
+                if i in rows:
+                    continue
+                for j in range(nc):
+                    if j in cols:
+                        continue
+                    nxt.add((tuple(sorted(rows + (i,))),
+                             tuple(sorted(cols + (j,)))))
+        good = set()
+        for rows, cols in sorted(nxt):
+            if not m.ring.is_zero(poly_det(amb, entry, rows, cols)):
+                good.add((rows, cols))
+        if not good:
+            return r
+        level = good
+        r += 1
+    return r
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_matches_the_minor_search(threefold, data):
+    amb = threefold.ambient
+    ngens = data.draw(st.integers(1, 3))
+    twists = tuple(data.draw(st.integers(0, 1)) for _ in range(ngens))
+    cols = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        d = data.draw(st.integers(max(twists) + 1, max(twists) + 2))
+        terms = [(k, mono) for k in range(ngens)
+                 for mono in amb.monomials_of_degree(d - twists[k])]
+        chosen = data.draw(st.lists(st.sampled_from(terms), min_size=1,
+                                    max_size=4, unique=True))
+        cols.append({t: data.draw(st.integers(1, amb.p - 1)) for t in chosen})
+    m = PresentedModule(threefold, twists, cols)
+    assert m.rank() == m.ngens - search_rank_mod_ideal(m)

@@ -2,7 +2,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwprobe import PolyRing
-from hwprobe.freemod import SchreyerOrder, TermOverPosition, vec_leading
+from hwprobe.freemod import term_key, vec_leading
 from hwprobe.groebner import schreyer_order_for, syzygy_generators
 
 
@@ -38,7 +38,7 @@ def test_grevlex_classic_comparisons():
 
 def test_module_order_component_tiebreak():
     r = PolyRing(["x", "y"], [1, 1], 7)
-    key = TermOverPosition(r).key
+    key = term_key(r)
     m = (1, 0)
     assert key((0, m)) > key((1, m))  # same monomial: lower component wins
     assert key((1, (1, 0))) > key((0, (0, 1)))  # monomial comparison first
@@ -51,12 +51,12 @@ def test_schreyer_syzygies_form_a_groebner_basis():
     gens = [{(0, (1, 0, 0)): 1}, {(0, (0, 1, 0)): 1}, {(0, (0, 0, 1)): 1}]
     syz = syzygy_generators(r, gens, (0,))
     assert len(syz) == 3
-    order = schreyer_order_for(r, gens)
+    skey = schreyer_order_for(r, gens)
     from hwprobe.groebner import _buchberger_core
-    basis, _, _ = _buchberger_core(r, syz, (1, 1, 1), order.key)
+    basis, _, _ = _buchberger_core(r, syz, (1, 1, 1), skey)
     # a Groebner basis input gains no new leading terms
-    lts_in = {vec_leading(s, order.key)[0] for s in syz}
-    lts_out = {vec_leading(b, order.key)[0] for b in basis}
+    lts_in = {vec_leading(s, skey)[0] for s in syz}
+    lts_out = {vec_leading(b, skey)[0] for b in basis}
     reduced = set()
     for c, m in lts_out:
         if any(cc == c and all(a <= b for a, b in zip(mm, m))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwprobe import NotDomainError, define_ring, parse_polynomial
+from hwprobe import NotDomainError, PolyRing, define_ring, parse_polynomial
 from hwprobe.groebner import reduce_poly
 from hwprobe.quotient import principal_irreducible_scan
 
@@ -44,6 +44,17 @@ def test_nonprime_characteristic_rejected():
 def test_unit_ideal_rejected():
     with pytest.raises(ValueError):
         define_ring(["x"], [1], 5, ["1"])
+
+
+def test_order_is_named():
+    with pytest.raises(ValueError, match="unknown monomial order 'deglex'"):
+        define_ring(["x"], [1], 5, [], order="deglex")
+    lex = define_ring(["x", "y"], [1, 1], 5, [], order="lex").ambient
+    grevlex = define_ring(["x", "y"], [1, 1], 5, []).ambient
+    assert lex.order == "lex" and grevlex.order == "grevlex"
+    assert lex != grevlex
+    assert lex == PolyRing(["x", "y"], [1, 1], 5, order="lex")
+    assert hash(lex) == hash(PolyRing(["x", "y"], [1, 1], 5, order="lex"))
 
 
 def test_domain_scan_rejects_visible_factorization():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwprobe import Lex, ParseError, PolyRing, parse_polynomial
+from hwprobe import ParseError, PolyRing, parse_polynomial
 
 
 def P(ring, s):

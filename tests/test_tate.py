@@ -233,3 +233,18 @@ def test_tate_length_memo_keeps_infinite_lengths(monkeypatch):
     second = [tate_tor_length(cr, m, i) for i in range(-2, 3)]
     assert first == second and None in first
     assert len(calls) == cr.q
+
+
+def test_non_mcm_rejection_computes_depth_once(monkeypatch, cusp):
+    from hwprobe import residue_field_module, tate
+    calls = []
+
+    def counting(module):
+        calls.append(module)
+        return depth(module)
+
+    depth = tate.depth
+    monkeypatch.setattr(tate, "depth", counting)
+    with pytest.raises(HypothesisError, match="depth 0 < dim 1"):
+        matrix_factorization_of(residue_field_module(cusp))
+    assert len(calls) == 1
