@@ -189,8 +189,9 @@ def _buchberger_core(ring, gens, twists, key, track=False):
     return basis, reps, syzygies
 
 
-def _interreduce(ring, basis, key):
-    """Canonical reduced basis: minimal leading terms, fully tail-reduced.
+def _interreduce(ring, basis):
+    """Canonical reduced basis under ``term_key``: minimal leading terms,
+    fully tail-reduced.
 
     One pass suffices: every tail term of an element is smaller than its
     leading term, so reducing the tail against the whole kept set never
@@ -198,6 +199,7 @@ def _interreduce(ring, basis, key):
     """
     divides = ring.mono_divides
     inv = ring.field.inv
+    key = term_key(ring)
     items = sorted((v for v in basis if v), key=lambda g: key(max(g, key=key)))
     kept = []
     kept_lts = []
@@ -260,7 +262,7 @@ def groebner_basis(ring, gens, twists):
     key = term_key(ring)
     _check_homogeneous(ring, gens, twists)
     basis, _, _ = _buchberger_core(ring, gens, twists, key)
-    return GroebnerBasis(ring, _interreduce(ring, basis, key), twists)
+    return GroebnerBasis(ring, _interreduce(ring, basis), twists)
 
 
 def syzygy_generators(ring, gens, twists):

@@ -168,3 +168,22 @@ def std_monomials_of_degree(ring, gens, d):
         if not any(all(x <= y for x, y in zip(g, m)) for g in gens):
             out.append(m)
     return out
+
+
+def std_monomials(ring, gens):
+    """Standard monomials of an Artinian monomial ideal, listed by degree.
+
+    The ideal holds a pure power x^e of each variable, so no standard
+    monomial has degree above sum (e - 1) * w(x).  The table runs from
+    degree 0 to the top degree with a standard monomial; it is empty when
+    the ideal is the unit ideal.
+    """
+    gens = minimalize_monomials(gens)
+    bound = 0
+    for k, w in enumerate(ring.weights):
+        e = min(g[k] for g in gens if sum(g) == g[k])
+        bound += (e - 1) * w
+    table = [std_monomials_of_degree(ring, gens, d) for d in range(bound + 1)]
+    while table and not table[-1]:
+        table.pop()
+    return table

@@ -10,18 +10,32 @@ Every (co)homology here, Tate (co)homology and the acyclicity check of a
 complete resolution included, goes through one path.  A complex of free
 modules is any object with ``ring``, ``twists_at(i)`` (the generator degrees
 of C_i) and ``differential(i)`` (the columns of C_i -> C_{i-1}):
-``Resolution``, ``CompleteResolution`` and ``KoszulComplex``.  Two builders
-turn a complex C, a module N and an index i into cycle data
-``(twists, Z, B)`` for H_i(C (x) N) (``tensor_cycle_data``) or
-H^i(Hom(C, N)) (``hom_cycle_data``), or None when C_i or N is zero; the
-finishers ``h_module``, ``h_length`` and ``h_is_zero`` turn that into a
-module, a length or a vanishing test.
+``Resolution``, ``CompleteResolution`` and ``KoszulComplex``.  Two sides,
+``tensor_maps`` for H_i(C (x) N) and ``hom_maps`` for H^i(Hom(C, N)), give
+the maps into and out of position i as block matrices over N.
+
+* Modules: ``tensor_cycle_data`` and ``hom_cycle_data`` turn those maps
+  into cycle data ``(twists, Z, B)``, or None when C_i or N is zero, and
+  ``h_module`` presents Z/B.  This is the only route to a module.
+* Lengths and vanishing: ``length_at`` and ``vanishes_at`` choose the
+  method from ``ring.dim`` alone.  Over an Artinian ring every C_i (x) N and
+  Hom(C_i, N) is a finite F_p-space, so the length at i is its dimension
+  minus the ranks of the two maps, and vanishing is length zero; no cycle
+  data is built.  Over dim > 0 they finish cycle data with Groebner bases
+  (``h_length``, ``subquotient_is_zero``).
 """
 
 from itertools import combinations
 
-from .freemod import vec_component, vec_degree, vec_from_polys
+from .freemod import (
+    row_insert,
+    vec_component,
+    vec_degree,
+    vec_from_polys,
+    vec_mul_term,
+)
 from .groebner import express_in_terms, kernel_into_quotient, saturate
+from .hilbert import std_monomials
 from .modules import (
     GradedMap,
     HypothesisError,
@@ -82,47 +96,63 @@ def _hom_twists(f_twists, n_module):
 # (co)homology of a free complex against a module
 
 
-def tensor_cycle_data(cx, n, i):
-    """Cycle data of H_i(C (x) N) inside C_i (x) N, or None if C_i or N is 0.
+def tensor_maps(cx, n, i):
+    """C (x) N around position i, or None if C_i or N is zero.
 
-    Z is the kernel of d_i (x) 1 modulo the relations of C_{i-1} (x) N; B is
-    the image of d_{i+1} (x) 1 plus the relations of C_i (x) N.
+    Returns ``(F_i, F_{i-1}, d_i (x) 1, d_{i+1} (x) 1, twists)``: the
+    generator degrees of C_i and of the target of the outgoing map, the
+    block columns of the outgoing and the incoming map, and the rule that
+    turns generator degrees of C into those of C (x) N.
     """
     if cx.ring != n.ring:
         raise HypothesisError("homology over different rings")
     f_i = cx.twists_at(i)
     if not f_i or n.is_zero():
         return None
-    f_prev = cx.twists_at(i - 1)
     g_n = n.ngens
-    z = kernel_into_quotient(
-        n.ring, _tensor_block_cols(cx.differential(i), g_n),
-        _free_tensor_rels(len(f_prev), n), _tensor_twists(f_prev, n))
-    b = (_tensor_block_cols(cx.differential(i + 1), g_n)
-         + _free_tensor_rels(len(f_i), n))
-    return _tensor_twists(f_i, n), z, b
+    return (f_i, cx.twists_at(i - 1),
+            _tensor_block_cols(cx.differential(i), g_n),
+            _tensor_block_cols(cx.differential(i + 1), g_n), _tensor_twists)
 
 
-def hom_cycle_data(cx, n, i):
-    """Cycle data of H^i(Hom(C, N)) in Hom(C_i, N), or None if C_i or N is 0.
+def hom_maps(cx, n, i):
+    """Hom(C, N) around position i, or None if C_i or N is zero.
 
-    Z is the kernel of Hom(d_{i+1}, N) modulo the relations of
-    Hom(C_{i+1}, N); B is the image of Hom(d_i, N) plus the relations of
-    Hom(C_i, N).
+    Returns ``(F_i, F_{i+1}, Hom(d_{i+1}, N), Hom(d_i, N), twists)`` in the
+    layout of ``tensor_maps``.
     """
     if cx.ring != n.ring:
         raise HypothesisError("cohomology over different rings")
     f_i = cx.twists_at(i)
     if not f_i or n.is_zero():
         return None
-    f_next = cx.twists_at(i + 1)
     g_n = n.ngens
-    z = kernel_into_quotient(
-        n.ring, _hom_block_cols(cx.differential(i + 1), len(f_i), g_n),
-        _free_tensor_rels(len(f_next), n), _hom_twists(f_next, n))
-    b = (_hom_block_cols(cx.differential(i), len(cx.twists_at(i - 1)), g_n)
-         + _free_tensor_rels(len(f_i), n))
-    return _hom_twists(f_i, n), z, b
+    return (f_i, cx.twists_at(i + 1),
+            _hom_block_cols(cx.differential(i + 1), len(f_i), g_n),
+            _hom_block_cols(cx.differential(i), len(cx.twists_at(i - 1)), g_n),
+            _hom_twists)
+
+
+def _cycle_data(n, maps):
+    """``(twists, Z, B)``: Z is the kernel of the outgoing map modulo the
+    relations of its target, B the image of the incoming map plus the
+    relations of the middle module."""
+    if maps is None:
+        return None
+    f_i, f_out, outgoing, incoming, twists = maps
+    z = kernel_into_quotient(n.ring, outgoing, _free_tensor_rels(len(f_out), n),
+                             twists(f_out, n))
+    return twists(f_i, n), z, incoming + _free_tensor_rels(len(f_i), n)
+
+
+def tensor_cycle_data(cx, n, i):
+    """Cycle data of H_i(C (x) N) inside C_i (x) N, or None if C_i or N is 0."""
+    return _cycle_data(n, tensor_maps(cx, n, i))
+
+
+def hom_cycle_data(cx, n, i):
+    """Cycle data of H^i(Hom(C, N)) in Hom(C_i, N), or None if C_i or N is 0."""
+    return _cycle_data(n, hom_maps(cx, n, i))
 
 
 def h_module(ring, data):
@@ -138,9 +168,67 @@ def h_length(ring, data):
     return 0 if data is None else homology_length(ring, *data)
 
 
-def h_is_zero(ring, data):
-    """Whether Z/B from a builder's cycle data vanishes."""
-    return data is None or subquotient_is_zero(ring, *data)
+def length_at(side, cx, n, i):
+    """Length of the (co)homology at i of ``side`` (``tensor_maps`` or
+    ``hom_maps``) applied to C and N; None when infinite.
+
+    This and ``vanishes_at`` are where the method is chosen: over an
+    Artinian ring, F_p ranks; otherwise cycle data.
+    """
+    maps = side(cx, n, i)
+    if cx.ring.dim == 0:
+        return _rank_length(n, maps)
+    return h_length(cx.ring, _cycle_data(n, maps))
+
+
+def vanishes_at(side, cx, n, i):
+    """Whether the (co)homology at i of ``side`` applied to C and N is 0."""
+    maps = side(cx, n, i)
+    if cx.ring.dim == 0:
+        return _rank_length(n, maps) == 0
+    data = _cycle_data(n, maps)
+    return data is None or subquotient_is_zero(cx.ring, *data)
+
+
+def _rank_length(n, maps):
+    """dim_k(middle) - rank(outgoing) - rank(incoming) over an Artinian ring.
+
+    The middle module is one copy of N per generator of C_i, an F_p-space
+    with basis (block, component k, standard monomial of component k of
+    N's initial module).
+    """
+    if maps is None:
+        return 0
+    f_i, _, outgoing, incoming, _ = maps
+    init = n.rel_gb().initial_module()
+    std = [[m for ms in std_monomials(n.ring.ambient, init.get(k, ()))
+            for m in ms] for k in range(n.ngens)]
+    dim = len(f_i) * sum(len(ms) for ms in std)
+    return dim - _block_rank(n, std, outgoing) - _block_rank(n, std, incoming)
+
+
+def _block_rank(n, std, cols):
+    """F_p-rank of a map into copies of N given by block columns.
+
+    Column c is the image of generator c % g_n of N in block c // g_n of the
+    source; its rows are x^m times the column, m running over the standard
+    monomials of that component, each block reduced by N's relations.
+    """
+    g_n = n.ngens
+    p = n.ring.p
+    nf = n.rel_gb().normal_form
+    pivots = {}
+    for c, col in enumerate(cols):
+        blocks = {}
+        for (j, m), coef in col.items():
+            blocks.setdefault(j // g_n, {})[(j % g_n, m)] = coef
+        for mono in std[c % g_n]:
+            row = {}
+            for b, v in blocks.items():
+                for (k, m), coef in nf(vec_mul_term(v, mono, 1, p)).items():
+                    row[(b * g_n + k, m)] = coef
+            row_insert(row, pivots, None, p)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +248,13 @@ def tor_length(m, n, i):
     """Length of Tor_i(M, N); None when it has positive dimension."""
     if i == 0:
         return tensor(m, n).length()
-    return h_length(m.ring, tensor_cycle_data(resolution_of(m, i + 1), n, i))
+    return length_at(tensor_maps, resolution_of(m, i + 1), n, i)
 
 
 def tor_is_zero(m, n, i):
     if i == 0:
         return tensor(m, n).is_zero()
-    return h_is_zero(m.ring, tensor_cycle_data(resolution_of(m, i + 1), n, i))
+    return vanishes_at(tensor_maps, resolution_of(m, i + 1), n, i)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +316,7 @@ def ext(m, n, i):
 
 
 def ext_is_zero(m, n, i):
-    return h_is_zero(m.ring, hom_cycle_data(resolution_of(m, i + 1), n, i))
+    return vanishes_at(hom_maps, resolution_of(m, i + 1), n, i)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +380,7 @@ def depth(m):
     n = m.ring.ambient.nvars
     koszul = KoszulComplex(m.ring)
     for i in range(n, 0, -1):
-        if not h_is_zero(m.ring, tensor_cycle_data(koszul, m, i)):
+        if not vanishes_at(tensor_maps, koszul, m, i):
             return n - i
     return n
 

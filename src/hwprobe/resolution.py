@@ -22,7 +22,7 @@ import math
 
 from .freemod import compose_cols, row_insert, vec_degree, vec_mul_term
 from .groebner import minimal_generators, syzygies_over_quotient, vec_nf_ideal
-from .hilbert import std_monomials_of_degree
+from .hilbert import std_monomials
 from .modules import PresentedModule
 
 
@@ -43,7 +43,8 @@ class Resolution:
         self.level_twists = [module.twists,
                              tuple(vec_degree(amb, c, module.twists) for c in first)]
         # standard monomials of R by degree; only an Artinian R has finitely many
-        self._std = _std_monomials(self.ring) if self.ring.dim == 0 else None
+        self._std = (std_monomials(amb, self.ring._initial_ideal)
+                     if self.ring.dim == 0 else None)
 
     @property
     def length(self):
@@ -163,24 +164,6 @@ class Resolution:
                 if vec_nf_ideal(self.ring, c):
                     return False
         return True
-
-
-def _std_monomials(ring):
-    """Standard monomials of an Artinian R, listed by degree up to the top.
-
-    Each variable has a pure power x^e in the initial ideal, so no standard
-    monomial has degree above sum (e - 1) * w(x).
-    """
-    amb = ring.ambient
-    init = ring._initial_ideal
-    bound = 0
-    for k, w in enumerate(amb.weights):
-        e = min(g[k] for g in init if sum(g) == g[k])
-        bound += (e - 1) * w
-    table = [std_monomials_of_degree(amb, init, d) for d in range(bound + 1)]
-    while not table[-1]:
-        table.pop()
-    return table
 
 
 def resolution_of(module: PresentedModule, length: int) -> Resolution:

@@ -14,11 +14,13 @@ from .freemod import compose_cols, vec_degree, vec_from_polys
 from .groebner import express_in_terms, invert_graded_matrix, vec_nf_ideal
 from .homalg import (
     depth,
-    h_is_zero,
-    h_length,
     h_module,
     hom_cycle_data,
+    hom_maps,
+    length_at,
     tensor_cycle_data,
+    tensor_maps,
+    vanishes_at,
 )
 from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
@@ -144,9 +146,9 @@ class CompleteResolution:
                     return False
         r1 = free_module(ring, (0,))
         for i in range(-window, window + 1):
-            if not h_is_zero(ring, tensor_cycle_data(self, r1, i)):
+            if not vanishes_at(tensor_maps, self, r1, i):
                 return False
-            if not h_is_zero(ring, hom_cycle_data(self, r1, i)):
+            if not vanishes_at(hom_maps, self, r1, i):
                 return False
         return True
 
@@ -224,7 +226,7 @@ def tate_tor(cr: CompleteResolution, n_module, i):
 
 def tate_tor_length(cr, n_module, i):
     """Length of Tate homology at any integer index."""
-    return _periodic_length(cr, tensor_cycle_data, n_module, i)
+    return _periodic_length(cr, tensor_maps, n_module, i)
 
 
 def tate_ext(cr: CompleteResolution, n_module, i):
@@ -234,15 +236,15 @@ def tate_ext(cr: CompleteResolution, n_module, i):
 
 def tate_ext_length(cr, n_module, i):
     """Length of Tate cohomology at any integer index."""
-    return _periodic_length(cr, hom_cycle_data, n_module, i)
+    return _periodic_length(cr, hom_maps, n_module, i)
 
 
-def _periodic_length(cr, cycle_data, n_module, i):
+def _periodic_length(cr, side, n_module, i):
     # The length depends on i only modulo the period.  The key holds the
     # module itself, not its id(): the cache keeps it alive, so its identity
     # hash cannot be reused by another module.  An infinite length is
     # None, so the lookup tests membership.
-    key = (cycle_data, (i - cr.base) % cr.q, n_module)
+    key = (side, (i - cr.base) % cr.q, n_module)
     if key not in cr._cache:
-        cr._cache[key] = h_length(cr.ring, cycle_data(cr, n_module, i))
+        cr._cache[key] = length_at(side, cr, n_module, i)
     return cr._cache[key]

@@ -1,4 +1,6 @@
-"""The strand path of Resolution (dim R = 0) against routes it does not use.
+"""The Artinian paths (dim R = 0) against routes they do not use.
+
+The strand path of Resolution is checked against
 
 * a Groebner reference built here from ``syzygies_over_quotient`` and
   ``minimal_generators`` (the dim > 0 path), compared on graded Betti tables;
@@ -6,18 +8,44 @@
   ring's own Hilbert numerator;
 * the Betti-Hilbert identity sum (-1)^i beta_i(t) H_R(t) = H_M(t) below the
   lowest twist of the first level left out.
+
+The rank path of ``length_at`` (Tor, Ext and Tate lengths from F_p ranks) is
+checked against the lengths of the cycle data that ``h_length`` finishes
+with Groebner bases, the dim > 0 path.
 """
 
+import sys
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwprobe import PolyRing, PresentedModule, define_ring, residue_field_module
+from hwprobe import (
+    PolyRing,
+    PresentedModule,
+    complete_resolution,
+    define_ring,
+    residue_field_module,
+    tate_tor_length,
+    tor_length,
+)
 from hwprobe.freemod import vec_degree
-from hwprobe.groebner import minimal_generators, syzygies_over_quotient
+from hwprobe.groebner import (
+    kernel_into_quotient,
+    minimal_generators,
+    syzygies_over_quotient,
+)
 from hwprobe.hilbert import hilbert_numerator, series_coefficients
-from hwprobe.resolution import Resolution
+from hwprobe.homalg import (
+    h_length,
+    hom_cycle_data,
+    hom_maps,
+    length_at,
+    tensor_cycle_data,
+    tensor_maps,
+)
+from hwprobe.modules import homology_length
+from hwprobe.resolution import Resolution, resolution_of
 
 
 def betti_table(levels):
@@ -84,19 +112,22 @@ def random_form(data, amb, deg):
     return {m: c for m, c in zip(monos, coeffs) if c}
 
 
-def random_artinian_module(data):
+def random_artinian_module(data, ring=None):
     """A random presentation over F_p[x,y,z]/(x^2, y^2, z^2, random forms).
 
     The extra forms have degree 2, which makes them quadrics under the
-    standard grading.
+    standard grading.  A ring passed in is used as it is, so that several
+    modules can be drawn over one ring.
     """
-    p = data.draw(st.sampled_from([3, 5, 101]))
-    weights = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 1, 3)]))
-    amb = PolyRing(["x", "y", "z"], weights, p)
-    extra = [random_form(data, amb, 2)
-             for _ in range(data.draw(st.integers(0, 2)))]
-    ring = define_ring(["x", "y", "z"], weights, p,
-                       ["x^2", "y^2", "z^2"] + [q for q in extra if q])
+    if ring is None:
+        p = data.draw(st.sampled_from([3, 5, 101]))
+        weights = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (2, 1, 3)]))
+        amb = PolyRing(["x", "y", "z"], weights, p)
+        extra = [random_form(data, amb, 2)
+                 for _ in range(data.draw(st.integers(0, 2)))]
+        ring = define_ring(["x", "y", "z"], weights, p,
+                           ["x^2", "y^2", "z^2"] + [q for q in extra if q])
+    amb = ring.ambient
     twists = tuple(data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=2)))
     cols = []
     for _ in range(data.draw(st.integers(1, 3))):
@@ -135,3 +166,51 @@ def test_betti_hilbert_identity_on_random_presentations(data):
             for d in range(a, hi + 1):
                 total[d - lo] += (-1) ** i * h_r[d - a]
     assert total == module.hilbert_function(lo, hi)
+
+
+# -- lengths from ranks ------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_lengths_match_groebner_reference(data):
+    m = random_artinian_module(data)
+    ring = m.ring
+    n = random_artinian_module(data, ring)
+    res = resolution_of(m, 4)
+    for i in range(4):
+        assert length_at(tensor_maps, res, n, i) == \
+            h_length(ring, tensor_cycle_data(res, n, i))
+        assert length_at(hom_maps, res, n, i) == \
+            h_length(ring, hom_cycle_data(res, n, i))
+
+
+def test_gp_tate_lengths_match_groebner_reference(gp_ring):
+    n = gp_n(gp_ring)
+    cr = complete_resolution(n, 4, window=4)
+    for i in range(-4, 5):
+        assert length_at(tensor_maps, cr, n, i) == \
+            h_length(gp_ring, tensor_cycle_data(cr, n, i))
+        assert length_at(hom_maps, cr, n, i) == \
+            h_length(gp_ring, hom_cycle_data(cr, n, i))
+
+
+def test_artinian_lengths_build_no_cycle_data(gp_ring, monkeypatch):
+    n = gp_n(gp_ring)
+    k = residue_field_module(gp_ring)
+    cr = complete_resolution(n, 4, window=2)
+    calls = []
+    for orig in (kernel_into_quotient, homology_length):
+        def counting(*args, orig=orig):
+            calls.append(orig.__name__)
+            return orig(*args)
+
+        # modules bind each other's functions by name, so patch every binding
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hwprobe.") and getattr(mod, orig.__name__,
+                                                       None) is orig:
+                monkeypatch.setattr(mod, orig.__name__, counting)
+    lengths = [tor_length(n, k, i) for i in range(1, 4)]
+    lengths += [tate_tor_length(cr, n, i) for i in range(-2, 3)]
+    assert lengths[:3] == [2, 2, 2]
+    assert calls == []

@@ -214,6 +214,30 @@ def test_verify_rejects_a_square_zero_complex_that_is_not_exact(cusp, cusp_m):
     assert tate_tor_length(cr, free_module(cusp, (0,)), 0) > 0
 
 
+def test_matrix_factorization_over_artinian_ring_verifies():
+    # over F_7[x]/(x^3), R/(x) has the matrix factorization (x, x^2), and
+    # the totally acyclic check runs on ranks
+    r = define_ring(["x"], [1], 7, ["x^3"])
+    cr = complete_resolution(quotient_module(r, [P(r, "x")]), 2, window=3)
+    assert cr.provenance["via"] == "matrix-factorization"
+    assert [len(c) for c in cr.cycle] == [1, 1]
+    assert cr.verify(3)
+    assert all(tate_tor_length(cr, free_module(r, (0,)), i) == 0
+               for i in range(-2, 3))
+
+
+def test_verify_rejects_a_non_exact_complex_over_an_artinian_ring():
+    # (x^2, x^2) is square-zero over F_7[x]/(x^3), since x^4 = 0, but the
+    # kernel (x) of x^2 is larger than its image (x^2)
+    from hwprobe import CompleteResolution
+    r = define_ring(["x"], [1], 7, ["x^3"])
+    x2 = {(0, (2,)): 1}
+    cr = CompleteResolution(r, 2, 0, [[x2], [x2]], [(0,), (2,), (4,)], 4,
+                            {"via": "test"})
+    assert cr.verify(2) is False
+    assert tate_tor_length(cr, free_module(r, (0,)), 0) == 1
+
+
 def test_tate_length_memo_keeps_infinite_lengths(monkeypatch):
     # over F_7[x,y,z]/(xy) the module R/(x) has infinite Tate lengths; an
     # infinite length is None, and the memo must keep it like any other
@@ -223,12 +247,12 @@ def test_tate_length_memo_keeps_infinite_lengths(monkeypatch):
     cr = complete_resolution(m, 2, window=3)
     calls = []
 
-    def counting(ring, data):
-        calls.append(data)
-        return h_length(ring, data)
+    def counting(side, cx, n, i):
+        calls.append(i)
+        return length_at(side, cx, n, i)
 
-    h_length = tate.h_length
-    monkeypatch.setattr(tate, "h_length", counting)
+    length_at = tate.length_at
+    monkeypatch.setattr(tate, "length_at", counting)
     first = [tate_tor_length(cr, m, i) for i in range(-2, 3)]
     second = [tate_tor_length(cr, m, i) for i in range(-2, 3)]
     assert first == second and None in first
