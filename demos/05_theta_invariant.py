@@ -9,7 +9,6 @@ N in the reduced Grothendieck group is nonzero.
 import random
 
 from hwprobe import (
-    ThetaContext,
     define_ring,
     free_module,
     parse_polynomial,
@@ -33,16 +32,15 @@ n = quotient_module(ring, [parse_polynomial(amb, "x"),
 print("Tor lengths of (R/(x,z), R/(x,y)) in degrees 1..8:",
       [tor_length(m, n, i) for i in range(1, 9)])
 
-ctx = ThetaContext(m)
-res = theta(m, n, ctx)
+res = theta(m, n)
 print("theta:", res.value)
 print("  stable index:", res.stable_index,
       " syzygy replacement index:", res.replacement_index)
 print("  lengths used:", dict(sorted(res.lengths.items())))
 print("  two-periodicity certified via:", res.periodicity["via"])
 print("theta against the ring itself:",
-      theta(m, free_module(ring, (0,)), ctx).value)
-print("theta against N + N:", theta(m, n.direct_sum(n), ctx).value)
+      theta(m, free_module(ring, (0,))).value)
+print("theta against N + N:", theta(m, n.direct_sum(n)).value)
 
 print()
 print("additivity on random short exact sequences 0 -> X -> N -> N/X -> 0:")
@@ -50,7 +48,7 @@ rng = random.Random(5)
 for trial in range(3):
     f, g = random_short_exact_sequence(n, rng)
     ok, reason = verify_short_exact(f, g)
-    out = theta_additivity_check(m, f, g, ctx)
+    out = theta_additivity_check(m, f, g)
     print(f"  trial {trial}: exact={ok}  "
           f"theta(X,Y,Z) = ({out['theta_X']}, {out['theta_Y']}, "
           f"{out['theta_Z']})  additive={out['additive']}")

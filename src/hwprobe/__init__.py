@@ -64,7 +64,6 @@ from .tate import (
 from .theta import (
     CONJECTURE_HOLDS,
     COUNTEREXAMPLE_CANDIDATE,
-    ThetaContext,
     ThetaResult,
     depth_zero_check,
     even_dim_torsion_check,

@@ -28,6 +28,7 @@ from .freemod import (
     vec_leading,
     vec_mul_term,
 )
+from .ring import memoized
 
 
 class InhomogeneousError(ValueError):
@@ -242,6 +243,7 @@ class GroebnerBasis:
     def leading_terms(self):
         return tuple(self._lts)
 
+    @memoized
     def initial_module(self):
         """Minimal monomial generators of the initial module, per component."""
         per_comp = defaultdict(list)

@@ -7,6 +7,7 @@ polynomials N(t) in Z[t] with HS = N(t) / prod_i (1 - t^{w_i}); numerators
 are dicts mapping exponents to integer coefficients.
 """
 
+from .ring import memoized
 
 
 # -- Z[t] arithmetic ---------------------------------------------------------
@@ -92,30 +93,24 @@ def hilbert_numerator(ring, gens):
     Uses the exact sequence 0 -> S/(J:m)(-deg m) -> S/J -> S/(J+m) -> 0 with
     m a generator, recursing on simpler ideals.
     """
-    memo = ring.__dict__.setdefault("_hilb_memo", {})
+    return _numerator(ring, tuple(sorted(minimalize_monomials(gens))))
 
-    def rec(gens):
-        gens = tuple(sorted(minimalize_monomials(gens)))
-        got = memo.get(gens)
-        if got is not None:
-            return got
-        if not gens:
-            out = {0: 1}
-        elif any(sum(m) == 0 for m in gens):
-            out = {}
-        else:
-            # split off the last generator m: N(J) = N(J') - t^deg(m) N(J':m)
-            m = gens[-1]
-            rest = gens[:-1]
-            colon = []
-            for g in rest:
-                colon.append(tuple(max(x - y, 0) for x, y in zip(g, m)))
-            out = tpoly_sub(rec(rest),
-                            tpoly_shift(rec(tuple(colon)), ring.mono_deg(m)))
-        memo[gens] = out
-        return out
 
-    return rec(tuple(gens))
+@memoized
+def _numerator(ring, gens):
+    """``hilbert_numerator`` of sorted minimal generators, memoized on S."""
+    if not gens:
+        return {0: 1}
+    if any(sum(m) == 0 for m in gens):
+        return {}
+    # split off the last generator m: N(J) = N(J') - t^deg(m) N(J':m)
+    m = gens[-1]
+    rest = gens[:-1]
+    colon = minimalize_monomials(tuple(max(x - y, 0) for x, y in zip(g, m))
+                                 for g in rest)
+    return tpoly_sub(_numerator(ring, rest),
+                     tpoly_shift(_numerator(ring, tuple(sorted(colon))),
+                                 ring.mono_deg(m)))
 
 
 def module_numerator(ring, twists, comp_gens):

@@ -47,6 +47,7 @@ from .modules import (
     tensor,
 )
 from .resolution import resolution_of
+from .ring import memoized
 
 # ---------------------------------------------------------------------------
 # block matrices for (-) (x) N and Hom(-, N) on free complexes
@@ -200,11 +201,17 @@ def _rank_length(n, maps):
     if maps is None:
         return 0
     f_i, _, outgoing, incoming, _ = maps
-    init = n.rel_gb().initial_module()
-    std = [[m for ms in std_monomials(n.ring.ambient, init.get(k, ()))
-            for m in ms] for k in range(n.ngens)]
+    std = _module_std_monomials(n)
     dim = len(f_i) * sum(len(ms) for ms in std)
     return dim - _block_rank(n, std, outgoing) - _block_rank(n, std, incoming)
+
+
+@memoized
+def _module_std_monomials(n):
+    """Per component k of N, the standard monomials of its initial module."""
+    init = n.rel_gb().initial_module()
+    return [[m for ms in std_monomials(n.ring.ambient, init.get(k, ()))
+             for m in ms] for k in range(n.ngens)]
 
 
 def _block_rank(n, std, cols):

@@ -30,7 +30,6 @@ from .resolution import complexity_estimate, syzygy_module
 from .tate import complete_resolution, tate_ext_length, tate_tor_length
 from .theta import (
     COUNTEREXAMPLE_CANDIDATE,
-    ThetaContext,
     depth_zero_check,
     even_dim_torsion_check,
     hw_check,
@@ -117,13 +116,16 @@ def _job_bounds(spec: dict) -> dict:
             raise JobError(f"unknown task op {op!r}; available: "
                            + ", ".join(sorted(TASKS)))
         _check_keys(f"{op!r} task", t, ("op",) + TASKS[op][1])
+    given = spec.get("bounds", {})
+    if not isinstance(given, dict):
+        raise JobError(f"bounds must be an object, got {given!r}")
     bounds = dict(DEFAULT_BOUNDS)
-    bounds.update(spec.get("bounds", {}))
+    bounds.update(given)
     for k, v in bounds.items():
         if k not in DEFAULT_BOUNDS:
             raise JobError(f"unknown bound {k!r}; known bounds are "
                            f"{sorted(DEFAULT_BOUNDS)}")
-        if not isinstance(v, int) or v <= 0:
+        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
             raise JobError(f"bound {k!r} must be a positive integer, got {v!r}")
     return bounds
 
@@ -278,11 +280,10 @@ def _task_theta_additivity(ctx, t):
     y = ctx.module(t["on"])
     count = int(t.get("count", 5))
     rng = random.Random(t.get("seed", ctx.seed))
-    tctx = ThetaContext(m)
     runs = []
     for _ in range(count):
         f, g = random_short_exact_sequence(y, rng)
-        runs.append(theta_additivity_check(m, f, g, tctx))
+        runs.append(theta_additivity_check(m, f, g))
     return {"runs": runs, "all_additive": all(r["additive"] for r in runs)}
 
 

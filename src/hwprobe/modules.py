@@ -22,6 +22,7 @@ from .groebner import (
     poly_det,
     vec_nf_ideal,
 )
+from .ring import memoized
 
 
 class HypothesisError(ValueError):
@@ -46,7 +47,6 @@ class PresentedModule:
             cols = minimal_generators(ring, cols, twists)
         self.twists = tuple(twists)
         self.rels = tuple(cols)
-        self._cache = {}
 
     # -- basics --------------------------------------------------------------
 
@@ -68,13 +68,10 @@ class PresentedModule:
         return (f"PresentedModule({self.ring!r}, gens={list(self.twists)}, "
                 f"rels={len(self.rels)})")
 
+    @memoized
     def rel_gb(self):
         """Groebner basis of <relations> + I*F, for membership over R."""
-        gb = self._cache.get("rel_gb")
-        if gb is None:
-            gb = module_groebner(self.ring, self.rels, self.twists)
-            self._cache["rel_gb"] = gb
-        return gb
+        return module_groebner(self.ring, self.rels, self.twists)
 
     def element_nf(self, v):
         """Canonical representative of a coset of the relation submodule."""
@@ -82,13 +79,10 @@ class PresentedModule:
 
     # -- Hilbert data ----------------------------------------------------------
 
+    @memoized
     def hilbert_numerator(self):
-        num = self._cache.get("hnum")
-        if num is None:
-            init = self.rel_gb().initial_module()
-            num = hb.module_numerator(self.ring.ambient, self.twists, init)
-            self._cache["hnum"] = num
-        return num
+        return hb.module_numerator(self.ring.ambient, self.twists,
+                                   self.rel_gb().initial_module())
 
     def hilbert_function(self, lo, hi):
         """Graded dimensions dim_k M_d for d in lo..hi."""
@@ -100,17 +94,13 @@ class PresentedModule:
         return hb.series_total_if_finite(self.ring.ambient,
                                          self.hilbert_numerator())
 
+    @memoized
     def krull_dim(self):
         """Dimension of the support, read off the initial module; -1 for 0."""
-        d = self._cache.get("dim")
-        if d is None:
-            init = self.rel_gb().initial_module()
-            amb = self.ring.ambient
-            d = -1
-            for j in range(self.ngens):
-                d = max(d, hb.monomial_quotient_dim(amb.nvars, init.get(j, ())))
-            self._cache["dim"] = d
-        return d
+        init = self.rel_gb().initial_module()
+        nvars = self.ring.ambient.nvars
+        return max((hb.monomial_quotient_dim(nvars, init.get(j, ()))
+                    for j in range(self.ngens)), default=-1)
 
     # -- constructions ---------------------------------------------------------
 

@@ -13,8 +13,8 @@ of two ways to do it:
   are the kernel vectors independent of sum_x x * Z_{D - w(x)} (the strand
   frame of La Scala and Stillman, JSC 1998).  No Buchberger run is needed.
 
-Both fill the same ``diffs`` and ``level_twists``.  Resolutions are cached on
-the module and extended on demand; a cache entry is either absent or a fully
+Both fill the same ``diffs`` and ``level_twists``.  Each module has one
+resolution, memoized on it and extended on demand; it always holds a fully
 computed prefix.
 """
 
@@ -24,6 +24,7 @@ from .freemod import compose_cols, row_insert, vec_degree, vec_mul_term
 from .groebner import minimal_generators, syzygies_over_quotient, vec_nf_ideal
 from .hilbert import std_monomials
 from .modules import PresentedModule
+from .ring import memoized
 
 
 class Resolution:
@@ -42,9 +43,6 @@ class Resolution:
         self.diffs = [first]
         self.level_twists = [module.twists,
                              tuple(vec_degree(amb, c, module.twists) for c in first)]
-        # standard monomials of R by degree; only an Artinian R has finitely many
-        self._std = (std_monomials(amb, self.ring._initial_ideal)
-                     if self.ring.dim == 0 else None)
 
     @property
     def length(self):
@@ -60,7 +58,7 @@ class Resolution:
                 self.diffs.append([])
                 self.level_twists.append(())
                 continue
-            if self._std is not None:
+            if self.ring.dim == 0:
                 nxt = self._strand_step(cols, src_twists)
             else:
                 syz = syzygies_over_quotient(self.ring, cols, ambient_twists)
@@ -83,7 +81,7 @@ class Resolution:
         ring = self.ring
         amb = ring.ambient
         p = amb.p
-        std = self._std
+        std = _ring_std_monomials(ring)
         top = len(std) - 1
         variables = [(tuple(int(i == k) for i in range(amb.nvars)), w)
                      for k, w in enumerate(amb.weights)]
@@ -166,12 +164,20 @@ class Resolution:
         return True
 
 
+@memoized
+def _ring_std_monomials(ring):
+    """Standard monomials of an Artinian R, listed by degree."""
+    return std_monomials(ring.ambient, ring._initial_ideal)
+
+
+@memoized
+def _resolution(module):
+    return Resolution(module)
+
+
 def resolution_of(module: PresentedModule, length: int) -> Resolution:
-    """The cached minimal free resolution, extended to the given length."""
-    res = module._cache.get("resolution")
-    if res is None:
-        res = Resolution(module)
-        module._cache["resolution"] = res
+    """The module's minimal free resolution, extended to the given length."""
+    res = _resolution(module)
     if length > res.length:
         res.extend(length)
     return res

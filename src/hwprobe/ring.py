@@ -7,10 +7,32 @@ dicts, dispatched through a :class:`PolyRing` that fixes the variables, the
 weights of the grading and the monomial order.
 """
 
+from functools import wraps
+
 from .field import PrimeField
 
 Mono = tuple  # exponent vector
 Poly = dict   # Mono -> coefficient in [1, p)
+
+
+def memoized(fn):
+    """Cache ``fn(owner, *args)`` on the owner: the one memo of the package.
+
+    The value is kept in the owner's ``__dict__`` under ``(fn, args)``, so it
+    lives exactly as long as the owner and is never shared with an equal
+    owner built apart.  The arguments must be hashable; a value of None is
+    kept like any other.
+    """
+    @wraps(fn)
+    def memo(owner, *args):
+        store = owner.__dict__
+        key = (fn, args)
+        try:
+            return store[key]
+        except KeyError:
+            value = store[key] = fn(owner, *args)
+            return value
+    return memo
 
 
 def _grevlex(weights):
@@ -60,8 +82,8 @@ class PolyRing:
         self.order = order
         self.mono_key = ORDERS[order](weights)
         self.zero_mono = (0,) * self.nvars
+        # the one table outside ``memoized``: mono_deg is hot arithmetic
         self._mono_deg_cache = {}
-        self._monos_by_deg = {}
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.names == self.names
@@ -99,11 +121,9 @@ class PolyRing:
     def mono_lcm(self, a: Mono, b: Mono) -> Mono:
         return tuple(max(x, y) for x, y in zip(a, b))
 
+    @memoized
     def monomials_of_degree(self, d: int):
-        """All exponent tuples of weighted degree exactly d (cached)."""
-        got = self._monos_by_deg.get(d)
-        if got is not None:
-            return got
+        """All exponent tuples of weighted degree exactly d."""
         out = []
         n, w = self.nvars, self.weights
 
@@ -120,9 +140,7 @@ class PolyRing:
                 rec(0, d, [])
             elif d == 0:
                 out.append(())
-        got = tuple(out)
-        self._monos_by_deg[d] = got
-        return got
+        return tuple(out)
 
     # -- polynomial arithmetic ---------------------------------------------
     #

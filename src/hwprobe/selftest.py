@@ -15,7 +15,7 @@ from .modules import free_module, ideal_module, quotient_module
 from .quotient import define_ring
 from .resolution import resolution_of
 from .tate import complete_resolution, tate_tor_length
-from .theta import ThetaContext, random_short_exact_sequence, theta, theta_additivity_check
+from .theta import random_short_exact_sequence, theta, theta_additivity_check
 
 
 class _Suite:
@@ -128,11 +128,10 @@ def run_selftest(quick=False, seed=0):
                                      parse_polynomial(a3, "y")])
         big = quotient_module(three, [parse_polynomial(a3, "x"),
                                       parse_polynomial(a3, "z")])
-        ctx = ThetaContext(big)
-        if theta(big, mm, ctx).value != -1:
+        if theta(big, mm).value != -1:
             return False
         f, g = random_short_exact_sequence(mm, rng)
-        return theta_additivity_check(big, f, g, ctx)["additive"]
+        return theta_additivity_check(big, f, g)["additive"]
     s.run("theta reproduces -1 and is additive on a random sequence",
           theta_additive)
 

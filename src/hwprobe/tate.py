@@ -26,6 +26,7 @@ from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
 from .quotient import QuotientRing
 from .resolution import resolution_of
+from .ring import memoized
 
 
 class MatrixFactorization:
@@ -115,7 +116,6 @@ class CompleteResolution:
         self.levels = [tuple(t) for t in levels]
         self.shift = shift
         self.provenance = provenance
-        self._cache = {}
         if q < 2 or q % 2:
             raise HypothesisError("complete resolutions here have even period >= 2")
         if tuple(t + shift for t in self.levels[0]) != self.levels[q]:
@@ -134,18 +134,22 @@ class CompleteResolution:
     def verify(self, window):
         """Square-zero and total acyclicity (complex and dual) on [-w, w].
 
-        Total acyclicity is H_i(T (x) R) = 0 and H^i(Hom(T, R)) = 0.
+        Total acyclicity is H_i(T (x) R) = 0 and H^i(Hom(T, R)) = 0.  The
+        differentials repeat with period q and a twist changes no vanishing,
+        so one index per residue class mod q decides for the whole window:
+        each range stops after its first q indices.
         """
         ring = self.ring
         amb = ring.ambient
-        for i in range(-window, window + 2):
+        end = self.q - window
+        for i in range(-window, min(window + 2, end)):
             comp = compose_cols(amb, self.differential(i),
                                 self.differential(i + 1))
             for c in comp:
                 if vec_nf_ideal(ring, c):
                     return False
         r1 = free_module(ring, (0,))
-        for i in range(-window, window + 1):
+        for i in range(-window, min(window + 1, end)):
             if not vanishes_at(tensor_maps, self, r1, i):
                 return False
             if not vanishes_at(hom_maps, self, r1, i):
@@ -226,7 +230,7 @@ def tate_tor(cr: CompleteResolution, n_module, i):
 
 def tate_tor_length(cr, n_module, i):
     """Length of Tate homology at any integer index."""
-    return _periodic_length(cr, tensor_maps, n_module, i)
+    return _periodic_length(cr, tensor_maps, (i - cr.base) % cr.q, n_module)
 
 
 def tate_ext(cr: CompleteResolution, n_module, i):
@@ -236,15 +240,12 @@ def tate_ext(cr: CompleteResolution, n_module, i):
 
 def tate_ext_length(cr, n_module, i):
     """Length of Tate cohomology at any integer index."""
-    return _periodic_length(cr, hom_maps, n_module, i)
+    return _periodic_length(cr, hom_maps, (i - cr.base) % cr.q, n_module)
 
 
-def _periodic_length(cr, side, n_module, i):
-    # The length depends on i only modulo the period.  The key holds the
-    # module itself, not its id(): the cache keeps it alive, so its identity
-    # hash cannot be reused by another module.  An infinite length is
-    # None, so the lookup tests membership.
-    key = (side, (i - cr.base) % cr.q, n_module)
-    if key not in cr._cache:
-        cr._cache[key] = length_at(side, cr, n_module, i)
-    return cr._cache[key]
+@memoized
+def _periodic_length(cr, side, k, n_module):
+    # The length at i depends only on k = (i - base) mod q, so it is read at
+    # base + k.  The memo key holds the module itself, not its id(): the key
+    # keeps it alive, so its identity hash cannot pass to another module.
+    return length_at(side, cr, n_module, cr.base + k)

@@ -22,6 +22,7 @@ from .modules import (
     subquotient,
 )
 from .resolution import betti_numbers, syzygy_module
+from .ring import memoized
 from .tate import complete_resolution, matrix_factorization_of, tate_tor_length
 
 CONJECTURE_HOLDS = "CONJECTURE_HOLDS"
@@ -78,9 +79,18 @@ class ThetaContext:
         self.stable_n = (r + 1) // 2 + 1
 
 
-def theta(module, other, context=None) -> ThetaResult:
-    """Hochster's theta invariant of the pair (module, other)."""
-    ctx = context or ThetaContext(module)
+@memoized
+def _theta_context(module):
+    return ThetaContext(module)
+
+
+def theta(module, other) -> ThetaResult:
+    """Hochster's theta invariant of the pair (module, other).
+
+    The hypothesis checks and the stable index depend on the module alone,
+    so its ``ThetaContext`` is built once and memoized on it.
+    """
+    ctx = _theta_context(module)
     if ctx.stable_module.is_zero():
         n = ctx.stable_n
         lengths = {i: 0 for i in range(2 * n - 1, 2 * n + 3)}
@@ -129,15 +139,14 @@ def verify_short_exact(f: GradedMap, g: GradedMap):
     return True, "exact"
 
 
-def theta_additivity_check(module, f, g, context=None):
+def theta_additivity_check(module, f, g):
     """Verify theta(M, Y) = theta(M, X) + theta(M, Z) on an exact sequence."""
     ok, reason = verify_short_exact(f, g)
     if not ok:
         raise HypothesisError(f"sequence is not exact: {reason}")
-    ctx = context or ThetaContext(module)
-    tx = theta(module, f.source, ctx)
-    ty = theta(module, f.target, ctx)
-    tz = theta(module, g.target, ctx)
+    tx = theta(module, f.source)
+    ty = theta(module, f.target)
+    tz = theta(module, g.target)
     return {"theta_X": tx.value, "theta_Y": ty.value, "theta_Z": tz.value,
             "additive": ty.value == tx.value + tz.value}
 

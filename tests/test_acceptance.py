@@ -15,7 +15,6 @@ from hwprobe import (
     ISO,
     NOT_ISO,
     PresentedModule,
-    ThetaContext,
     betti_numbers,
     complete_resolution,
     complexity_estimate,
@@ -141,7 +140,6 @@ def test_4_theta_additivity_on_random_sequences(threefold, threefold_mn):
     started = time.time()
     m, n = threefold_mn
     amb = threefold.ambient
-    ctx = ThetaContext(m)
     rng = random.Random(20260810)
     ys = [n,
           n.direct_sum(n.twist(-1)),
@@ -156,7 +154,7 @@ def test_4_theta_additivity_on_random_sequences(threefold, threefold_mn):
         f, g = random_short_exact_sequence(y, rng)
         ok, reason = verify_short_exact(f, g)
         assert ok, reason
-        out = theta_additivity_check(m, f, g, ctx)
+        out = theta_additivity_check(m, f, g)
         assert out["additive"], out
         checked += 1
     report(f"4/8 theta additive on {checked} random exact sequences",

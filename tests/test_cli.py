@@ -81,6 +81,17 @@ def test_invalid_job_is_input_error(tmp_path):
     assert "prime" in out.stderr
 
 
+def test_malformed_bounds_are_input_error(tmp_path):
+    jobfile = tmp_path / "bad.json"
+    jobfile.write_text(json.dumps({"field": 7, "variables": ["x"],
+                                   "weights": [1], "tasks": [],
+                                   "bounds": [1, 2]}))
+    out = run_cli("run", str(jobfile))
+    assert out.returncode == 2, out.stderr
+    assert "bounds must be an object" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_selftest_quick():
     out = run_cli("selftest", "--quick")
     assert out.returncode == 0, out.stdout + out.stderr

@@ -163,3 +163,58 @@ def test_every_default_is_set_by_some_call():
         for p in sorted((REPO / sub).rglob("*.py")):
             calls[str(p)] = p.read_text()
     assert _unset_defaults(defs, calls) == []
+
+
+def _memo_breaches(sources, helper=("ring.py", "memoized")):
+    """Caches kept outside the one memo helper.
+
+    Flags ``__dict__`` and ``vars`` anywhere but inside the helper's def, and
+    any attribute named ``_cache`` assigned inside a class.  Returns
+    ``(path, line, what)``.
+    """
+    found = []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        inside = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node.name == helper[1]
+                    and Path(path).name == helper[0]):
+                inside.update(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            name = (node.attr if isinstance(node, ast.Attribute) else
+                    node.id if isinstance(node, ast.Name) else
+                    node.value if isinstance(node, ast.Constant) else None)
+            if name in ("__dict__", "vars") and node.lineno not in inside:
+                found.append((path, node.lineno, name))
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                targets = (node.targets if isinstance(node, ast.Assign) else
+                           [node.target] if isinstance(
+                               node, (ast.AnnAssign, ast.AugAssign)) else [])
+                for t in targets:
+                    if getattr(t, "attr", getattr(t, "id", None)) == "_cache":
+                        found.append((path, t.lineno, "_cache"))
+    return sorted(set(found))
+
+
+def test_memo_breaches_are_detected():
+    ring = ("def memoized(fn):\n"
+            "    def memo(owner):\n"
+            "        return owner.__dict__\n"
+            "    return memo\n")
+    lib = ("class A:\n    def __init__(self):\n        self._cache = {}\n\n\n"
+           "class B:\n    _cache = {}\n\n\n"
+           "def f(ring):\n    return ring.__dict__.setdefault('k', {})\n\n\n"
+           "def g(obj):\n    return vars(obj), getattr(obj, '__dict__')\n")
+    assert _memo_breaches({"pkg/ring.py": ring, "pkg/lib.py": lib}) == [
+        ("pkg/lib.py", 3, "_cache"), ("pkg/lib.py", 7, "_cache"),
+        ("pkg/lib.py", 11, "__dict__"), ("pkg/lib.py", 15, "__dict__"),
+        ("pkg/lib.py", 15, "vars")]
+
+
+def test_one_memo_mechanism():
+    # derived data is cached on its owner through ring.memoized alone
+    sources = {str(p): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _memo_breaches(sources) == []

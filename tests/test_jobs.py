@@ -41,9 +41,12 @@ def test_load_rejects_missing_fields():
 
 
 def test_load_rejects_bad_bounds():
-    spec = minimal_spec(bounds={"window": 0})
-    with pytest.raises(JobError):
-        load_jobspec(json.dumps(spec))
+    # a list, a string or null is not an object of bounds, and a boolean is
+    # not a positive integer even though bool subclasses int
+    for bounds in ({"window": 0}, {"window": True}, [1, 2], "abc", None):
+        spec = minimal_spec(bounds=bounds)
+        with pytest.raises(JobError):
+            load_jobspec(json.dumps(spec))
 
 
 def test_unknown_top_level_key_is_rejected():

@@ -1,0 +1,114 @@
+"""The one memo mechanism: ``ring.memoized`` keeps derived data on its owner.
+
+A value is computed once per owner and arguments, lives exactly as long as
+the owner, and is never shared between equal owners built apart.
+"""
+
+import gc
+import weakref
+
+from conftest import gp_matrix_cols, poly
+
+from hwprobe import (
+    PresentedModule,
+    define_ring,
+    quotient_module,
+    theta,
+    tor_length,
+)
+from hwprobe import homalg, modules
+from hwprobe.ring import memoized
+
+
+class Owner:
+    pass
+
+
+def test_memoized_keys_by_owner_and_arguments():
+    calls = []
+
+    @memoized
+    def value(owner, x):
+        calls.append(x)
+        return None if x else 0
+
+    a, b = Owner(), Owner()
+    # None is a value like any other, so it is kept and not recomputed
+    assert [value(a, 1), value(a, 1), value(a, 0), value(b, 1)] == \
+        [None, None, 0, None]
+    assert calls == [1, 0, 1]
+
+
+def counting_module_groebner(monkeypatch):
+    calls = []
+    module_groebner = modules.module_groebner
+
+    def counting(*args):
+        calls.append(args)
+        return module_groebner(*args)
+
+    monkeypatch.setattr(modules, "module_groebner", counting)
+    return calls
+
+
+def test_rel_gb_and_its_initial_module_are_computed_once(cusp, monkeypatch):
+    m = quotient_module(cusp, [poly(cusp, "x")])
+    calls = counting_module_groebner(monkeypatch)
+    gb = m.rel_gb()
+    assert m.rel_gb() is gb
+    assert m.hilbert_numerator() is m.hilbert_numerator()
+    assert m.krull_dim() == 0 and m.length() == 3
+    assert len(calls) == 1
+    assert gb.initial_module() is gb.initial_module()
+
+
+def test_equal_owners_built_apart_share_nothing(cusp, monkeypatch):
+    a = quotient_module(cusp, [poly(cusp, "x")])
+    b = quotient_module(cusp, [poly(cusp, "x")])
+    calls = counting_module_groebner(monkeypatch)
+    assert a.rel_gb() is not b.rel_gb()
+    assert len(calls) == 2
+    r1 = define_ring(["x", "y"], [3, 2], 7, ["x^2 - y^3"])
+    r2 = define_ring(["x", "y"], [3, 2], 7, ["x^2 - y^3"])
+    assert r1.ambient == r2.ambient
+    assert r1.ambient.monomials_of_degree(6) is r1.ambient.monomials_of_degree(6)
+    assert r1.ambient.monomials_of_degree(6) is not \
+        r2.ambient.monomials_of_degree(6)
+
+
+def test_memoized_values_die_with_their_owner(cusp):
+    m = quotient_module(cusp, [poly(cusp, "x")])
+    gb = weakref.ref(m.rel_gb())
+    del m
+    gc.collect()
+    assert gb() is None
+
+
+def test_std_table_of_n_is_built_once_across_tor_lengths(gp_ring, monkeypatch):
+    n = PresentedModule(gp_ring, (0, 0), gp_matrix_cols(gp_ring, 1))
+    calls = []
+    std_monomials = homalg.std_monomials
+
+    def counting(ring, gens):
+        calls.append(gens)
+        return std_monomials(ring, gens)
+
+    monkeypatch.setattr(homalg, "std_monomials", counting)
+    assert [tor_length(n, n, i) for i in range(1, 9)] == [10] * 8
+    # one table per component of N, for all eight lengths
+    assert len(calls) == n.ngens
+
+
+def test_theta_checks_its_hypotheses_once_per_module(threefold, monkeypatch):
+    m = quotient_module(threefold, [poly(threefold, "x"), poly(threefold, "z")])
+    n = quotient_module(threefold, [poly(threefold, "x"), poly(threefold, "y")])
+    calls = []
+    nonfree_locus_dim = PresentedModule.nonfree_locus_dim
+
+    def counting(module):
+        calls.append(module)
+        return nonfree_locus_dim(module)
+
+    monkeypatch.setattr(PresentedModule, "nonfree_locus_dim", counting)
+    assert theta(m, n).value == theta(m, n).value == -1
+    assert calls == [m]

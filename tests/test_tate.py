@@ -214,6 +214,55 @@ def test_verify_rejects_a_square_zero_complex_that_is_not_exact(cusp, cusp_m):
     assert tate_tor_length(cr, free_module(cusp, (0,)), 0) > 0
 
 
+def test_verify_finds_the_one_non_exact_residue_class(cusp, cusp_m):
+    # period 4: (x*A, B, A, B).  x is a nonzerodivisor on the image of A, so
+    # x*A kills what A kills and only the positions next to x*A fail: H_i of
+    # T (x) R at i = 0 and H^i of Hom(T, R) at i = 1 (mod 4)
+    from hwprobe import CompleteResolution
+    from hwprobe.freemod import vec_mul_term
+    mf = matrix_factorization_of(cusp_m)
+    (x_mono, _), = P(cusp, "x").items()
+    xa = [vec_mul_term(col, x_mono, 1, cusp.ambient.p) for col in mf.a_cols]
+    f, c, r = mf.fdeg, mf.col_twists, mf.row_twists
+    levels = [r, tuple(t + 3 for t in c), tuple(t + f + 3 for t in r),
+              tuple(t + f + 3 for t in c), tuple(t + 2 * f + 3 for t in r)]
+    cr = CompleteResolution(cusp, 4, 0,
+                            [xa, list(mf.b_cols), list(mf.a_cols),
+                             list(mf.b_cols)],
+                            levels, 2 * f + 3, {"via": "test"})
+    r1 = free_module(cusp, (0,))
+    assert [tate_tor_length(cr, r1, i) > 0 for i in range(4)] == \
+        [True, False, False, False]
+    assert [tate_ext_length(cr, r1, i) > 0 for i in range(4)] == \
+        [False, True, False, False]
+    # every window holding index 0 or 1 must see the failure
+    assert not any(cr.verify(w) for w in (1, 2, 6))
+
+
+def test_verify_checks_one_index_per_residue_class(gp_ring, monkeypatch):
+    # the differentials repeat with period q = 4 and a twist changes no
+    # vanishing, so each side needs one index per residue class in the window
+    from conftest import gp_matrix_cols
+    from hwprobe import PresentedModule, tate
+    n = PresentedModule(gp_ring, (0, 0), gp_matrix_cols(gp_ring, 1))
+    cr = complete_resolution(n, 4, window=2)
+    calls = []
+
+    def counting(side, cx, module, i):
+        calls.append(i)
+        return vanishes_at(side, cx, module, i)
+
+    vanishes_at = tate.vanishes_at
+    monkeypatch.setattr(tate, "vanishes_at", counting)
+    assert cr.verify(6)
+    assert len(calls) == 2 * cr.q == 8
+    assert {i % cr.q for i in calls} == set(range(cr.q))
+    calls.clear()
+    # a window shorter than the period checks each of its indices
+    assert cr.verify(1)
+    assert sorted(calls) == [-1, -1, 0, 0, 1, 1]
+
+
 def test_matrix_factorization_over_artinian_ring_verifies():
     # over F_7[x]/(x^3), R/(x) has the matrix factorization (x, x^2), and
     # the totally acyclic check runs on ranks

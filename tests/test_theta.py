@@ -6,7 +6,6 @@ from hwprobe import (
     CONJECTURE_HOLDS,
     GradedMap,
     HypothesisError,
-    ThetaContext,
     define_ring,
     depth_zero_check,
     even_dim_torsion_check,
@@ -28,15 +27,9 @@ def P(rq, s):
     return parse_polynomial(rq.ambient, s)
 
 
-@pytest.fixture(scope="module")
-def theta_ctx(threefold_mn):
-    m, _ = threefold_mn
-    return ThetaContext(m)
-
-
-def test_theta_value_on_quadric_pair(threefold_mn, theta_ctx):
+def test_theta_value_on_quadric_pair(threefold_mn):
     m, n = threefold_mn
-    res = theta(m, n, theta_ctx)
+    res = theta(m, n)
     assert res.value == -1
     assert res.lengths[2 * res.stable_index] - \
         res.lengths[2 * res.stable_index - 1] == -1
@@ -45,14 +38,14 @@ def test_theta_value_on_quadric_pair(threefold_mn, theta_ctx):
         res.lengths[2 * res.stable_index + 1] == -1
 
 
-def test_theta_against_free_is_zero(threefold, threefold_mn, theta_ctx):
+def test_theta_against_free_is_zero(threefold, threefold_mn):
     m, _ = threefold_mn
-    assert theta(m, free_module(threefold, (0,)), theta_ctx).value == 0
+    assert theta(m, free_module(threefold, (0,))).value == 0
 
 
-def test_theta_additive_on_direct_sum(threefold_mn, theta_ctx):
+def test_theta_additive_on_direct_sum(threefold_mn):
     m, n = threefold_mn
-    assert theta(m, n.direct_sum(n), theta_ctx).value == -2
+    assert theta(m, n.direct_sum(n)).value == -2
 
 
 def test_theta_needs_locus_hypothesis(threefold):
@@ -63,18 +56,18 @@ def test_theta_needs_locus_hypothesis(threefold):
     bad = define_ring(["x", "y"], [1, 1], 7, ["x*y"])
     m = quotient_module(bad, [P(bad, "x")])
     with pytest.raises(HypothesisError):
-        ThetaContext(m)
+        theta(m, m)
 
 
-def test_theta_zero_for_pd_finite(threefold, theta_ctx):
+def test_theta_zero_for_pd_finite(threefold):
     rx = quotient_module(threefold, [P(threefold, "x")])
-    ctx = ThetaContext(rx)
     n = quotient_module(threefold, [P(threefold, "x"), P(threefold, "y")])
-    assert theta(rx, n, ctx).value == 0
-    assert ctx.periodicity["via"] == "finite projective dimension"
+    res = theta(rx, n)
+    assert res.value == 0
+    assert res.periodicity["via"] == "finite projective dimension"
 
 
-def test_split_sequence_additivity(threefold, threefold_mn, theta_ctx):
+def test_split_sequence_additivity(threefold, threefold_mn):
     m, n = threefold_mn
     amb = threefold.ambient
     x, z = n, n.twist(-1)
@@ -85,13 +78,12 @@ def test_split_sequence_additivity(threefold, threefold_mn, theta_ctx):
                          for j in range(y.ngens)])
     ok, reason = verify_short_exact(f, g)
     assert ok, reason
-    out = theta_additivity_check(m, f, g, theta_ctx)
+    out = theta_additivity_check(m, f, g)
     assert out["additive"]
     assert out["theta_Y"] == out["theta_X"] + out["theta_Z"]
 
 
-def test_multiplication_sequence_gives_zero_theta(threefold, threefold_mn,
-                                                  theta_ctx):
+def test_multiplication_sequence_gives_zero_theta(threefold, threefold_mn):
     # 0 -> N(-1) -w-> N -> N/wN -> 0 with w a nonzerodivisor on N = R/(x,y):
     # theta against the quotient must vanish
     m, n = threefold_mn
@@ -102,19 +94,19 @@ def test_multiplication_sequence_gives_zero_theta(threefold, threefold_mn,
         f, cokernel_with_projection(f)[1])
     assert ok, reason
     z, g = cokernel_with_projection(f)
-    out = theta_additivity_check(m, f, g, theta_ctx)
+    out = theta_additivity_check(m, f, g)
     assert out["additive"]
     assert out["theta_Z"] == 0
 
 
-def test_random_sequences_are_exact_and_additive(threefold_mn, theta_ctx):
+def test_random_sequences_are_exact_and_additive(threefold_mn):
     m, n = threefold_mn
     rng = random.Random(11)
     for _ in range(3):
         f, g = random_short_exact_sequence(n, rng)
         ok, reason = verify_short_exact(f, g)
         assert ok, reason
-        assert theta_additivity_check(m, f, g, theta_ctx)["additive"]
+        assert theta_additivity_check(m, f, g)["additive"]
 
 
 def test_rigidity_probe_reports_gap_without_flagging(threefold_mn):
