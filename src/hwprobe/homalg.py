@@ -14,34 +14,37 @@ of C_i) and ``differential(i)`` (the columns of C_i -> C_{i-1}):
 ``tensor_maps`` for H_i(C (x) N) and ``hom_maps`` for H^i(Hom(C, N)), give
 the maps into and out of position i as block matrices over N.
 
-* Modules: ``tensor_cycle_data`` and ``hom_cycle_data`` turn those maps
-  into cycle data ``(twists, Z, B)``, or None when C_i or N is zero, and
-  ``h_module`` presents Z/B.  This is the only route to a module.
-* Lengths and vanishing: ``length_at`` and ``vanishes_at`` choose the
-  method from ``ring.dim`` alone.  Over an Artinian ring every C_i (x) N and
-  Hom(C_i, N) is a finite F_p-space, so the length at i is its dimension
-  minus the ranks of the two maps, and vanishing is length zero; no cycle
-  data is built.  Over dim > 0 they finish cycle data with Groebner bases
-  (``h_length``, ``subquotient_is_zero``).
+``module_at``, ``length_at`` and ``vanishes_at`` choose the method from
+``ring.dim`` alone.
+
+* Over an Artinian ring every C_i (x) N and Hom(C_i, N) is a finite
+  F_p-space, a sum of copies of N in the frame of ``modules.Blocks``.  The
+  length at i is its dimension minus the ranks of the two maps, and
+  vanishing is length zero.  The module at i is built degree by degree by
+  ``Blocks.minimal_kernel``, the routine of the resolution's strand step:
+  its generators are the cycles independent of the boundaries and of the
+  lower cycles times the variables, its relations the minimal kernel of the
+  free module on them into the middle modulo the boundaries.  This
+  presentation is minimal by construction; no Groebner basis is built.
+* Over dim > 0, ``tensor_cycle_data`` and ``hom_cycle_data`` turn the maps
+  into cycle data ``(twists, Z, B)``, or None when C_i or N is zero, which
+  ``subquotient``, ``h_length`` and ``subquotient_is_zero`` finish with
+  Groebner bases.  ``hom_data`` presents Hom this way in every dimension.
 """
 
 from itertools import combinations
 
-from .freemod import (
-    row_insert,
-    vec_component,
-    vec_degree,
-    vec_from_polys,
-    vec_mul_term,
-)
+from .freemod import vec_component, vec_degree, vec_from_polys
 from .groebner import express_in_terms, kernel_into_quotient, saturate
 from .hilbert import std_monomials
 from .modules import (
+    Blocks,
     GradedMap,
     HypothesisError,
     PresentedModule,
     free_module,
     homology_length,
+    ring_blocks,
     subquotient,
     subquotient_is_zero,
     tensor,
@@ -156,11 +159,21 @@ def hom_cycle_data(cx, n, i):
     return _cycle_data(n, hom_maps(cx, n, i))
 
 
-def h_module(ring, data):
-    """The (co)homology module Z/B of a builder's cycle data."""
+def module_at(side, cx, n, i):
+    """The (co)homology module at i of ``side`` (``tensor_maps`` or
+    ``hom_maps``) applied to C and N.
+
+    This, ``length_at`` and ``vanishes_at`` are where the method is chosen:
+    over an Artinian ring, F_p linear algebra degree by degree; otherwise
+    cycle data finished with Groebner bases.
+    """
+    maps = side(cx, n, i)
+    if cx.ring.dim == 0:
+        return _strand_module(n, maps)
+    data = _cycle_data(n, maps)
     if data is None:
-        return PresentedModule(ring, (), ())
-    mod, _ = subquotient(ring, *data)
+        return PresentedModule(cx.ring, (), ())
+    mod, _ = subquotient(cx.ring, *data)
     return mod
 
 
@@ -170,12 +183,8 @@ def h_length(ring, data):
 
 
 def length_at(side, cx, n, i):
-    """Length of the (co)homology at i of ``side`` (``tensor_maps`` or
-    ``hom_maps``) applied to C and N; None when infinite.
-
-    This and ``vanishes_at`` are where the method is chosen: over an
-    Artinian ring, F_p ranks; otherwise cycle data.
-    """
+    """Length of the (co)homology at i of ``side`` applied to C and N; None
+    when infinite."""
     maps = side(cx, n, i)
     if cx.ring.dim == 0:
         return _rank_length(n, maps)
@@ -194,71 +203,89 @@ def vanishes_at(side, cx, n, i):
 def _rank_length(n, maps):
     """dim_k(middle) - rank(outgoing) - rank(incoming) over an Artinian ring.
 
-    The middle module is one copy of N per generator of C_i, an F_p-space
-    with basis (block, component k, standard monomial of component k of
-    N's initial module).
+    The middle module is one copy of N per generator of C_i.
     """
     if maps is None:
         return 0
     f_i, _, outgoing, incoming, _ = maps
-    std = _module_std_monomials(n)
-    dim = len(f_i) * sum(len(ms) for ms in std)
-    return dim - _block_rank(n, std, outgoing) - _block_rank(n, std, incoming)
+    blocks = _module_blocks(n)
+    return (blocks.dim(len(f_i) * n.ngens) - blocks.rank(outgoing)
+            - blocks.rank(incoming))
+
+
+def _strand_module(n, maps):
+    """Z/B over an Artinian ring, minimally presented degree by degree.
+
+    B is the image of the incoming map.  The generators are the vectors of
+    the kernel Z of the outgoing map that are independent of
+    B + sum_x x * Z in their degree; the relations are the minimal kernel of
+    the free module on them into (middle)/B.
+    """
+    ring = n.ring
+    if maps is None:
+        return PresentedModule(ring, (), ())
+    f_i, _, outgoing, incoming, twists = maps
+    middle = twists(f_i, n)
+    blocks = _module_blocks(n)
+    b = blocks.image(incoming, middle)
+    gens = blocks.minimal_kernel(middle, outgoing, blocks, source_mod=b)
+    gen_twists = tuple(vec_degree(ring.ambient, v, middle) for v in gens)
+    rels = ring_blocks(ring).minimal_kernel(gen_twists, gens, blocks,
+                                            target_mod=b)
+    return PresentedModule(ring, gen_twists, rels, normalize=False)
 
 
 @memoized
-def _module_std_monomials(n):
-    """Per component k of N, the standard monomials of its initial module."""
-    init = n.rel_gb().initial_module()
-    return [[m for ms in std_monomials(n.ring.ambient, init.get(k, ()))
-             for m in ms] for k in range(n.ngens)]
-
-
-def _block_rank(n, std, cols):
-    """F_p-rank of a map into copies of N given by block columns.
-
-    Column c is the image of generator c % g_n of N in block c // g_n of the
-    source; its rows are x^m times the column, m running over the standard
-    monomials of that component, each block reduced by N's relations.
-    """
+def _module_blocks(n):
+    """Sums of copies of N: per component k, the standard monomials of its
+    initial module; vectors reduced copy by copy by N's relations."""
+    gb = n.rel_gb()
+    init = gb.initial_module()
+    std = [std_monomials(n.ring.ambient, init.get(k, ()))
+           for k in range(n.ngens)]
     g_n = n.ngens
-    p = n.ring.p
-    nf = n.rel_gb().normal_form
-    pivots = {}
-    for c, col in enumerate(cols):
-        blocks = {}
-        for (j, m), coef in col.items():
-            blocks.setdefault(j // g_n, {})[(j % g_n, m)] = coef
-        for mono in std[c % g_n]:
-            row = {}
-            for b, v in blocks.items():
-                for (k, m), coef in nf(vec_mul_term(v, mono, 1, p)).items():
-                    row[(b * g_n + k, m)] = coef
-            row_insert(row, pivots, None, p)
-    return len(pivots)
+    nf = gb.normal_form
+
+    def reduce(v):
+        copies = {}
+        for (j, m), coef in v.items():
+            copies.setdefault(j // g_n, {})[(j % g_n, m)] = coef
+        out = {}
+        for b, w in copies.items():
+            for (k, m), coef in nf(w).items():
+                out[(b * g_n + k, m)] = coef
+        return out
+
+    return Blocks(n.ring, std, reduce)
 
 
 # ---------------------------------------------------------------------------
 # Tor
 
 
+def _check_index(name, i):
+    if i < 0:
+        raise ValueError(f"{name} is indexed by nonnegative integers")
+
+
 def tor(m, n, i):
     """Tor_i(M, N) as a presented module; Tor_0 is the tensor product."""
-    if i < 0:
-        raise ValueError("Tor is indexed by nonnegative integers")
+    _check_index("Tor", i)
     if i == 0:
         return tensor(m, n)
-    return h_module(m.ring, tensor_cycle_data(resolution_of(m, i + 1), n, i))
+    return module_at(tensor_maps, resolution_of(m, i + 1), n, i)
 
 
 def tor_length(m, n, i):
     """Length of Tor_i(M, N); None when it has positive dimension."""
+    _check_index("Tor", i)
     if i == 0:
         return tensor(m, n).length()
     return length_at(tensor_maps, resolution_of(m, i + 1), n, i)
 
 
 def tor_is_zero(m, n, i):
+    _check_index("Tor", i)
     if i == 0:
         return tensor(m, n).is_zero()
     return vanishes_at(tensor_maps, resolution_of(m, i + 1), n, i)
@@ -317,12 +344,12 @@ def dual(m):
 
 def ext(m, n, i):
     """Ext^i(M, N) as a presented module; Ext^0 is Hom."""
-    if i < 0:
-        raise ValueError("Ext is indexed by nonnegative integers")
-    return h_module(m.ring, hom_cycle_data(resolution_of(m, i + 1), n, i))
+    _check_index("Ext", i)
+    return module_at(hom_maps, resolution_of(m, i + 1), n, i)
 
 
 def ext_is_zero(m, n, i):
+    _check_index("Ext", i)
     return vanishes_at(hom_maps, resolution_of(m, i + 1), n, i)
 
 

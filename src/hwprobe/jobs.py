@@ -259,6 +259,8 @@ def _task_tor_lengths(ctx, t):
     m = ctx.module(t["module"])
     n = ctx.module(t["against"])
     lo, hi = int(t.get("lo", 0)), int(t.get("hi", ctx.bounds["window"]))
+    if lo < 0:
+        raise JobError(f"tor_lengths: lo must be >= 0, got {lo}")
     cap = lo + ctx.bounds["window"] * 4
     out = {"lengths": {str(i): _fmt_len(tor_length(m, n, i))
                        for i in range(lo, min(hi, cap) + 1)}}

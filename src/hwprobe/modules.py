@@ -9,10 +9,17 @@ cut down to a minimal generating set, so stored presentations are minimal.
 Homogeneous maps between presented modules are :class:`GradedMap`; kernels,
 cokernels and subquotients reduce to syzygy computations over the ambient
 polynomial ring.
+
+Over an Artinian ring every graded piece is a finite F_p-space, and
+:class:`Blocks` is the one frame for linear algebra on them: ranks, images
+and minimal kernels degree by degree, shared by the resolution's strand
+step, the (co)homology modules of ``homalg`` and ``PresentedModule.length``.
 """
 
+from functools import partial
+
 from . import hilbert as hb
-from .freemod import matvec, vec_component, vec_degree
+from .freemod import matvec, row_insert, vec_component, vec_degree, vec_mul_term
 from .groebner import (
     InhomogeneousError,
     kernel_into_quotient,
@@ -90,7 +97,14 @@ class PresentedModule:
                                       self.hilbert_numerator(), lo, hi)
 
     def length(self):
-        """Total k-dimension, or None when the module has positive dimension."""
+        """Total k-dimension, or None when the module has positive dimension.
+
+        Over an Artinian ring it is dim_k(F (x) R) minus the F_p-rank of the
+        relations, with no Groebner basis.
+        """
+        if self.ring.dim == 0:
+            free = ring_blocks(self.ring)
+            return free.dim(self.ngens) - free.rank(self.rels)
         return hb.series_total_if_finite(self.ring.ambient,
                                          self.hilbert_numerator())
 
@@ -300,6 +314,117 @@ def homology_length(ring, free_twists, z_gens, b_gens):
     n_b = submodule_numerator(ring, free_twists, list(b_gens))
     n_zb = submodule_numerator(ring, free_twists, list(z_gens) + list(b_gens))
     return hb.series_total_if_finite(amb, hb.tpoly_sub(n_b, n_zb))
+
+
+# ---------------------------------------------------------------------------
+# graded pieces over an Artinian ring
+
+
+class Blocks:
+    """Sums of copies of one module N over an Artinian ring, as F_p-spaces.
+
+    Component j of a sum is component j % g of copy j // g, where N has g
+    generators.  ``std[k]`` lists the standard monomials of component k of
+    N's initial module by degree, so a sum whose components have twists a_j
+    has the F_p-basis (j, m), m in ``std[j % g][D - a_j]``, in degree D;
+    ``nf`` writes a vector in that basis.  ``ring_blocks`` serves free
+    modules (N = R); ``homalg`` builds the blocks of other modules.
+
+    This is the strand frame of La Scala and Stillman (JSC 1998): ranks,
+    images and minimal kernels come from sparse F_p elimination degree by
+    degree, with no Buchberger run.
+    """
+
+    def __init__(self, ring, std, nf):
+        self.ring = ring
+        self.std = std
+        self.flat = [[m for ms in table for m in ms] for table in std]
+        self.nf = nf
+
+    def dim(self, ncomps):
+        """dim_k of the sum of ``ncomps`` components."""
+        g = len(self.std)
+        return sum(len(self.flat[j % g]) for j in range(ncomps))
+
+    def rows(self, cols):
+        """x^m times each column c, m over the standard monomials of c's
+        component in the source: the images of the source's F_p-basis."""
+        g = len(self.std)
+        p = self.ring.p
+        for c, col in enumerate(cols):
+            for m in self.flat[c % g]:
+                yield self.nf(vec_mul_term(col, m, 1, p))
+
+    def rank(self, cols):
+        """F_p-rank of the map from a sum to a sum given by its columns."""
+        pivots = {}
+        for row in self.rows(cols):
+            row_insert(row, pivots, None, self.ring.p)
+        return len(pivots)
+
+    def image(self, cols, twists):
+        """The image of such a map in the sum with component twists
+        ``twists``, degree by degree: ``{D: echelon pivots}``."""
+        mono_deg = self.ring.ambient.mono_deg
+        out = {}
+        for row in self.rows(cols):
+            if row:
+                j, m = next(iter(row))
+                row_insert(row, out.setdefault(twists[j] + mono_deg(m), {}),
+                           None, self.ring.p)
+        return out
+
+    def minimal_kernel(self, twists, cols, target, *, source_mod=None,
+                       target_mod=None):
+        """Minimal generators of the kernel of the map from the sum with
+        component twists ``twists`` into a sum of ``target``'s copies.
+
+        In degree D the rows are the images of the basis vectors x^m * e_j,
+        each followed by an identity coordinate (key (-1, n), below every
+        image key (component, monomial), so image entries pivot first); the
+        rows left with identity pivots span the kernel Z_D.  The vectors of
+        Z_D independent of sum_x x * Z_{D - w(x)} are the new generators.
+        ``target_mod`` (``{D: pivots}`` in the target) takes the kernel into
+        the target modulo that subspace; ``source_mod`` (in the source, inside
+        the kernel) gives generators of the kernel modulo it instead.
+        """
+        if not twists:
+            return []
+        amb = self.ring.ambient
+        p = amb.p
+        g = len(self.std)
+        tables = [self.std[j % g] for j in range(len(twists))]
+        variables = [(tuple(int(i == k) for i in range(amb.nvars)), w)
+                     for k, w in enumerate(amb.weights)]
+        kernels = {}
+        out = []
+        for d in range(min(twists),
+                       max(a + len(t) for a, t in zip(twists, tables))):
+            basis = [(j, m) for j, a in enumerate(twists)
+                     if 0 <= d - a < len(tables[j]) for m in tables[j][d - a]]
+            if not basis:
+                continue
+            pivots = dict(target_mod.get(d, {})) if target_mod else {}
+            for n, (j, m) in enumerate(basis):
+                row = target.nf(vec_mul_term(cols[j], m, 1, p))
+                row[(-1, n)] = 1
+                row_insert(row, pivots, None, p)
+            z_d = [{basis[n]: c for (_, n), c in row.items()}
+                   for (comp, _), row in pivots.items() if comp < 0]
+            kernels[d] = z_d
+            span = dict(source_mod.get(d, {})) if source_mod else {}
+            for x, w in variables:
+                for z in kernels.get(d - w, ()):
+                    row_insert(self.nf(vec_mul_term(z, x, 1, p)), span, None, p)
+            out.extend(z for z in z_d if row_insert(dict(z), span, None, p))
+        return out
+
+
+@memoized
+def ring_blocks(ring):
+    """Free modules over an Artinian R as sums of copies of R."""
+    return Blocks(ring, [hb.std_monomials(ring.ambient, ring._initial_ideal)],
+                  partial(vec_nf_ideal, ring))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ of two ways to do it:
   nullspace of one sparse matrix, and the new minimal generators in degree D
   are the kernel vectors independent of sum_x x * Z_{D - w(x)} (the strand
   frame of La Scala and Stillman, JSC 1998).  No Buchberger run is needed.
+  ``modules.Blocks.minimal_kernel`` does this step; the (co)homology
+  modules of ``homalg`` use the same routine for their generators and
+  relations.
 
 Both fill the same ``diffs`` and ``level_twists``.  Each module has one
 resolution, memoized on it and extended on demand; it always holds a fully
@@ -20,10 +23,9 @@ computed prefix.
 
 import math
 
-from .freemod import compose_cols, row_insert, vec_degree, vec_mul_term
+from .freemod import compose_cols, vec_degree
 from .groebner import minimal_generators, syzygies_over_quotient, vec_nf_ideal
-from .hilbert import std_monomials
-from .modules import PresentedModule
+from .modules import PresentedModule, ring_blocks
 from .ring import memoized
 
 
@@ -59,7 +61,8 @@ class Resolution:
                 self.level_twists.append(())
                 continue
             if self.ring.dim == 0:
-                nxt = self._strand_step(cols, src_twists)
+                free = ring_blocks(self.ring)
+                nxt = free.minimal_kernel(src_twists, cols, free)
             else:
                 syz = syzygies_over_quotient(self.ring, cols, ambient_twists)
                 nxt = minimal_generators(self.ring, syz, src_twists)
@@ -67,46 +70,6 @@ class Resolution:
             self.level_twists.append(
                 tuple(vec_degree(amb, c, src_twists) for c in nxt))
         return self
-
-    def _strand_step(self, cols, twists):
-        """Minimal generators of the kernel of ``cols`` over an Artinian ring.
-
-        Rows of the degree-D matrix are the images of the basis vectors
-        x^m * e_j of the source, each followed by an identity coordinate
-        (key (-1, n), below every image key (component, monomial), so image
-        entries pivot first); the rows left with identity pivots after
-        elimination span the kernel Z_D.  The vectors of Z_D independent of
-        sum_x x * Z_{D - w(x)} are the new generators in degree D.
-        """
-        ring = self.ring
-        amb = ring.ambient
-        p = amb.p
-        std = _ring_std_monomials(ring)
-        top = len(std) - 1
-        variables = [(tuple(int(i == k) for i in range(amb.nvars)), w)
-                     for k, w in enumerate(amb.weights)]
-        kernels = {}
-        out = []
-        for d in range(min(twists), max(twists) + top + 1):
-            basis = [(j, m) for j, a in enumerate(twists) if 0 <= d - a <= top
-                     for m in std[d - a]]
-            if not basis:
-                continue
-            pivots = {}
-            for n, (j, m) in enumerate(basis):
-                row = vec_nf_ideal(ring, vec_mul_term(cols[j], m, 1, p))
-                row[(-1, n)] = 1
-                row_insert(row, pivots, None, p)
-            z_d = [{basis[n]: c for (_, n), c in row.items()}
-                   for (comp, _), row in pivots.items() if comp < 0]
-            kernels[d] = z_d
-            span = {}
-            for x, w in variables:
-                for z in kernels.get(d - w, ()):
-                    row_insert(vec_nf_ideal(ring, vec_mul_term(z, x, 1, p)),
-                               span, None, p)
-            out.extend(z for z in z_d if row_insert(dict(z), span, None, p))
-        return out
 
     def betti(self, i):
         """Rank of the i-th free module (b_0 = number of generators)."""
@@ -162,12 +125,6 @@ class Resolution:
                 if vec_nf_ideal(self.ring, c):
                     return False
         return True
-
-
-@memoized
-def _ring_std_monomials(ring):
-    """Standard monomials of an Artinian R, listed by degree."""
-    return std_monomials(ring.ambient, ring._initial_ideal)
 
 
 @memoized

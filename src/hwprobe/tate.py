@@ -12,16 +12,7 @@ is always verified on a window.
 
 from .freemod import compose_cols, vec_degree, vec_from_polys
 from .groebner import express_in_terms, invert_graded_matrix, vec_nf_ideal
-from .homalg import (
-    depth,
-    h_module,
-    hom_cycle_data,
-    hom_maps,
-    length_at,
-    tensor_cycle_data,
-    tensor_maps,
-    vanishes_at,
-)
+from .homalg import depth, hom_maps, length_at, module_at, tensor_maps, vanishes_at
 from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
 from .quotient import QuotientRing
@@ -225,7 +216,7 @@ def complete_resolution(module: PresentedModule, q=None,
 
 def tate_tor(cr: CompleteResolution, n_module, i):
     """Tate homology at any integer index, as a presented module."""
-    return h_module(cr.ring, tensor_cycle_data(cr, n_module, i))
+    return module_at(tensor_maps, cr, n_module, i)
 
 
 def tate_tor_length(cr, n_module, i):
@@ -235,7 +226,7 @@ def tate_tor_length(cr, n_module, i):
 
 def tate_ext(cr: CompleteResolution, n_module, i):
     """Tate cohomology at any integer index, as a presented module."""
-    return h_module(cr.ring, hom_cycle_data(cr, n_module, i))
+    return module_at(hom_maps, cr, n_module, i)
 
 
 def tate_ext_length(cr, n_module, i):

@@ -92,6 +92,20 @@ def test_malformed_bounds_are_input_error(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_negative_tor_index_is_input_error(tmp_path):
+    jobfile = tmp_path / "bad.json"
+    jobfile.write_text(json.dumps({
+        "field": 7, "variables": ["x", "y"], "weights": [1, 1],
+        "ideal": ["x^2", "y^2"],
+        "modules": {"k": {"type": "quotient", "ideal": ["x", "y"]}},
+        "tasks": [{"op": "tor_lengths", "module": "k", "against": "k",
+                   "lo": -1}]}))
+    out = run_cli("run", str(jobfile))
+    assert out.returncode == 2, out.stderr
+    assert "lo must be >= 0" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_selftest_quick():
     out = run_cli("selftest", "--quick")
     assert out.returncode == 0, out.stdout + out.stderr

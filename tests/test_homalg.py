@@ -124,6 +124,16 @@ def test_tor_koszul_length():
     assert tor_length(k, k, 1) == 1
 
 
+def test_negative_indices_are_rejected_everywhere():
+    # lengths and vanishing tests answered 0 and True for i < 0
+    r = define_ring(["x", "y"], [1, 1], 7, ["x^2", "y^2"])
+    k = residue_field_module(r)
+    from hwprobe.homalg import tor_is_zero
+    for fn in (tor, tor_length, tor_is_zero, ext, ext_is_zero):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(k, k, -1)
+
+
 def test_tor_balance(threefold_mn):
     m, n = threefold_mn
     for i in (1, 2, 3, 4):

@@ -197,6 +197,15 @@ def test_tor_lengths_truncation_is_flagged():
     assert "50" not in res["lengths"]
 
 
+def test_tor_lengths_negative_lo_is_rejected():
+    spec = minimal_spec(
+        modules={"k": {"type": "quotient", "ideal": ["x", "y"]}},
+        tasks=[{"op": "tor_lengths", "module": "k", "against": "k",
+                "lo": -1, "hi": 2}])
+    with pytest.raises(JobError, match="lo must be >= 0"):
+        run_job(spec)
+
+
 def test_emit_rejects_unknown_format():
     report = run_job(minimal_spec())
     with pytest.raises(ValueError):

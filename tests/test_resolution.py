@@ -165,3 +165,44 @@ def test_readers_extend_only_missing_levels(threefold, monkeypatch):
     resolution_of(m, 3)
     assert calls == [(1, 3)]
     assert res.betti(4) == 2 and calls == [(1, 3), (3, 4)]
+
+
+# -- Poincare series in positive dimension -----------------------------------
+
+
+def _series(numer, denom, n):
+    """Coefficients t^0..t^n of numer/denom (integer lists, denom[0] = 1)."""
+    out = []
+    for i in range(n + 1):
+        c = numer[i] if i < len(numer) else 0
+        out.append(c - sum(denom[j] * out[i - j]
+                           for j in range(1, min(i, len(denom) - 1) + 1)))
+    return out
+
+
+def test_residue_field_over_monomial_curve_has_golod_series():
+    # A = k[t^3, t^4, t^5] has codimension 2 and is not a complete
+    # intersection, so it is Golod (Scheja 1964): P_k(t) = (1+t)^3 /
+    # (1 - 3t^2 - 2t^3), from the Koszul homology ranks 3 and 2
+    a = define_ring(["x", "y", "z"], [3, 4, 5], 101,
+                    ["x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y"])
+    assert a.dim == 1
+    res = resolution_of(residue_field_module(a), 6)
+    expected = _series([1, 3, 3, 1], [1, 0, -3, -2], 6)
+    assert expected == [1, 3, 6, 12, 24, 48, 96]
+    assert res.betti_numbers(6) == expected
+    # d_i o d_{i+1} = 0 for every pair of computed differentials
+    assert res.verify(5) and res.length == 6
+
+
+def test_residue_field_over_complete_intersection_has_tate_series():
+    # B = k[t^4, t^5, t^6] is a complete intersection of codimension 2, so
+    # P_k(t) = (1+t)^3 / (1-t^2)^2 (Tate 1957)
+    b = define_ring(["x", "y", "z"], [4, 5, 6], 101,
+                    ["y^2 - x*z", "z^2 - x^3"])
+    assert b.dim == 1
+    res = resolution_of(residue_field_module(b), 7)
+    expected = _series([1, 3, 3, 1], [1, 0, -2, 0, 1], 7)
+    assert expected == [2 * i + 1 for i in range(8)]
+    assert res.betti_numbers(7) == expected
+    assert res.verify(6) and res.length == 7

@@ -12,6 +12,12 @@ The strand path of Resolution is checked against
 The rank path of ``length_at`` (Tor, Ext and Tate lengths from F_p ranks) is
 checked against the lengths of the cycle data that ``h_length`` finishes
 with Groebner bases, the dim > 0 path.
+
+The modules of ``module_at`` (Tor, Ext and Tate modules built degree by
+degree) are checked against the cycle-data modules that ``subquotient``
+presents, the dim > 0 path: an isomorphism certificate that passes its own
+check, equal Hilbert functions and lengths, and a presentation that
+normalizing does not shrink.
 """
 
 import sys
@@ -21,12 +27,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwprobe import (
+    ISO,
     PolyRing,
     PresentedModule,
     complete_resolution,
     define_ring,
+    ext,
+    is_isomorphic,
     residue_field_module,
+    tate_ext,
+    tate_ext_length,
+    tate_tor,
     tate_tor_length,
+    tor,
     tor_length,
 )
 from hwprobe.freemod import vec_degree
@@ -41,10 +54,11 @@ from hwprobe.homalg import (
     hom_cycle_data,
     hom_maps,
     length_at,
+    module_at,
     tensor_cycle_data,
     tensor_maps,
 )
-from hwprobe.modules import homology_length
+from hwprobe.modules import homology_length, subquotient
 from hwprobe.resolution import Resolution, resolution_of
 
 
@@ -195,12 +209,84 @@ def test_gp_tate_lengths_match_groebner_reference(gp_ring):
             h_length(gp_ring, hom_cycle_data(cr, n, i))
 
 
+# -- modules degree by degree ------------------------------------------------
+
+
+def cycle_data_module(ring, data):
+    """The reference: Z/B from cycle data, presented by ``subquotient``."""
+    if data is None:
+        return PresentedModule(ring, (), ())
+    return subquotient(ring, *data)[0]
+
+
+def assert_matches_reference(new, ref):
+    ring = new.ring
+    cert = is_isomorphic(new, ref)
+    assert cert.verdict == ISO
+    if new.ngens:
+        assert cert.certificate.check()
+    twists = new.twists + ref.twists
+    if twists:
+        lo, hi = min(twists), max(twists) + 4 * len(ring.ambient.weights)
+        h = new.hilbert_function(lo, hi)
+        assert h == ref.hilbert_function(lo, hi)
+        # the window holds every nonzero degree
+        assert sum(h) == ref.length()
+    assert new.length() == ref.length()
+    # minimal by construction: normalizing removes no generator or relation
+    again = PresentedModule(ring, new.twists, new.rels)
+    assert (again.ngens, len(again.rels)) == (new.ngens, len(new.rels))
+
+
+def test_gp_tor_and_ext_modules_match_cycle_data(gp_ring):
+    n = gp_n(gp_ring)
+    for other in (n, residue_field_module(gp_ring)):
+        for i in range(1, 6):
+            res = resolution_of(n, i + 1)
+            assert_matches_reference(
+                tor(n, other, i),
+                cycle_data_module(gp_ring, tensor_cycle_data(res, other, i)))
+            assert_matches_reference(
+                ext(n, other, i),
+                cycle_data_module(gp_ring, hom_cycle_data(res, other, i)))
+
+
+def test_gp_tate_modules_match_cycle_data(gp_ring):
+    n = gp_n(gp_ring)
+    cr = complete_resolution(n, 4, window=4)
+    for i in range(-4, 5):
+        t = tate_tor(cr, n, i)
+        assert_matches_reference(
+            t, cycle_data_module(gp_ring, tensor_cycle_data(cr, n, i)))
+        assert t.length() == tate_tor_length(cr, n, i)
+        e = tate_ext(cr, n, i)
+        assert_matches_reference(
+            e, cycle_data_module(gp_ring, hom_cycle_data(cr, n, i)))
+        assert e.length() == tate_ext_length(cr, n, i)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_artinian_modules_match_cycle_data(data):
+    m = random_artinian_module(data)
+    ring = m.ring
+    n = random_artinian_module(data, ring)
+    res = resolution_of(m, 4)
+    for i in range(4):
+        for side, build in ((tensor_maps, tensor_cycle_data),
+                            (hom_maps, hom_cycle_data)):
+            new = module_at(side, res, n, i)
+            assert_matches_reference(
+                new, cycle_data_module(ring, build(res, n, i)))
+            assert new.length() == length_at(side, res, n, i)
+
+
 def test_artinian_lengths_build_no_cycle_data(gp_ring, monkeypatch):
     n = gp_n(gp_ring)
     k = residue_field_module(gp_ring)
     cr = complete_resolution(n, 4, window=2)
     calls = []
-    for orig in (kernel_into_quotient, homology_length):
+    for orig in (kernel_into_quotient, homology_length, subquotient):
         def counting(*args, orig=orig):
             calls.append(orig.__name__)
             return orig(*args)
@@ -213,4 +299,8 @@ def test_artinian_lengths_build_no_cycle_data(gp_ring, monkeypatch):
     lengths = [tor_length(n, k, i) for i in range(1, 4)]
     lengths += [tate_tor_length(cr, n, i) for i in range(-2, 3)]
     assert lengths[:3] == [2, 2, 2]
+    modules = [f(n, other, i) for f in (tor, ext) for other in (n, k)
+               for i in range(1, 4)]
+    modules += [f(cr, n, i) for f in (tate_tor, tate_ext) for i in range(-2, 3)]
+    assert [mod.length() for mod in modules[9:12]] == [2, 2, 2]  # Ext(N, k)
     assert calls == []
