@@ -6,10 +6,18 @@ module itself is described by a tuple of generator degrees (twists): the
 basis vector e_j of ``F = (+)_j S(-a_j)`` has degree ``a_j``, so the term
 ``(j, m)`` has degree ``deg(m) + a_j``.
 
-This module is the one home of sparse F_p arithmetic on such dicts:
+A term order on a free module is a ``TermOrder``: it maps each term to one
+int whose integer order is the term order, linear in the monomial (built on
+the ring's ``mono_key``).  ``term_key`` gives term-over-position and
+``schreyer_key`` the order a generator list induces.  The Groebner core
+computes on dicts keyed by these ints ("packed" vectors); everything else,
+and every public result, keeps the tuple keys above.
+
+This module is the one home of sparse F_p arithmetic on tuple-keyed dicts:
 
 * ``vec_isub_term_mul`` is the only loop that adds c*x^m*v into an
-  accumulator; ``matvec`` (and so ``compose_cols``) calls it once per term;
+  accumulator; ``matvec`` (and so ``compose_cols``) calls it once per term.
+  Its packed twin, where x^m is one added int, is ``groebner._isub_shifted``;
 * ``row_reduce`` / ``row_insert`` are the only sparse echelon routine: rows
   are dicts of any hashable key, the pivot of a row is its ``key``-maximal
   entry;
@@ -17,31 +25,75 @@ This module is the one home of sparse F_p arithmetic on such dicts:
   vectors as well as polynomials.
 """
 
+from .ring import DEGREE_LIMIT
+
 Vec = dict  # (component, Mono) -> coefficient
 
 
-def term_key(ring):
-    """Term-over-position order: the ring's order on monomials first, ties
-    going to the lower component."""
-    mk = ring.mono_key
-    return lambda t: (mk(t[1]), -t[0])
+class TermOrder:
+    """A term order on a free module, as one int per term.
+
+    The term ``(c, m)`` is the int ``((K(m) + shift[c]) << bits) | code[c]``,
+    where K is the ring's ``mono_key`` and ``shift[c]`` the key of a monomial
+    of weighted degree ``lift[c]``.  Comparing the ints compares the terms:
+    the monomial part first, then the code.  The form is linear in m, so
+    multiplying a term by x^u adds ``K(u) << bits`` to it, and two terms with
+    the same code divide each other iff their monomials do.
+    """
+
+    def __init__(self, ring, shifts, codes, lifts, bits):
+        self.ring = ring
+        self.shifts = tuple(shifts)
+        self.codes = tuple(codes)
+        self.lifts = tuple(lifts)
+        self.bits = bits
+        self.mask = (1 << bits) - 1
+        # code -> (component, shift), to unpack a term
+        self.where = {code: (c, shift) for c, (code, shift)
+                      in enumerate(zip(self.codes, self.shifts))}
+
+    def __call__(self, t) -> int:
+        c, m = t
+        deg, k = self.ring.mono_deg_key(m)
+        if deg + self.lifts[c] >= DEGREE_LIMIT:
+            raise ValueError(f"term {t} is past the packing bound")
+        return ((k + self.shifts[c]) << self.bits) | self.codes[c]
 
 
-def schreyer_key(prev_key, lts):
+def _index_bits(count):
+    return max(count - 1, 0).bit_length()
+
+
+def term_key(ring, ncomp):
+    """Term-over-position order on a free module with ``ncomp`` components:
+    the ring's order on monomials first, ties going to the lower component."""
+    ncomp = max(ncomp, 1)  # a zero generator's lead is (0, 1), even at rank 0
+    bits = _index_bits(ncomp)
+    top = (1 << bits) - 1
+    return TermOrder(ring, (0,) * ncomp, [top - c for c in range(ncomp)],
+                     (0,) * ncomp, bits)
+
+
+def schreyer_key(prev, leads):
     """Order on the free module induced by leading terms of a generator list.
 
-    ``u e_i > v e_j`` iff ``lt(u g_i) > lt(v g_j)`` under ``prev_key``, with
-    ties broken by the smaller index i.  ``lts[i]`` is the leading term
-    ``(component, monomial)`` of g_i in the previous free module.
+    ``u e_i > v e_j`` iff ``lt(u g_i) > lt(v g_j)`` under ``prev``, with ties
+    broken by the smaller index i.  ``leads[i]`` is the ``prev`` key of the
+    leading term ``(component, monomial)`` of g_i.  The form is linear in u:
+    ``u e_i`` is ``((prev key of u lt(g_i)) << b) | (2^b - 1 - i)``.
     """
-    lts = tuple(lts)
-
-    def key(t):
-        i, u = t
-        c, m = lts[i]
-        return (prev_key((c, tuple(x + y for x, y in zip(u, m)))), -i)
-
-    return key
+    bits = _index_bits(len(leads))
+    top = (1 << bits) - 1
+    ring = prev.ring
+    shifts, codes, lifts = [], [], []
+    for i, lead in enumerate(leads):
+        code = lead & prev.mask
+        c, shift = prev.where[code]
+        shifts.append(lead >> prev.bits)
+        codes.append((code << bits) | (top - i))
+        lifts.append(ring.mono_deg(ring.key_mono((lead >> prev.bits) - shift))
+                     + prev.lifts[c])
+    return TermOrder(ring, shifts, codes, lifts, prev.bits + bits)
 
 
 def unit_vector(ring, comp) -> Vec:
@@ -73,11 +125,6 @@ def vec_isub_term_mul(acc: Vec, v: Vec, m, c: int, p: int) -> None:
             acc[t] = val
         else:
             acc.pop(t, None)
-
-
-def vec_leading(v: Vec, key):
-    t = max(v, key=key)
-    return t, v[t]
 
 
 def vec_degree(ring, v: Vec, twists):

@@ -11,6 +11,33 @@ discarding, every S-pair is reduced with tracked division quotients, and each
 reduction to zero certifies one syzygy of the *original* generators.  No pair
 selection criterion is applied in tracked runs; completeness of the certified
 syzygies depends on processing every pair.
+
+Packed terms.  Inside the Buchberger core a term (component, monomial) is one
+int, its key under a ``freemod.TermOrder``, so the integer order is the term
+order.  The monomial part is the ring's linear form K (``ring.ORDERS``), so
+
+* multiplying a vector by x^u adds the one int ``K(u) << bits`` to its terms;
+* a leading term is the ``max`` of a dict's ints, with no key function;
+* a term with the same code divides another iff no guard bit is lost in
+  ``(F_b | guard) - F_a``, on the weighted-exponent fields F = -K mod 2^(W n);
+* an lcm is a masked select on F (``PolyRing.fields_lcm``).
+
+Tuples are packed where data enters ``_buchberger_core`` and
+``GroebnerBasis.normal_form``, and unpacked where it leaves: a basis's
+``elements`` and ``leading_terms``, a normal form's remainder, the syzygies
+of ``syzygy_generators`` (sorted in packed Schreyer form first) and the
+coefficients of ``express_in_terms``.  A tracked run keeps the
+representations of its basis elements packed in the Schreyer order of its
+inputs, so that a quotient's shift K(u) << bits becomes theirs by one more
+shift.
+
+The packing bound.  A field holds a weighted exponent below
+``ring.DEGREE_LIMIT`` = 2^15.  Reduction and S-pairs keep every term of a
+homogeneous vector at one degree, so every monomial fits as long as each
+term's degree, counted from the lowest twist (for a Schreyer order, from the
+lowest twist less the degree of its component's lift), stays below the
+limit.  The entry points check this for every input term and every S-pair
+and raise ValueError past it; a packed key never mis-orders.
 """
 
 import heapq
@@ -20,15 +47,13 @@ from .freemod import (
     row_insert,
     schreyer_key,
     term_key,
-    unit_vector,
     vec_component,
     vec_degree,
     vec_from_polys,
     vec_isub_term_mul,
-    vec_leading,
     vec_mul_term,
 )
-from .ring import memoized
+from .ring import DEGREE_LIMIT, memoized
 
 
 class InhomogeneousError(ValueError):
@@ -36,218 +61,329 @@ class InhomogeneousError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# packing
+
+
+def _slots(order, twists):
+    """Per-component packing data of a free module with these twists.
+
+    A term's height is its degree less ``base``, the least ``twist - lift``
+    over the components.  In a homogeneous vector of height h the monomial
+    in the fields of a term (its own times its component's lift) has degree
+    h less the component's rise, so bounding heights bounds every field.
+    Returns ``slots[c] = (height of (c, 1), shift, code)`` and
+    ``rises[code] = twist - lift - base``.
+    """
+    base = min((t - lf for t, lf in zip(twists, order.lifts)), default=0)
+    slots, rises = {}, {}
+    for c, (t, lf, shift, code) in enumerate(zip(twists, order.lifts,
+                                                 order.shifts, order.codes)):
+        slots[c] = (t - base, shift, code)
+        rises[code] = t - lf - base
+    return slots, rises
+
+
+def _pack(order, slots, v):
+    """``(packed v, set of term heights)``; ValueError past the bound."""
+    deg_key, bits = order.ring.mono_deg_key, order.bits
+    out = {}
+    heights = set()
+    for (c, m), coef in v.items():
+        slot = slots.get(c)
+        if slot is None:
+            raise ValueError(f"component {c} is not in the free module of "
+                             f"rank {len(slots)}")
+        lift, shift, code = slot
+        h, k = deg_key(m)
+        h += lift
+        if h >= DEGREE_LIMIT:
+            raise ValueError(f"term {(c, m)} is past the packing bound: its "
+                             f"degree over the lowest twist is {h}, the "
+                             f"limit {DEGREE_LIMIT - 1}")
+        heights.add(h)
+        out[((k + shift) << bits) | code] = coef
+    return out, heights
+
+
+def _unpack(order, pv):
+    """The tuple-keyed vector of a packed one."""
+    key_mono, bits, mask = order.ring.key_mono, order.bits, order.mask
+    where = order.where
+    out = {}
+    for t, coef in pv.items():
+        c, shift = where[t & mask]
+        out[(c, key_mono((t >> bits) - shift))] = coef
+    return out
+
+
+# ---------------------------------------------------------------------------
 # division
 
 
-def _reduce(ring, v, basis, lts, by_comp, key, track=False):
-    """Full normal form of v against a monic basis.
+def _isub_shifted(acc, v, d, c, p):
+    """In place: acc -= c * x^u * v, for packed vectors with d the shift of x^u."""
+    for t, cc in v.items():
+        t += d
+        val = (acc.get(t, 0) - c * cc) % p
+        if val:
+            acc[t] = val
+        else:
+            acc.pop(t, None)
+
+
+def _prepare(order, vectors):
+    """Monic-normalize packed vectors; return ``(basis, lts, fields, by_code)``.
+
+    ``fields[i]`` is F of the leading monomial of ``basis[i]``, and
+    ``by_code`` lists the basis indices per code of the leading term.
+    """
+    ring = order.ring
+    inv = ring.field.inv
+    bits, mask, fmask = order.bits, order.mask, ring.field_mask
+    basis, lts, fields = [], [], []
+    by_code = defaultdict(list)
+    for v in vectors:
+        if not v:
+            continue
+        lt = max(v)
+        lc = v[lt]
+        if lc != 1:
+            v = ring.scale(v, inv(lc))
+        by_code[lt & mask].append(len(basis))
+        basis.append(v)
+        lts.append(lt)
+        fields.append(-(lt >> bits) & fmask)
+    return basis, lts, fields, by_code
+
+
+def _reduce(order, v, prepared, track=False):
+    """Full normal form of a packed v against a prepared monic basis.
 
     Returns ``(remainder, quotients)`` where quotients maps a basis index to
-    ``{monomial: coefficient}`` with ``v = sum(q * basis) + remainder``.
+    ``{shift of x^u: coefficient}`` with ``v = sum(q * basis) + remainder``.
     """
-    p = ring.p
-    divides = ring.mono_divides
+    basis, lts, fields, by_code = prepared
+    ring = order.ring
+    p, fmask, guard = ring.p, ring.field_mask, ring.guard
+    bits, mask = order.bits, order.mask
     work = dict(v)
     rem = {}
     quot = {} if track else None
     while work:
-        t = max(work, key=key)
-        comp, m = t
+        t = max(work)
         c = work[t]
-        found = -1
-        for idx in by_comp.get(comp, ()):
-            if divides(lts[idx][1], m):
-                found = idx
+        f = -(t >> bits) & fmask | guard
+        for idx in by_code.get(t & mask, ()):
+            if (f - fields[idx]) & guard == guard:
                 break
-        if found < 0:
+        else:
             rem[t] = c
             del work[t]
             continue
-        u = tuple(x - y for x, y in zip(m, lts[found][1]))
-        vec_isub_term_mul(work, basis[found], u, c, p)
+        d = t - lts[idx]
+        _isub_shifted(work, basis[idx], d, c, p)
         if track:
-            qd = quot.setdefault(found, {})
-            qc = (qd.get(u, 0) + c) % p
+            qd = quot.setdefault(idx, {})
+            qc = (qd.get(d, 0) + c) % p
             if qc:
-                qd[u] = qc
+                qd[d] = qc
             else:
-                del qd[u]
+                del qd[d]
     return rem, quot
 
 
 def reduce_poly(ring, f, gb_polys):
-    """Normal form of a polynomial modulo a list of polynomials."""
+    """Normal form of a polynomial modulo a list of homogeneous polynomials."""
     if not gb_polys:
         return dict(f)
-    key = term_key(ring)
-    basis, lts, by_comp = _prepare(ring, [{(0, m): c for m, c in g.items()}
-                                          for g in gb_polys if g])
-    rem, _ = _reduce(ring, {(0, m): c for m, c in f.items()},
-                     basis, lts, by_comp, key)
-    return {m: c for (_, m), c in rem.items()}
-
-
-def _prepare(ring, vectors):
-    """Monic-normalize a list of vectors; return (basis, lts, by_comp)."""
-    inv = ring.field.inv
-    key = term_key(ring)
-    basis, lts = [], []
-    by_comp = defaultdict(list)
-    for v in vectors:
-        if not v:
-            continue
-        (c, m), lc = vec_leading(v, key)
-        if lc != 1:
-            v = ring.scale(v, inv(lc))
-        by_comp[c].append(len(basis))
-        basis.append(v)
-        lts.append((c, m))
-    return basis, lts, by_comp
+    order = term_key(ring, 1)
+    slots, _ = _slots(order, (0,))
+    divisors = []
+    for g in gb_polys:
+        packed, heights = _pack(order, slots, {(0, m): c for m, c in g.items()})
+        if len(heights) > 1:
+            raise InhomogeneousError("divisors must be homogeneous")
+        divisors.append(packed)
+    packed, _ = _pack(order, slots, {(0, m): c for m, c in f.items()})
+    rem, _ = _reduce(order, packed, _prepare(order, divisors))
+    return {m: c for (_, m), c in _unpack(order, rem).items()}
 
 
 # ---------------------------------------------------------------------------
 # Buchberger
 
 
-def _check_homogeneous(ring, gens, twists):
-    for g in gens:
-        if vec_degree(ring, g, twists) is None:
-            raise InhomogeneousError(
-                "generators must be homogeneous for the ring's grading")
+def _buchberger_core(order, gens, twists, track=False):
+    """Accumulating Buchberger run under a packed term order.
 
-
-def _buchberger_core(ring, gens, twists, key, track=False):
-    """Accumulating Buchberger run.
-
-    Returns ``(basis, reps, syzygies)``: a (non-reduced) Groebner basis
-    containing all nonzero input generators, the representation of each basis
-    element in terms of the inputs (tracked runs only), and the syzygies of
-    the inputs certified by reductions to zero.
+    Returns ``(basis, reps, syzygies, rep_order)``, all packed: a (non-reduced)
+    Groebner basis containing all nonzero input generators, the
+    representation of each basis element in terms of the inputs and the
+    syzygies of the inputs certified by reductions to zero (tracked runs
+    only), and the Schreyer order of the inputs that packs those two (None
+    in untracked runs).
     """
+    ring = order.ring
     p = ring.p
     inv = ring.field.inv
-    mono_lcm = ring.mono_lcm
-    mono_deg = ring.mono_deg
+    fields_lcm = ring.fields_lcm
+    fmask = ring.field_mask
+    bits, mask = order.bits, order.mask
+    slots, rises = _slots(order, twists)
+    packed = []
+    for g in gens:
+        v, heights = _pack(order, slots, g)
+        if len(heights) > 1:
+            raise InhomogeneousError(
+                "generators must be homogeneous for the ring's grading")
+        packed.append(v)
+    rep_order = rsh = None
+    if track:
+        zero = order((0, ring.zero_mono))
+        rep_order = schreyer_key(order, [max(v) if v else zero for v in packed])
+        rsh = rep_order.bits - bits
 
-    basis, lts, reps = [], [], []
-    by_comp = defaultdict(list)
+    basis, lts, fields, reps = [], [], [], []
+    by_code = defaultdict(list)
+    prepared = (basis, lts, fields, by_code)
     heap = []
     seq = 0
     syzygies = []
 
     def add(v, rep):
         nonlocal seq
-        (c, m), lc = vec_leading(v, key)
+        lt = max(v)
+        lc = v[lt]
         if lc != 1:
             s = inv(lc)
             v = ring.scale(v, s)
             if track:
                 rep = ring.scale(rep, s)
         idx = len(basis)
-        for i in by_comp[c]:
-            lcm = mono_lcm(lts[i][1], m)
-            heapq.heappush(heap, (mono_deg(lcm) + twists[c], seq, i, idx))
+        code = lt & mask
+        f = -(lt >> bits) & fmask
+        rise = rises[code]
+        for i in by_code[code]:
+            deg, k = fields_lcm(fields[i], f)
+            height = deg + rise
+            if height >= DEGREE_LIMIT:
+                raise ValueError(f"an S-pair of degree {height} over the "
+                                 f"lowest twist is past the packing bound "
+                                 f"{DEGREE_LIMIT - 1}")
+            heapq.heappush(heap, (height, seq, i, idx, (k << bits) | code))
             seq += 1
-        by_comp[c].append(idx)
+        by_code[code].append(idx)
         basis.append(v)
-        lts.append((c, m))
+        lts.append(lt)
+        fields.append(f)
         if track:
             reps.append(rep)
 
-    for i, g in enumerate(gens):
-        if not g:
+    for i, v in enumerate(packed):
+        unit = {rep_order((i, ring.zero_mono)): 1} if track else None
+        if not v:
             if track:
-                syzygies.append(unit_vector(ring, i))
+                syzygies.append(unit)
             continue
-        add(dict(g), unit_vector(ring, i))
+        add(v, unit)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        (ci, mi) = lts[i]
-        (_, mj) = lts[j]
-        lcm = mono_lcm(mi, mj)
-        ui = tuple(a - b for a, b in zip(lcm, mi))
-        uj = tuple(a - b for a, b in zip(lcm, mj))
-        s = vec_mul_term(basis[i], ui, 1, p)
-        vec_isub_term_mul(s, basis[j], uj, 1, p)
+        _, _, i, j, lcm = heapq.heappop(heap)
+        di = lcm - lts[i]
+        dj = lcm - lts[j]
+        s = {t + di: c for t, c in basis[i].items()}
+        _isub_shifted(s, basis[j], dj, 1, p)
         rep = None
         if track:
-            rep = vec_mul_term(reps[i], ui, 1, p)
-            vec_isub_term_mul(rep, reps[j], uj, 1, p)
+            ri = di << rsh
+            rep = {t + ri: c for t, c in reps[i].items()}
+            _isub_shifted(rep, reps[j], dj << rsh, 1, p)
         if not s:
             if track and rep:
                 syzygies.append(rep)
             continue
-        r, quot = _reduce(ring, s, basis, lts, by_comp, key, track)
+        r, quot = _reduce(order, s, prepared, track)
         if track:
             for idx, qd in quot.items():
-                for u, q in qd.items():
-                    vec_isub_term_mul(rep, reps[idx], u, q, p)
+                for d, q in qd.items():
+                    _isub_shifted(rep, reps[idx], d << rsh, q, p)
         if r:
             add(r, rep)
         elif track and rep:
             syzygies.append(rep)
-    return basis, reps, syzygies
+    return basis, reps, syzygies, rep_order
 
 
-def _interreduce(ring, basis):
-    """Canonical reduced basis under ``term_key``: minimal leading terms,
-    fully tail-reduced.
+def _interreduce(order, basis):
+    """Canonical reduced basis of packed vectors: minimal leading terms,
+    fully tail-reduced, sorted by leading term.
 
     One pass suffices: every tail term of an element is smaller than its
     leading term, so reducing the tail against the whole kept set never
     meets that element's own leading term, and no leading term changes.
     """
-    divides = ring.mono_divides
+    ring = order.ring
     inv = ring.field.inv
-    key = term_key(ring)
-    items = sorted((v for v in basis if v), key=lambda g: key(max(g, key=key)))
+    bits, mask = order.bits, order.mask
+    fmask, guard = ring.field_mask, ring.guard
     kept = []
     kept_lts = []
-    for g in items:
-        c, m = max(g, key=key)
-        if any(cc == c and divides(mm, m) for cc, mm in kept_lts):
+    divisors = defaultdict(list)  # code -> fields of the kept leading terms
+    for g in sorted((v for v in basis if v), key=max):
+        lt = max(g)
+        f = -(lt >> bits) & fmask
+        if any(((f | guard) - d) & guard == guard
+               for d in divisors[lt & mask]):
             continue
+        divisors[lt & mask].append(f)
         kept.append(g)
-        kept_lts.append((c, m))
-    b, lts, by_comp = _prepare(ring, kept)
+        kept_lts.append(lt)
+    prepared = _prepare(order, kept)
     out = []
     for g, lt in zip(kept, kept_lts):
         lc = g[lt]
         tail = {t: v for t, v in g.items() if t != lt}
-        rem, _ = _reduce(ring, tail, b, lts, by_comp, key)
+        rem, _ = _reduce(order, tail, prepared)
         if rem != tail:
             g = {lt: lc, **rem}
         out.append(ring.scale(g, inv(lc)))
-    return tuple(out)
+    return out
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis of a homogeneous submodule of a free module."""
+    """A reduced Groebner basis of a homogeneous submodule of a free module.
 
-    def __init__(self, ring, elements, twists):
-        self.ring = ring
+    The basis is kept once, packed under the term-over-position order; the
+    tuple-keyed ``elements`` are derived from it on each read.
+    """
+
+    def __init__(self, order, basis, twists):
+        self.ring = order.ring
+        self.order = order
         self.twists = tuple(twists)
-        self.key = term_key(ring)
-        self.elements = tuple(elements)
-        self._basis, self._lts, self._by_comp = _prepare(ring, self.elements)
+        self._slots, _ = _slots(order, self.twists)
+        self._prepared = _prepare(order, basis)
+
+    @property
+    def elements(self):
+        return tuple(_unpack(self.order, g) for g in self._prepared[0])
 
     def normal_form(self, v):
-        rem, _ = _reduce(self.ring, v, self._basis, self._lts,
-                         self._by_comp, self.key)
-        return rem
+        packed, _ = _pack(self.order, self._slots, v)
+        rem, _ = _reduce(self.order, packed, self._prepared)
+        return _unpack(self.order, rem)
 
     def contains(self, v) -> bool:
         return not self.normal_form(v)
 
     def leading_terms(self):
-        return tuple(self._lts)
+        return tuple(_unpack(self.order, dict.fromkeys(self._prepared[1])))
 
     @memoized
     def initial_module(self):
         """Minimal monomial generators of the initial module, per component."""
         per_comp = defaultdict(list)
-        for c, m in self._lts:
+        for c, m in self.leading_terms():
             per_comp[c].append(m)
         out = {}
         for c, ms in per_comp.items():
@@ -261,10 +397,9 @@ class GroebnerBasis:
 
 def groebner_basis(ring, gens, twists):
     """Reduced Groebner basis of the submodule generated by ``gens`` over S."""
-    key = term_key(ring)
-    _check_homogeneous(ring, gens, twists)
-    basis, _, _ = _buchberger_core(ring, gens, twists, key)
-    return GroebnerBasis(ring, _interreduce(ring, basis), twists)
+    order = term_key(ring, len(twists))
+    basis = _buchberger_core(order, gens, twists)[0]
+    return GroebnerBasis(order, _interreduce(order, basis), twists)
 
 
 def syzygy_generators(ring, gens, twists):
@@ -272,22 +407,12 @@ def syzygy_generators(ring, gens, twists):
 
     The returned vectors live in the free module with one component per
     generator; applying the generators to each syzygy gives zero.  They form
-    a Groebner basis with respect to the Schreyer order induced by the run.
+    a Groebner basis with respect to the Schreyer order induced by the run,
+    and come sorted by leading term in that order.
     """
-    key = term_key(ring)
-    _check_homogeneous(ring, gens, twists)
-    _, _, syz = _buchberger_core(ring, gens, twists, key, track=True)
-    skey = schreyer_order_for(ring, gens)
-    out = [s for s in syz if s]
-    out.sort(key=lambda s: skey(max(s, key=skey)))
-    return out
-
-
-def schreyer_order_for(ring, gens):
-    """The key of the Schreyer order induced on syzygies of ``gens``."""
-    key = term_key(ring)
-    lead = [vec_leading(g, key)[0] if g else (0, ring.zero_mono) for g in gens]
-    return schreyer_key(key, lead)
+    order = term_key(ring, len(twists))
+    _, _, syz, rep_order = _buchberger_core(order, gens, twists, track=True)
+    return [_unpack(rep_order, s) for s in sorted((s for s in syz if s), key=max)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +491,22 @@ def express_in_terms(ring_q, v, gens, aux, twists):
     """
     ring = ring_q.ambient
     p = ring.p
-    key = term_key(ring)
+    order = term_key(ring, len(twists))
     combined = list(gens) + list(aux) + ideal_block_gens(ring_q, len(twists))
-    _check_homogeneous(ring, combined, twists)
-    basis, reps, _ = _buchberger_core(ring, combined, twists, key, track=True)
-    b, lts, by_comp = _prepare(ring, basis)
-    # _prepare preserves order for monic nonzero input; basis is already monic
-    r, quot = _reduce(ring, v, b, lts, by_comp, key, track=True)
+    basis, reps, _, rep_order = _buchberger_core(order, combined, twists,
+                                                 track=True)
+    packed, _ = _pack(order, _slots(order, twists)[0], v)
+    # the run's basis is monic and nonzero, so _prepare keeps its indices
+    r, quot = _reduce(order, packed, _prepare(order, basis), track=True)
     if r:
         return None
+    rsh = rep_order.bits - order.bits
     coeff = {}
     for idx, qd in quot.items():
-        for u, q in qd.items():
-            vec_isub_term_mul(coeff, reps[idx], u, (-q) % p, p)
-    out = []
-    for i in range(len(gens)):
-        out.append(ring_q.nf(vec_component(coeff, i)))
-    return out
+        for d, q in qd.items():
+            _isub_shifted(coeff, reps[idx], d << rsh, (-q) % p, p)
+    coeff = _unpack(rep_order, coeff)
+    return [ring_q.nf(vec_component(coeff, i)) for i in range(len(gens))]
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +525,6 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
     """
     ring = ring_q.ambient
     p = ring.p
-    key = term_key(ring)
     reduce = modulo.normal_form if modulo is not None else (
         lambda v: vec_nf_ideal(ring_q, v))
     items = []
@@ -424,10 +547,10 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
             if e < 0:
                 continue
             for m in ring.monomials_of_degree(e):
-                row_insert(reduce(vec_mul_term(g, m, 1, p)), pivots, key, p)
+                row_insert(reduce(vec_mul_term(g, m, 1, p)), pivots, None, p)
         while idx < len(items) and items[idx][0] == d:
             v = items[idx][2]
-            if row_insert(dict(v), pivots, key, p) is not None:
+            if row_insert(dict(v), pivots, None, p) is not None:
                 kept.append((d, v))
             idx += 1
     return [g for _, g in kept]

@@ -5,9 +5,17 @@ A polynomial is a dict mapping exponent tuples to nonzero coefficients in
 ``(monomial, coefficient)``.  All operations are pure functions on these
 dicts, dispatched through a :class:`PolyRing` that fixes the variables, the
 weights of the grading and the monomial order.
+
+The monomial order is one linear form on exponent vectors, ``mono_key``
+(see ``ORDERS``): an int whose integer order is the monomial order, from
+which ``key_mono`` reads the monomial back.  The Groebner core computes on
+these ints; a monomial has one while its weighted degree is below
+``DEGREE_LIMIT``.
 """
 
 from functools import wraps
+from operator import floordiv, mul
+from struct import Struct
 
 from .field import PrimeField
 
@@ -35,24 +43,38 @@ def memoized(fn):
     return memo
 
 
+# Bits of one field of a packed monomial.  A field holds a weighted exponent
+# w_i * e_i, and its top bit is a guard bit, so a monomial packs only while
+# its weighted degree is below DEGREE_LIMIT; 16 bits make a field a struct "H".
+FIELD_BITS = 16
+DEGREE_LIMIT = 1 << (FIELD_BITS - 1)
+
+
 def _grevlex(weights):
     """Weighted degree first, ties broken reverse-lexicographically.
 
     ``u > v`` iff ``deg u > deg v``, or degrees agree and the last nonzero
-    entry of ``u - v`` is negative.
+    entry of ``u - v`` is negative.  The high part of the key is the degree.
     """
-    def mono_key(m: Mono):
-        return (sum(e * wi for e, wi in zip(m, weights)),
-                tuple(-e for e in reversed(m)))
-    return mono_key
+    return weights
 
 
 def _lex(weights):
-    """Pure lexicographic order on exponent vectors."""
-    return lambda m: m
+    """Pure lexicographic order on exponent vectors.
+
+    The high part of the key holds the weighted exponents in fields, the
+    first variable's topmost.
+    """
+    n = len(weights)
+    return tuple(w << FIELD_BITS * (n - 1 - i) for i, w in enumerate(weights))
 
 
-# name -> builder: weights -> sort key of a monomial (larger is larger)
+# name -> builder: weights -> coefficients h of the high part H(m) = h . m.
+# The order's key is the linear form K(m) = H(m) * 2^(W n) - F(m), where the
+# low part F(m) = sum w_i e_i 2^(W i) packs the weighted exponents into one
+# W-bit field each (W = FIELD_BITS).  F never reaches 2^(W n), so K orders
+# by H, and by -F where H ties: for grevlex that is the reverse-lexicographic
+# tie-break, for lex H alone decides.  F is read back as (-K) mod 2^(W n).
 ORDERS = {"grevlex": _grevlex, "lex": _lex}
 
 
@@ -80,10 +102,21 @@ class PolyRing:
             raise ValueError(f"unknown monomial order {order!r}; "
                              f"expected one of {sorted(ORDERS)}")
         self.order = order
-        self.mono_key = ORDERS[order](weights)
-        self.zero_mono = (0,) * self.nvars
-        # the one table outside ``memoized``: mono_deg is hot arithmetic
-        self._mono_deg_cache = {}
+        n = self.nvars
+        high = ORDERS[order](weights)
+        self.field_mask = (1 << FIELD_BITS * n) - 1
+        self.guard = sum(1 << FIELD_BITS * (i + 1) - 1 for i in range(n))
+        fields = Struct(f"<{n}H")
+        self._pack_fields, self._unpack_fields = fields.pack, fields.unpack
+        self._unit_weights = set(weights) <= {1}
+        # None when H is the degree; else H's coefficients on e and on F
+        self._high = None if high == weights else (
+            high, tuple(h // w for h, w in zip(high, weights)))
+        # the field sum F * ones lands in field n - 1 without carries while
+        # every partial sum stays below 2^W, which a degree < 2^W ensures
+        self._ones = sum(1 << FIELD_BITS * i for i in range(n))
+        self._sum_shift = FIELD_BITS * max(n - 1, 0)
+        self.zero_mono = (0,) * n
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.names == self.names
@@ -100,11 +133,57 @@ class PolyRing:
     # -- monomials ---------------------------------------------------------
 
     def mono_deg(self, m: Mono) -> int:
-        d = self._mono_deg_cache.get(m)
-        if d is None:
-            d = sum(e * w for e, w in zip(m, self.weights))
-            self._mono_deg_cache[m] = d
-        return d
+        return sum(map(mul, m, self.weights))
+
+    def mono_deg_key(self, m: Mono):
+        """``(mono_deg(m), mono_key(m))``.
+
+        The key is the order's linear form K(m) = H(m) 2^(W n) - F(m) of
+        ``ORDERS``; ValueError when m is past the packing bound (weighted
+        degree DEGREE_LIMIT or more), where the key would mis-order.
+        """
+        f = m if self._unit_weights else tuple(map(mul, m, self.weights))
+        deg = sum(f)
+        if deg >= DEGREE_LIMIT:
+            raise ValueError(f"monomial {m} has weighted degree {deg}, past "
+                             f"the packing bound {DEGREE_LIMIT - 1}")
+        high = deg if self._high is None else sum(map(mul, m, self._high[0]))
+        return deg, (high << FIELD_BITS * self.nvars) - int.from_bytes(
+            self._pack_fields(*f), "little")
+
+    def mono_key(self, m: Mono) -> int:
+        """The order's key: ``u > v`` iff ``mono_key(u) > mono_key(v)``.
+
+        Linear, so ``mono_key(u * v) == mono_key(u) + mono_key(v)``.
+        """
+        return self.mono_deg_key(m)[1]
+
+    def key_mono(self, k: int) -> Mono:
+        """The monomial whose key is k: the inverse of ``mono_key``."""
+        fields = self._unpack_fields((-k & self.field_mask).to_bytes(
+            2 * self.nvars, "little"))
+        if self._unit_weights:
+            return fields
+        return tuple(map(floordiv, fields, self.weights))
+
+    def fields_lcm(self, fa: int, fb: int):
+        """``(degree, key)`` of the lcm of the monomials with fields fa, fb.
+
+        The lcm's fields are a masked select: where the guard bit survives
+        ``(fa | guard) - fb``, fa's field is the larger.  Both monomials must
+        be within the packing bound.
+        """
+        guard = self.guard
+        sel = ((fa | guard) - fb) & guard
+        keep = sel - (sel >> FIELD_BITS - 1)
+        f = (fa & keep) | (fb & ~keep)
+        deg = (f * self._ones >> self._sum_shift) & 2 * DEGREE_LIMIT - 1
+        if self._high is None:
+            high = deg
+        else:
+            high = sum(map(mul, self._unpack_fields(
+                f.to_bytes(2 * self.nvars, "little")), self._high[1]))
+        return deg, (high << FIELD_BITS * self.nvars) - f
 
     def mono_mul(self, a: Mono, b: Mono) -> Mono:
         return tuple(x + y for x, y in zip(a, b))
@@ -117,9 +196,6 @@ class PolyRing:
         """a / b, or None when not divisible."""
         q = tuple(x - y for x, y in zip(a, b))
         return None if any(e < 0 for e in q) else q
-
-    def mono_lcm(self, a: Mono, b: Mono) -> Mono:
-        return tuple(max(x, y) for x, y in zip(a, b))
 
     @memoized
     def monomials_of_degree(self, d: int):

@@ -5,18 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwprobe import PolyRing, define_ring, parse_polynomial
+from hwprobe.ring import DEGREE_LIMIT
 from hwprobe.freemod import (
     matvec,
     term_key,
     vec_component,
-    vec_leading,
     vec_mul_term,
 )
 from hwprobe.groebner import (
+    GroebnerBasis,
     InhomogeneousError,
     _buchberger_core,
     _prepare,
     _reduce,
+    _unpack,
     colon_by_elements,
     groebner_basis,
     minimal_generators,
@@ -54,9 +56,8 @@ def test_normal_form_koszul_module_case():
     # is irreducible; frozen from a hand run of the division algorithm
     r = PolyRing(["x", "y"], [1, 1], 7)
     g = {(0, (0, 1)): 1, (1, (1, 0)): 6}
-    gb_elems = [g]
-    from hwprobe.groebner import GroebnerBasis
-    gb = GroebnerBasis(r, gb_elems, (0, 0))
+    order = term_key(r, 2)
+    gb = GroebnerBasis(order, [{order(t): c for t, c in g.items()}], (0, 0))
     v = {(0, (2, 0)): 1}
     assert gb.normal_form(v) == v
 
@@ -327,15 +328,17 @@ def test_matvec_matches_entrywise_products(data):
     assert matvec(r, cols, v) == want
 
 
-def fixpoint_interreduce(ring, basis, key):
-    """Reference interreduction: tail-reduce every element against all the
-    others, re-preparing them each time, until a round changes nothing."""
+def fixpoint_interreduce(order, basis):
+    """Reference interreduction of a packed basis: tail-reduce every element
+    against all the others, re-preparing them each time, until a round
+    changes nothing; the result is unpacked."""
+    ring = order.ring
     divides = ring.mono_divides
-    items = sorted((v for v in basis if v), key=lambda g: key(max(g, key=key)))
+    items = sorted((v for v in basis if v), key=max)
     kept = []
     kept_lts = []
     for g in items:
-        c, m = max(g, key=key)
+        ((c, m),) = _unpack(order, {max(g): 1})
         if any(cc == c and divides(mm, m) for cc, mm in kept_lts):
             continue
         kept.append(g)
@@ -344,19 +347,15 @@ def fixpoint_interreduce(ring, basis, key):
         changed = False
         for i in range(len(kept)):
             others = kept[:i] + kept[i + 1:]
-            b, lts, by_comp = _prepare(ring, others)
-            r, _ = _reduce(ring, kept[i], b, lts, by_comp, key)
+            r, _ = _reduce(order, kept[i], _prepare(order, others))
             if r != kept[i]:
                 kept[i] = r
                 changed = True
         if not changed:
             break
-    out = []
-    for g in kept:
-        _, lc = vec_leading(g, key)
-        out.append(ring.scale(g, ring.field.inv(lc)))
-    out.sort(key=lambda g: key(max(g, key=key)))
-    return tuple(out)
+    out = [ring.scale(g, ring.field.inv(g[max(g)])) for g in kept]
+    out.sort(key=max)
+    return tuple(_unpack(order, g) for g in out)
 
 
 IR_RINGS = [
@@ -381,15 +380,46 @@ def test_one_pass_interreduction_matches_fixpoint(data):
         chosen = data.draw(st.lists(st.sampled_from(terms), min_size=1,
                                     max_size=4, unique=True))
         gens.append({t: data.draw(st.integers(1, r.p - 1)) for t in chosen})
-    key = term_key(r)
-    basis, _, _ = _buchberger_core(r, gens, twists, key)
+    key = term_key(r, ncomp)
+    basis = _buchberger_core(key, gens, twists)[0]
     got = groebner_basis(r, gens, twists).elements
-    want = fixpoint_interreduce(r, basis, key)
+    want = fixpoint_interreduce(key, basis)
     # equal item for item, insertion order of every dict included
     assert [list(g.items()) for g in got] == [list(g.items()) for g in want]
-    lts = [vec_leading(g, key) for g in got]
-    assert all(lc == 1 for _, lc in lts)
+    lts = [max(g, key=key) for g in got]
+    assert all(g[lt] == 1 for g, lt in zip(got, lts))
     for i, g in enumerate(got):
         for c, m in g:
             assert not any(j != i and cj == c and r.mono_divides(mj, m)
-                           for j, ((cj, mj), _) in enumerate(lts))
+                           for j, (cj, mj) in enumerate(lts))
+
+
+def test_packing_bound_is_applied():
+    # a monomial packs while its weighted degree, counted from the lowest
+    # twist, is below DEGREE_LIMIT; past it the entry points raise
+    r = PolyRing(["x", "y"], [1, 3], 7)
+    top = DEGREE_LIMIT - 1
+    gb = groebner_basis(r, [{(0, (top, 0)): 1}], (0,))
+    assert gb.elements == ({(0, (top, 0)): 1},)
+    with pytest.raises(ValueError, match="packing bound"):
+        groebner_basis(r, [{(0, (DEGREE_LIMIT, 0)): 1}], (0,))
+    with pytest.raises(ValueError, match="packing bound"):
+        groebner_basis(r, [{(0, (0, DEGREE_LIMIT // 3 + 1)): 1}], (0,))
+    with pytest.raises(ValueError, match="packing bound"):
+        r.mono_key((DEGREE_LIMIT, 0))
+    # the twist counts: degree top - 1 in a component twisted by 2
+    with pytest.raises(ValueError, match="packing bound"):
+        groebner_basis(r, [{(1, (top - 1, 0)): 1}], (0, 2))
+    # an S-pair past the bound, from inputs within it
+    half = DEGREE_LIMIT // 2
+    with pytest.raises(ValueError, match="S-pair"):
+        groebner_basis(r, [{(0, (half, 0)): 1}, {(0, (0, half // 3 + 1)): 1}],
+                       (0,))
+    rq = define_ring(["x", "y"], [1, 1], 7, ["x*y"])
+    with pytest.raises(ValueError, match="packing bound"):
+        rq.nf({(DEGREE_LIMIT, 0): 1})
+    with pytest.raises(ValueError, match="packing bound"):
+        gb.normal_form({(0, (0, DEGREE_LIMIT)): 1})
+    # a component outside the free module does not pack either
+    with pytest.raises(ValueError, match="component"):
+        gb.normal_form({(1, (1, 0)): 1})

@@ -169,8 +169,8 @@ def _memo_breaches(sources, helper=("ring.py", "memoized")):
     """Caches kept outside the one memo helper.
 
     Flags ``__dict__`` and ``vars`` anywhere but inside the helper's def, and
-    any attribute named ``_cache`` assigned inside a class.  Returns
-    ``(path, line, what)``.
+    any attribute whose name ends in ``_cache`` assigned inside a class.
+    Returns ``(path, line, what)``.
     """
     found = []
     for path, source in sources.items():
@@ -194,8 +194,9 @@ def _memo_breaches(sources, helper=("ring.py", "memoized")):
                            [node.target] if isinstance(
                                node, (ast.AnnAssign, ast.AugAssign)) else [])
                 for t in targets:
-                    if getattr(t, "attr", getattr(t, "id", None)) == "_cache":
-                        found.append((path, t.lineno, "_cache"))
+                    name = getattr(t, "attr", getattr(t, "id", None))
+                    if isinstance(name, str) and name.endswith("_cache"):
+                        found.append((path, t.lineno, name))
     return sorted(set(found))
 
 
@@ -207,11 +208,13 @@ def test_memo_breaches_are_detected():
     lib = ("class A:\n    def __init__(self):\n        self._cache = {}\n\n\n"
            "class B:\n    _cache = {}\n\n\n"
            "def f(ring):\n    return ring.__dict__.setdefault('k', {})\n\n\n"
-           "def g(obj):\n    return vars(obj), getattr(obj, '__dict__')\n")
+           "def g(obj):\n    return vars(obj), getattr(obj, '__dict__')\n\n\n"
+           "class C:\n    def __init__(self):\n"
+           "        self._mono_deg_cache = {}\n        self.cached = 0\n")
     assert _memo_breaches({"pkg/ring.py": ring, "pkg/lib.py": lib}) == [
         ("pkg/lib.py", 3, "_cache"), ("pkg/lib.py", 7, "_cache"),
         ("pkg/lib.py", 11, "__dict__"), ("pkg/lib.py", 15, "__dict__"),
-        ("pkg/lib.py", 15, "vars")]
+        ("pkg/lib.py", 15, "vars"), ("pkg/lib.py", 20, "_mono_deg_cache")]
 
 
 def test_one_memo_mechanism():

@@ -141,6 +141,22 @@ def test_hw_check_on_cusp(cusp_m):
     assert out["two_periodic"]
 
 
+@pytest.mark.parametrize("names, weights, p, eqs, length", [
+    (["x", "y"], [3, 2], 7, ["x^2 - y^3"], 2),
+    # k[t^3, t^4, t^5]: a one-dimensional domain, not Gorenstein
+    (["x", "y", "z"], [3, 4, 5], 101,
+     ["x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y"], 6),
+])
+def test_hw_check_agrees_under_lex(names, weights, p, eqs, length):
+    # the whole probe on the lex order's packed terms gives grevlex's answer
+    got = []
+    for order in ("grevlex", "lex"):
+        rq = define_ring(names, weights, p, eqs, order=order, domain=True)
+        out = hw_check(ideal_module(rq, [P(rq, v) for v in names]))
+        got.append((out["verdict"], out["torsion_length"]))
+    assert got == [(CONJECTURE_HOLDS, length)] * 2
+
+
 def test_hw_check_rejects_free_input(cusp):
     with pytest.raises(HypothesisError):
         hw_check(free_module(cusp, (0,)))
