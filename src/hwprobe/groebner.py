@@ -3,8 +3,8 @@
 Everything here computes over the ambient polynomial ring S.  Quotient-ring
 computations R = S/I pass the ideal's Groebner basis as extra generators in
 every component (the "augmentation") and project results back; the helpers
-taking a ``ring_q`` argument only use its ``ambient``, ``gb`` and ``nf``
-attributes.
+taking a ``ring_q`` argument only use its ``ambient``, ``gb``, ``nf`` and
+``mono_nf`` attributes.
 
 Syzygies come from Schreyer's construction: the basis is accumulated without
 discarding, every S-pair is reduced with tracked division quotients, and each
@@ -42,6 +42,8 @@ and raise ValueError past it; a packed key never mis-orders.
 
 import heapq
 from collections import defaultdict
+from functools import partial
+from operator import add
 
 from .freemod import (
     row_insert,
@@ -428,17 +430,34 @@ def ideal_block_gens(ring_q, ncomp):
     return out
 
 
-def vec_nf_ideal(ring_q, v):
-    """Componentwise normal form modulo the defining ideal."""
+def vec_nf_ideal(ring_q, v, m=None):
+    """Componentwise normal form of v, or of x^m * v, modulo the ideal.
+
+    Normal form is linear, so this is the sum of c times the row
+    ``ring_q.mono_nf(m + m_t)`` over the terms c*x^(m_t) e_j of v; x^m * v
+    is never built.  Components come in order of first appearance, each in
+    decreasing term order: one row is already in that order, a component
+    summing several is sorted.
+    """
     if not ring_q.gb:
-        return dict(v)
-    comps = defaultdict(dict)
-    for (c, m), coef in v.items():
-        comps[c][m] = coef
+        return dict(v) if m is None else vec_mul_term(v, m, 1, ring_q.p)
+    p = ring_q.ambient.p
+    row = ring_q.mono_nf
     out = {}
-    for c, f in comps.items():
-        for m, coef in ring_q.nf(f).items():
-            out[(c, m)] = coef
+    rank = {}  # component -> place of its first appearance
+    for (c, t), coef in v.items():
+        rank.setdefault(c, len(rank))
+        for u, a in row(t if m is None else tuple(map(add, t, m))).items():
+            k = (c, u)
+            val = (out.get(k, 0) + a * coef) % p
+            if val:
+                out[k] = val
+            else:
+                out.pop(k, None)
+    if len(rank) < len(v) and len(out) > 1:
+        key = ring_q.ambient.mono_key
+        return {k: out[k] for k in
+                sorted(out, key=lambda k: (rank[k[0]], -key(k[1])))}
     return out
 
 
@@ -525,8 +544,13 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
     """
     ring = ring_q.ambient
     p = ring.p
-    reduce = modulo.normal_form if modulo is not None else (
-        lambda v: vec_nf_ideal(ring_q, v))
+    if modulo is None:
+        reduce = mul_nf = partial(vec_nf_ideal, ring_q)
+    else:
+        reduce = modulo.normal_form
+
+        def mul_nf(v, m):
+            return reduce(vec_mul_term(v, m, 1, p))
     items = []
     for i, v in enumerate(vectors):
         v = reduce(v)
@@ -547,7 +571,7 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
             if e < 0:
                 continue
             for m in ring.monomials_of_degree(e):
-                row_insert(reduce(vec_mul_term(g, m, 1, p)), pivots, None, p)
+                row_insert(mul_nf(g, m), pivots, None, p)
         while idx < len(items) and items[idx][0] == d:
             v = items[idx][2]
             if row_insert(dict(v), pivots, None, p) is not None:

@@ -33,6 +33,7 @@ the maps into and out of position i as block matrices over N.
 """
 
 from itertools import combinations
+from operator import add
 
 from .freemod import vec_component, vec_degree, vec_from_polys
 from .groebner import express_in_terms, kernel_into_quotient, saturate
@@ -238,7 +239,7 @@ def _strand_module(n, maps):
 @memoized
 def _module_blocks(n):
     """Sums of copies of N: per component k, the standard monomials of its
-    initial module; vectors reduced copy by copy by N's relations."""
+    initial module; x^m * v reduced copy by copy by N's relations."""
     gb = n.rel_gb()
     init = gb.initial_module()
     std = [std_monomials(n.ring.ambient, init.get(k, ()))
@@ -246,17 +247,18 @@ def _module_blocks(n):
     g_n = n.ngens
     nf = gb.normal_form
 
-    def reduce(v):
+    def mul_nf(v, m):
         copies = {}
-        for (j, m), coef in v.items():
-            copies.setdefault(j // g_n, {})[(j % g_n, m)] = coef
+        for (j, t), coef in v.items():
+            copy = copies.setdefault(j // g_n, {})
+            copy[(j % g_n, tuple(map(add, t, m)))] = coef
         out = {}
         for b, w in copies.items():
-            for (k, m), coef in nf(w).items():
-                out[(b * g_n + k, m)] = coef
+            for (k, t), coef in nf(w).items():
+                out[(b * g_n + k, t)] = coef
         return out
 
-    return Blocks(n.ring, std, reduce)
+    return Blocks(n.ring, std, mul_nf)
 
 
 # ---------------------------------------------------------------------------

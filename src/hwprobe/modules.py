@@ -19,7 +19,7 @@ step, the (co)homology modules of ``homalg`` and ``PresentedModule.length``.
 from functools import partial
 
 from . import hilbert as hb
-from .freemod import matvec, row_insert, vec_component, vec_degree, vec_mul_term
+from .freemod import matvec, row_insert, vec_component, vec_degree
 from .groebner import (
     InhomogeneousError,
     kernel_into_quotient,
@@ -327,19 +327,19 @@ class Blocks:
     generators.  ``std[k]`` lists the standard monomials of component k of
     N's initial module by degree, so a sum whose components have twists a_j
     has the F_p-basis (j, m), m in ``std[j % g][D - a_j]``, in degree D;
-    ``nf`` writes a vector in that basis.  ``ring_blocks`` serves free
-    modules (N = R); ``homalg`` builds the blocks of other modules.
+    ``mul_nf(v, m)`` writes x^m * v in that basis.  ``ring_blocks`` serves
+    free modules (N = R); ``homalg`` builds the blocks of other modules.
 
     This is the strand frame of La Scala and Stillman (JSC 1998): ranks,
     images and minimal kernels come from sparse F_p elimination degree by
     degree, with no Buchberger run.
     """
 
-    def __init__(self, ring, std, nf):
+    def __init__(self, ring, std, mul_nf):
         self.ring = ring
         self.std = std
         self.flat = [[m for ms in table for m in ms] for table in std]
-        self.nf = nf
+        self.mul_nf = mul_nf
 
     def dim(self, ncomps):
         """dim_k of the sum of ``ncomps`` components."""
@@ -350,10 +350,10 @@ class Blocks:
         """x^m times each column c, m over the standard monomials of c's
         component in the source: the images of the source's F_p-basis."""
         g = len(self.std)
-        p = self.ring.p
+        mul_nf = self.mul_nf
         for c, col in enumerate(cols):
             for m in self.flat[c % g]:
-                yield self.nf(vec_mul_term(col, m, 1, p))
+                yield mul_nf(col, m)
 
     def rank(self, cols):
         """F_p-rank of the map from a sum to a sum given by its columns."""
@@ -406,7 +406,7 @@ class Blocks:
                 continue
             pivots = dict(target_mod.get(d, {})) if target_mod else {}
             for n, (j, m) in enumerate(basis):
-                row = target.nf(vec_mul_term(cols[j], m, 1, p))
+                row = target.mul_nf(cols[j], m)
                 row[(-1, n)] = 1
                 row_insert(row, pivots, None, p)
             z_d = [{basis[n]: c for (_, n), c in row.items()}
@@ -415,7 +415,7 @@ class Blocks:
             span = dict(source_mod.get(d, {})) if source_mod else {}
             for x, w in variables:
                 for z in kernels.get(d - w, ()):
-                    row_insert(self.nf(vec_mul_term(z, x, 1, p)), span, None, p)
+                    row_insert(self.mul_nf(z, x), span, None, p)
             out.extend(z for z in z_d if row_insert(dict(z), span, None, p))
         return out
 

@@ -8,9 +8,9 @@ arithmetic over R happens in S carrying the reduced Groebner basis of I.
 from operator import neg
 
 from .freemod import row_insert
-from .groebner import groebner_basis
+from .groebner import groebner_basis, vec_nf_ideal
 from .hilbert import monomial_quotient_dim
-from .ring import PolyRing
+from .ring import PolyRing, memoized
 
 
 _SCAN_BUDGET = 200_000  # candidate divisors per degree before giving up
@@ -65,15 +65,28 @@ class QuotientRing:
     def p(self):
         return self.ambient.p
 
-    def nf(self, f):
-        """Normal form of a polynomial modulo I.
+    @memoized
+    def mono_nf(self, m):
+        """Normal form of the monomial x^m modulo I: one row of the table.
 
-        Reduces against the Groebner basis built in ``__init__``, which is
-        monic-normalized and indexed once per ring.
+        Divided once per ring and monomial by the Groebner basis built in
+        ``__init__``, which raises ValueError past the packing bound; the
+        terms come in decreasing term order.
+        """
+        if not self.gb:
+            return {m: 1}
+        rem = self._ideal_basis.normal_form({(0, m): 1})
+        return {t: c for (_, t), c in rem.items()}
+
+    def nf(self, f):
+        """Normal form of a polynomial modulo I, in decreasing term order.
+
+        The one-component case of ``groebner.vec_nf_ideal``: a sum of the
+        rows ``mono_nf(m)`` over the terms x^m of f.
         """
         if not self.gb:
             return dict(f)
-        rem = self._ideal_basis.normal_form({(0, m): c for m, c in f.items()})
+        rem = vec_nf_ideal(self, {(0, m): c for m, c in f.items()})
         return {m: c for (_, m), c in rem.items()}
 
     def is_zero(self, f) -> bool:

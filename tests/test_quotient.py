@@ -2,9 +2,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwprobe import NotDomainError, PolyRing, define_ring, parse_polynomial
-from hwprobe.groebner import reduce_poly
+from conftest import gp_matrix_cols
+from hwprobe import (
+    NotDomainError,
+    PolyRing,
+    PresentedModule,
+    define_ring,
+    parse_polynomial,
+)
+from hwprobe.freemod import vec_mul_term
+from hwprobe.groebner import reduce_poly, vec_nf_ideal
+from hwprobe.homalg import _module_blocks
+from hwprobe.modules import ring_blocks
 from hwprobe.quotient import principal_irreducible_scan
+from hwprobe.ring import DEGREE_LIMIT
 
 
 def test_threefold_quadric(threefold):
@@ -121,3 +132,95 @@ def test_nf_matches_reduce_poly(name, data):
                                max_size=8))
     f = dict(terms)
     assert list(rq.nf(f).items()) == list(reduce_poly(amb, f, rq.gb).items())
+
+
+def _draw_vector(data, rq, ncomp):
+    """A vector whose components have random degrees, each plus a multiple
+    of a Groebner basis element, so that rows cancel mod p; its items come
+    in a random order, so components interleave."""
+    amb = rq.ambient
+    p = amb.p
+    v = {}
+    for c in range(ncomp):
+        degree = data.draw(st.integers(0, 6))
+        monos = amb.monomials_of_degree(degree)
+        if not monos:
+            continue
+        f = dict(data.draw(st.lists(st.tuples(st.sampled_from(monos),
+                                              st.integers(1, p - 1)),
+                                    max_size=5)))
+        g = data.draw(st.sampled_from(rq.gb))
+        us = amb.monomials_of_degree(degree - amb.homogeneous_degree(g))
+        if us:
+            f = amb.add(f, amb.mul_term(g, data.draw(st.sampled_from(us)),
+                                        data.draw(st.integers(1, p - 1))))
+        v.update(((c, m), coef) for m, coef in f.items())
+    return dict(data.draw(st.permutations(list(v.items()))))
+
+
+def _whole_division(rq, v):
+    """Componentwise normal form by dividing each whole component by the
+    ring's basis, components in order of first appearance."""
+    comps = {}
+    for (c, m), coef in v.items():
+        comps.setdefault(c, {})[(0, m)] = coef
+    return [((c, m), coef) for c, f in comps.items()
+            for (_, m), coef in rq._ideal_basis.normal_form(f).items()]
+
+
+def _copywise_division(n, v):
+    """v reduced copy by copy by the relations of the module n."""
+    g_n = n.ngens
+    copies = {}
+    for (j, m), coef in v.items():
+        copies.setdefault(j // g_n, {})[(j % g_n, m)] = coef
+    return [((b * g_n + k, m), coef) for b, w in copies.items()
+            for (k, m), coef in n.rel_gb().normal_form(w).items()]
+
+
+@pytest.mark.parametrize("name", sorted(NF_RINGS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_vec_nf_ideal_matches_whole_division(name, data):
+    # the table rows summed per component give the remainder of dividing
+    # the whole component, item for item
+    rq = NF_RINGS[name]()
+    v = _draw_vector(data, rq, 3)
+    assert list(vec_nf_ideal(rq, v).items()) == _whole_division(rq, v)
+
+
+@pytest.mark.parametrize("name", sorted(NF_RINGS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mul_nf_matches_nf_of_product(name, data):
+    rq = NF_RINGS[name]()
+    amb = rq.ambient
+    p = amb.p
+    v = _draw_vector(data, rq, 3)
+    m = data.draw(st.sampled_from([u for d in range(4)
+                                   for u in amb.monomials_of_degree(d)]))
+    expected = _whole_division(rq, vec_mul_term(v, m, 1, p))
+    assert list(vec_nf_ideal(rq, v, m).items()) == expected
+    if rq.dim == 0:
+        assert list(ring_blocks(rq).mul_nf(v, m).items()) == expected
+        # two copies of GP's period-four module N
+        n = PresentedModule(rq, (0, 0), gp_matrix_cols(rq, 1))
+        w = _draw_vector(data, rq, 2 * n.ngens)
+        assert list(_module_blocks(n).mul_nf(w, m).items()) == \
+            _copywise_division(n, vec_mul_term(w, m, 1, p))
+
+
+def test_packing_bound_survives_the_table():
+    # a row past the bound fails in the division, and memoized keeps no
+    # failed row, so asking again fails again
+    rq = NF_RINGS["weighted-cusp"]()
+    past = (DEGREE_LIMIT // 3 + 1, 0)
+    assert rq.ambient.mono_deg(past) >= DEGREE_LIMIT
+    for _ in range(2):
+        with pytest.raises(ValueError, match="packing bound"):
+            rq.nf({past: 1})
+        with pytest.raises(ValueError, match="packing bound"):
+            vec_nf_ideal(rq, {(1, past): 1})
+        with pytest.raises(ValueError, match="packing bound"):
+            vec_nf_ideal(rq, {(0, (1, 0)): 1}, (DEGREE_LIMIT // 3, 0))
+    assert rq.nf({(3, 0): 1}) == {(1, 3): 1}
