@@ -529,55 +529,65 @@ def express_in_terms(ring_q, v, gens, aux, twists):
 
 
 # ---------------------------------------------------------------------------
-# minimal generators via degreewise linear algebra
+# minimal generators degree by degree
+
+
+def minimal_by_degree(ring, pieces, mul_nf, modulo=None):
+    """The strand test of La Scala and Stillman (JSC 1998), in any dimension.
+
+    ``pieces`` gives ``(D, vectors of degree D)`` for consecutive D.  The
+    span in degree D is sum_x x * span_{D - w(x)}, plus ``modulo[D]``
+    (``{D: echelon pivots}``) if given, plus the earlier vectors of degree D;
+    a vector is kept iff it is independent of that span.  ``mul_nf(v, m)``
+    writes x^m * v in the coordinates of the vectors.
+    """
+    p = ring.p
+    variables = [(tuple(int(i == k) for i in range(ring.nvars)), w)
+                 for k, w in enumerate(ring.weights)]
+    top = max(ring.weights)
+    spans = {}
+    kept = []
+    for d, vectors in pieces:
+        span = dict(modulo.get(d, {})) if modulo else {}
+        for x, w in variables:
+            for row in spans.get(d - w, {}).values():
+                row_insert(mul_nf(row, x), span, None, p)
+        kept.extend(v for v in vectors if row_insert(dict(v), span, None, p))
+        spans[d] = span
+        spans.pop(d - top, None)  # no later degree reads it
+    return kept
 
 
 def minimal_generators(ring_q, vectors, twists, modulo=None):
     """A minimal homogeneous generating set of the R-submodule <vectors>.
 
-    Processes generators by increasing degree; a generator is kept iff it is
-    linearly independent of the span of the previously kept ones in its
-    degree, with coordinates taken in F/(I*F).  When ``modulo`` (a Groebner
-    basis of an auxiliary submodule B + I*F) is given, coordinates are taken
-    in F/B instead, yielding minimal generators of the image of <vectors>
-    there.
+    The reduced vectors go to ``minimal_by_degree`` by increasing degree,
+    with coordinates in F/(I*F); when ``modulo`` (a Groebner basis of an
+    auxiliary submodule B + I*F) is given, in F/B instead, yielding minimal
+    generators of the image of <vectors> there.
     """
     ring = ring_q.ambient
-    p = ring.p
     if modulo is None:
         reduce = mul_nf = partial(vec_nf_ideal, ring_q)
     else:
         reduce = modulo.normal_form
 
         def mul_nf(v, m):
-            return reduce(vec_mul_term(v, m, 1, p))
-    items = []
-    for i, v in enumerate(vectors):
+            return reduce(vec_mul_term(v, m, 1, ring.p))
+    by_degree = defaultdict(list)
+    for v in vectors:
         v = reduce(v)
         if not v:
             continue
         d = vec_degree(ring, v, twists)
         if d is None:
             raise InhomogeneousError("minimal_generators needs homogeneous input")
-        items.append((d, i, v))
-    items.sort(key=lambda t: (t[0], t[1]))
-    kept = []
-    idx = 0
-    while idx < len(items):
-        d = items[idx][0]
-        pivots = {}
-        for dg, g in kept:
-            e = d - dg
-            if e < 0:
-                continue
-            for m in ring.monomials_of_degree(e):
-                row_insert(mul_nf(g, m), pivots, None, p)
-        while idx < len(items) and items[idx][0] == d:
-            v = items[idx][2]
-            if row_insert(dict(v), pivots, None, p) is not None:
-                kept.append((d, v))
-            idx += 1
-    return [g for _, g in kept]
+        by_degree[d].append(v)
+    if not by_degree:
+        return []
+    return minimal_by_degree(ring, ((d, by_degree.get(d, ())) for d in
+                                    range(min(by_degree), max(by_degree) + 1)),
+                             mul_nf)
 
 
 # ---------------------------------------------------------------------------

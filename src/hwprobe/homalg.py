@@ -29,7 +29,10 @@ the maps into and out of position i as block matrices over N.
 * Over dim > 0, ``tensor_cycle_data`` and ``hom_cycle_data`` turn the maps
   into cycle data ``(twists, Z, B)``, or None when C_i or N is zero, which
   ``subquotient``, ``h_length`` and ``subquotient_is_zero`` finish with
-  Groebner bases.  ``hom_data`` presents Hom this way in every dimension.
+  Groebner bases.
+
+Hom is Ext^0 and takes the same route; ``biduality_map`` reads the
+generators of M* and M** that ``module_at`` returns with each module.
 """
 
 from itertools import combinations
@@ -43,6 +46,9 @@ from .modules import (
     GradedMap,
     HypothesisError,
     PresentedModule,
+    _free_tensor_rels,
+    _tensor_block_cols,
+    _tensor_twists,
     free_module,
     homology_length,
     ring_blocks,
@@ -55,28 +61,6 @@ from .ring import memoized
 
 # ---------------------------------------------------------------------------
 # block matrices for (-) (x) N and Hom(-, N) on free complexes
-
-
-def _tensor_block_cols(d_cols, g_n):
-    """Columns of d (x) 1_N; source component (c, k) flattens to c*g_n + k."""
-    out = []
-    for col in d_cols:
-        for k in range(g_n):
-            out.append({(j * g_n + k, m): coef for (j, m), coef in col.items()})
-    return out
-
-
-def _free_tensor_rels(n_comps, n_module):
-    g_n = n_module.ngens
-    out = []
-    for c in range(n_comps):
-        for rel in n_module.rels:
-            out.append({(c * g_n + k, m): coef for (k, m), coef in rel.items()})
-    return out
-
-
-def _tensor_twists(f_twists, n_module):
-    return tuple(t + b for t in f_twists for b in n_module.twists)
 
 
 def _hom_block_cols(d_cols, n_src_comps, g_n):
@@ -162,20 +146,21 @@ def hom_cycle_data(cx, n, i):
 
 def module_at(side, cx, n, i):
     """The (co)homology module at i of ``side`` (``tensor_maps`` or
-    ``hom_maps``) applied to C and N.
+    ``hom_maps``) applied to C and N, with its generators.
 
-    This, ``length_at`` and ``vanishes_at`` are where the method is chosen:
-    over an Artinian ring, F_p linear algebra degree by degree; otherwise
-    cycle data finished with Groebner bases.
+    Returns ``(module, vectors)``: vector j lies in the middle module
+    (C_i (x) N or Hom(C_i, N), in the block layout of ``side``) and
+    represents generator j.  This, ``length_at`` and ``vanishes_at`` are
+    where the method is chosen: over an Artinian ring, F_p linear algebra
+    degree by degree; otherwise cycle data finished with Groebner bases.
     """
     maps = side(cx, n, i)
     if cx.ring.dim == 0:
         return _strand_module(n, maps)
     data = _cycle_data(n, maps)
     if data is None:
-        return PresentedModule(cx.ring, (), ())
-    mod, _ = subquotient(cx.ring, *data)
-    return mod
+        return PresentedModule(cx.ring, (), ()), []
+    return subquotient(cx.ring, *data)
 
 
 def h_length(ring, data):
@@ -224,7 +209,7 @@ def _strand_module(n, maps):
     """
     ring = n.ring
     if maps is None:
-        return PresentedModule(ring, (), ())
+        return PresentedModule(ring, (), ()), []
     f_i, _, outgoing, incoming, twists = maps
     middle = twists(f_i, n)
     blocks = _module_blocks(n)
@@ -233,7 +218,7 @@ def _strand_module(n, maps):
     gen_twists = tuple(vec_degree(ring.ambient, v, middle) for v in gens)
     rels = ring_blocks(ring).minimal_kernel(gen_twists, gens, blocks,
                                             target_mod=b)
-    return PresentedModule(ring, gen_twists, rels, normalize=False)
+    return PresentedModule(ring, gen_twists, rels, normalize=False), gens
 
 
 @memoized
@@ -275,7 +260,7 @@ def tor(m, n, i):
     _check_index("Tor", i)
     if i == 0:
         return tensor(m, n)
-    return module_at(tensor_maps, resolution_of(m, i + 1), n, i)
+    return module_at(tensor_maps, resolution_of(m, i + 1), n, i)[0]
 
 
 def tor_length(m, n, i):
@@ -297,57 +282,20 @@ def tor_is_zero(m, n, i):
 # Hom and Ext
 
 
-class HomData:
-    """Hom(M, N) with its generators realized as maps M -> N."""
-
-    def __init__(self, module, gen_maps, free_twists, kept, b_gens):
-        self.module = module
-        self.gen_maps = gen_maps
-        self.free_twists = free_twists
-        self.kept = kept
-        self.b_gens = b_gens
-
-
-def hom_data(m, n) -> HomData:
-    """Hom(M, N) as H^0 of Hom(F, N) for the presentation F_1 -> F_0 of M."""
-    ring = m.ring
-    if m.ring != n.ring:
-        raise HypothesisError("Hom over different rings")
-    data = hom_cycle_data(resolution_of(m, 1), n, 0)
-    if data is None:
-        return HomData(PresentedModule(ring, (), ()), [], (), [], [])
-    free_twists, z, b = data
-    g_n = n.ngens
-    mod, kept = subquotient(ring, free_twists, z, b)
-    amb = ring.ambient
-    maps = []
-    for v in kept:
-        shift = vec_degree(amb, v, free_twists)
-        cols = []
-        for j in range(m.ngens):
-            col = {}
-            for (c, mm), coef in v.items():
-                if c // g_n == j:
-                    col[(c % g_n, mm)] = coef
-            cols.append(col)
-        maps.append(GradedMap(m, n, cols, shift=shift))
-    return HomData(mod, maps, free_twists, kept, b)
+def ext(m, n, i):
+    """Ext^i(M, N) as a presented module; Ext^0 is Hom."""
+    _check_index("Ext", i)
+    return module_at(hom_maps, resolution_of(m, i + 1), n, i)[0]
 
 
 def hom(m, n):
-    """Hom_R(M, N) as a presented module."""
-    return hom_data(m, n).module
+    """Hom_R(M, N) = Ext^0(M, N) as a presented module."""
+    return ext(m, n, 0)
 
 
 def dual(m):
     """M* = Hom(M, R)."""
     return hom(m, free_module(m.ring, (0,)))
-
-
-def ext(m, n, i):
-    """Ext^i(M, N) as a presented module; Ext^0 is Hom."""
-    _check_index("Ext", i)
-    return module_at(hom_maps, resolution_of(m, i + 1), n, i)
 
 
 def ext_is_zero(m, n, i):
@@ -439,26 +387,30 @@ def grade(m):
 
 
 def biduality_map(m) -> GradedMap:
-    """The natural map M -> M**."""
+    """The natural map M -> M**.
+
+    A generator phi of M* = Hom(M, R) is a vector with component j the
+    image of generator j of M.  Generator j of M goes to evaluation at it,
+    the vector (phi(e_j))_phi in Hom(F, R) for F free on the generators of
+    M*, written in terms of the generators of M**; R has no relations, so
+    nothing is taken modulo.
+    """
     ring = m.ring
     r1 = free_module(ring, (0,))
-    hd1 = hom_data(m, r1)
-    hd2 = hom_data(hd1.module, r1)
-    if m.ngens == 0:
-        return GradedMap(m, hd2.module, [])
+    md, phis = module_at(hom_maps, resolution_of(m, 1), r1, 0)
+    mdd, evs = module_at(hom_maps, resolution_of(md, 1), r1, 0)
+    twists = tuple(-t for t in md.twists)
     cols = []
     for j in range(m.ngens):
-        ev = vec_from_polys(vec_component(phi.cols[j], 0)
-                            for phi in hd1.gen_maps)
+        ev = vec_from_polys(vec_component(phi, j) for phi in phis)
         if not ev:
             cols.append({})
             continue
-        coords = express_in_terms(ring, ev, hd2.kept, hd2.b_gens,
-                                  hd2.free_twists)
+        coords = express_in_terms(ring, ev, evs, [], twists)
         if coords is None:
             raise ArithmeticError("biduality image failed to land in Hom(M*, R)")
         cols.append(vec_from_polys(coords))
-    return GradedMap(m, hd2.module, cols)
+    return GradedMap(m, mdd, cols)
 
 
 def torsion_submodule(m, method="auto"):

@@ -14,6 +14,9 @@ Over an Artinian ring every graded piece is a finite F_p-space, and
 :class:`Blocks` is the one frame for linear algebra on them: ranks, images
 and minimal kernels degree by degree, shared by the resolution's strand
 step, the (co)homology modules of ``homalg`` and ``PresentedModule.length``.
+
+The column layout of M (x) N has one home here: ``tensor`` and the Tor maps
+of ``homalg`` both build on ``_tensor_block_cols`` and ``_free_tensor_rels``.
 """
 
 from functools import partial
@@ -23,6 +26,7 @@ from .freemod import matvec, row_insert, vec_component, vec_degree
 from .groebner import (
     InhomogeneousError,
     kernel_into_quotient,
+    minimal_by_degree,
     minimal_generators,
     minimalize_presentation,
     module_groebner,
@@ -382,42 +386,34 @@ class Blocks:
         In degree D the rows are the images of the basis vectors x^m * e_j,
         each followed by an identity coordinate (key (-1, n), below every
         image key (component, monomial), so image entries pivot first); the
-        rows left with identity pivots span the kernel Z_D.  The vectors of
-        Z_D independent of sum_x x * Z_{D - w(x)} are the new generators.
-        ``target_mod`` (``{D: pivots}`` in the target) takes the kernel into
-        the target modulo that subspace; ``source_mod`` (in the source, inside
-        the kernel) gives generators of the kernel modulo it instead.
+        rows left with identity pivots span the kernel Z_D.  Each Z_D goes to
+        ``groebner.minimal_by_degree``, which keeps the vectors independent
+        of sum_x x * Z_{D - w(x)}.  ``target_mod`` (``{D: pivots}`` in the
+        target) takes the kernel into the target modulo that subspace;
+        ``source_mod`` (in the source, inside the kernel) gives generators of
+        the kernel modulo it instead.
         """
         if not twists:
             return []
-        amb = self.ring.ambient
-        p = amb.p
+        p = self.ring.p
         g = len(self.std)
         tables = [self.std[j % g] for j in range(len(twists))]
-        variables = [(tuple(int(i == k) for i in range(amb.nvars)), w)
-                     for k, w in enumerate(amb.weights)]
-        kernels = {}
-        out = []
-        for d in range(min(twists),
-                       max(a + len(t) for a, t in zip(twists, tables))):
-            basis = [(j, m) for j, a in enumerate(twists)
-                     if 0 <= d - a < len(tables[j]) for m in tables[j][d - a]]
-            if not basis:
-                continue
-            pivots = dict(target_mod.get(d, {})) if target_mod else {}
-            for n, (j, m) in enumerate(basis):
-                row = target.mul_nf(cols[j], m)
-                row[(-1, n)] = 1
-                row_insert(row, pivots, None, p)
-            z_d = [{basis[n]: c for (_, n), c in row.items()}
-                   for (comp, _), row in pivots.items() if comp < 0]
-            kernels[d] = z_d
-            span = dict(source_mod.get(d, {})) if source_mod else {}
-            for x, w in variables:
-                for z in kernels.get(d - w, ()):
-                    row_insert(self.mul_nf(z, x), span, None, p)
-            out.extend(z for z in z_d if row_insert(dict(z), span, None, p))
-        return out
+
+        def kernels():
+            for d in range(min(twists),
+                           max(a + len(t) for a, t in zip(twists, tables))):
+                basis = [(j, m) for j, a in enumerate(twists)
+                         if 0 <= d - a < len(tables[j]) for m in tables[j][d - a]]
+                pivots = dict(target_mod.get(d, {})) if target_mod else {}
+                for n, (j, m) in enumerate(basis):
+                    row = target.mul_nf(cols[j], m)
+                    row[(-1, n)] = 1
+                    row_insert(row, pivots, None, p)
+                yield d, [{basis[n]: c for (_, n), c in row.items()}
+                          for (comp, _), row in pivots.items() if comp < 0]
+
+        return minimal_by_degree(self.ring.ambient, kernels(), self.mul_nf,
+                                 source_mod)
 
 
 @memoized
@@ -502,17 +498,33 @@ class GradedMap:
 # tensor products
 
 
+def _tensor_block_cols(d_cols, g_n):
+    """Columns of d (x) 1_N; source component (c, k) flattens to c*g_n + k."""
+    out = []
+    for col in d_cols:
+        for k in range(g_n):
+            out.append({(j * g_n + k, m): coef for (j, m), coef in col.items()})
+    return out
+
+
+def _free_tensor_rels(n_comps, n_module):
+    """Columns of 1_F (x) P_N for F free on ``n_comps`` components."""
+    g_n = n_module.ngens
+    out = []
+    for c in range(n_comps):
+        for rel in n_module.rels:
+            out.append({(c * g_n + k, m): coef for (k, m), coef in rel.items()})
+    return out
+
+
+def _tensor_twists(f_twists, n_module):
+    return tuple(t + b for t in f_twists for b in n_module.twists)
+
+
 def tensor(m, n):
     """M (x) N, presented on generator pairs by [P_M (x) 1 | 1 (x) P_N]."""
     if m.ring != n.ring:
         raise HypothesisError("tensor over different rings")
-    gm, gn = m.ngens, n.ngens
-    twists = tuple(a + b for a in m.twists for b in n.twists)
-    cols = []
-    for rel in m.rels:
-        for k in range(gn):
-            cols.append({(j * gn + k, mm): c for (j, mm), c in rel.items()})
-    for rel in n.rels:
-        for j in range(gm):
-            cols.append({(j * gn + k, mm): c for (k, mm), c in rel.items()})
-    return PresentedModule(m.ring, twists, cols)
+    return PresentedModule(m.ring, _tensor_twists(m.twists, n),
+                           _tensor_block_cols(m.rels, n.ngens)
+                           + _free_tensor_rels(m.ngens, n))

@@ -8,15 +8,17 @@ of two ways to do it:
 * dim R > 0: the R-syzygies of the columns come from a tracked Schreyer run
   (``syzygies_over_quotient``) and are cut down by ``minimal_generators``;
 * dim R = 0: every graded piece of a free module is a finite F_p-space with
-  basis (generator j, standard monomial m), so the kernel in degree D is the
-  nullspace of one sparse matrix, and the new minimal generators in degree D
-  are the kernel vectors independent of sum_x x * Z_{D - w(x)} (the strand
-  frame of La Scala and Stillman, JSC 1998).  No Buchberger run is needed.
+  basis (generator j, standard monomial m), so the kernel Z_D in degree D is
+  the nullspace of one sparse matrix and no Buchberger run is needed.
   ``modules.Blocks.minimal_kernel`` does this step; the (co)homology
   modules of ``homalg`` use the same routine for their generators and
   relations.
 
-Both fill the same ``diffs`` and ``level_twists``.  Each module has one
+Both cut down to minimal generators with one test, the strand test of La
+Scala and Stillman (JSC 1998) in ``groebner.minimal_by_degree``: a vector of
+degree D is kept iff it is independent of sum_x x * span_{D - w(x)} and of
+the earlier vectors of degree D.  Both fill the same ``diffs`` and
+``level_twists``.  Each module has one
 resolution, memoized on it and extended on demand; it always holds a fully
 computed prefix.
 """

@@ -216,7 +216,7 @@ def complete_resolution(module: PresentedModule, q=None,
 
 def tate_tor(cr: CompleteResolution, n_module, i):
     """Tate homology at any integer index, as a presented module."""
-    return module_at(tensor_maps, cr, n_module, i)
+    return module_at(tensor_maps, cr, n_module, i)[0]
 
 
 def tate_tor_length(cr, n_module, i):
@@ -226,7 +226,7 @@ def tate_tor_length(cr, n_module, i):
 
 def tate_ext(cr: CompleteResolution, n_module, i):
     """Tate cohomology at any integer index, as a presented module."""
-    return module_at(hom_maps, cr, n_module, i)
+    return module_at(hom_maps, cr, n_module, i)[0]
 
 
 def tate_ext_length(cr, n_module, i):

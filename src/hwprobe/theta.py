@@ -12,7 +12,12 @@ import random
 from dataclasses import dataclass, field
 
 from .freemod import unit_vector, vec_from_polys
-from .groebner import express_in_terms, minimal_generators, minimalize_presentation
+from .groebner import (
+    express_in_terms,
+    kernel_into_quotient,
+    minimal_generators,
+    minimalize_presentation,
+)
 from .homalg import depth, dual, ext_is_zero, tensor, tor_length, torsion_submodule
 from .isomorphism import ISO, is_isomorphic
 from .modules import (
@@ -20,6 +25,7 @@ from .modules import (
     HypothesisError,
     PresentedModule,
     subquotient,
+    subquotient_is_zero,
 )
 from .resolution import betti_numbers, syzygy_module
 from .ring import memoized
@@ -42,6 +48,12 @@ class ThetaResult:
                 "lengths": {str(k): v for k, v in sorted(self.lengths.items())},
                 "replacement_index": self.replacement_index,
                 "periodicity": self.periodicity}
+
+
+def _second_syzygy_iso(t):
+    """The comparison of T with its trimmed second syzygy, up to a twist:
+    an ISO verdict certifies that T is two-periodic."""
+    return is_isomorphic(t, syzygy_module(t, 2, trim=True), allow_twist=True)
 
 
 class ThetaContext:
@@ -67,8 +79,7 @@ class ThetaContext:
             matrix_factorization_of(stable)
             self.periodicity = {"via": "matrix-factorization"}
         else:
-            cert = is_isomorphic(stable, syzygy_module(stable, 2, trim=True),
-                                 allow_twist=True)
+            cert = _second_syzygy_iso(stable)
             if cert.verdict != ISO:
                 raise HypothesisError(
                     "module is not eventually two-periodic "
@@ -127,15 +138,12 @@ def verify_short_exact(f: GradedMap, g: GradedMap):
         return False, "f has a kernel"
     if not g.is_surjective():
         return False, "g is not surjective"
-    from .groebner import kernel_into_quotient, module_groebner
     ring = f.ring
     y = f.target
     z = kernel_into_quotient(ring, list(g.cols), list(g.target.rels),
                              g.target.twists)
-    gb = module_groebner(ring, list(f.cols) + list(y.rels), y.twists)
-    for v in z:
-        if gb.normal_form(v):
-            return False, "ker g exceeds im f"
+    if not subquotient_is_zero(ring, y.twists, z, list(f.cols) + list(y.rels)):
+        return False, "ker g exceeds im f"
     return True, "exact"
 
 
@@ -237,8 +245,7 @@ def rigidity_probe(module, other, window=10):
                 matrix_factorization_of(trimmed)
                 hypotheses["two_periodic"] = True
             else:
-                cert = is_isomorphic(trimmed, syzygy_module(trimmed, 2, trim=True),
-                                     allow_twist=True)
+                cert = _second_syzygy_iso(trimmed)
                 hypotheses["two_periodic"] = cert.verdict == ISO
         except HypothesisError:
             hypotheses["two_periodic"] = False
@@ -307,8 +314,7 @@ def hw_check(module: PresentedModule, window=8):
             raise ArithmeticError("Ext^1 cross-check disagrees with torsion")
         report["two_periodic"] = True  # certified by the matrix factorization
     else:
-        cert = is_isomorphic(trimmed, syzygy_module(trimmed, 2, trim=True),
-                             allow_twist=True)
+        cert = _second_syzygy_iso(trimmed)
         report["two_periodic"] = cert.verdict == ISO
     if torsion_len > 0:
         report["verdict"] = CONJECTURE_HOLDS

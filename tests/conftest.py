@@ -1,6 +1,10 @@
+from functools import partial
+
 import pytest
 
 from hwprobe import define_ring, ideal_module, parse_polynomial, quotient_module
+from hwprobe.freemod import row_insert, vec_degree, vec_mul_term
+from hwprobe.groebner import InhomogeneousError, vec_nf_ideal
 
 
 def poly(ring_q, text):
@@ -85,3 +89,49 @@ def fermat_dim1():
 @pytest.fixture(scope="session")
 def torus_dim1():
     return define_ring(["x", "y"], [5, 2], 101, ["x^2 - y^5"], domain=True)
+
+
+def reference_minimal_generators(ring_q, vectors, twists, modulo=None):
+    """The package's earlier ``minimal_generators``, kept as a reference.
+
+    Generators are processed by increasing degree; one is kept iff it is
+    linearly independent, in its degree, of every kept generator times every
+    monomial of the complementary degree.  It shares no code with the strand
+    test that the package uses now.
+    """
+    ring = ring_q.ambient
+    p = ring.p
+    if modulo is None:
+        reduce = mul_nf = partial(vec_nf_ideal, ring_q)
+    else:
+        reduce = modulo.normal_form
+
+        def mul_nf(v, m):
+            return reduce(vec_mul_term(v, m, 1, p))
+    items = []
+    for i, v in enumerate(vectors):
+        v = reduce(v)
+        if not v:
+            continue
+        d = vec_degree(ring, v, twists)
+        if d is None:
+            raise InhomogeneousError("minimal_generators needs homogeneous input")
+        items.append((d, i, v))
+    items.sort(key=lambda t: (t[0], t[1]))
+    kept = []
+    idx = 0
+    while idx < len(items):
+        d = items[idx][0]
+        pivots = {}
+        for dg, g in kept:
+            e = d - dg
+            if e < 0:
+                continue
+            for m in ring.monomials_of_degree(e):
+                row_insert(mul_nf(g, m), pivots, None, p)
+        while idx < len(items) and items[idx][0] == d:
+            v = items[idx][2]
+            if row_insert(dict(v), pivots, None, p) is not None:
+                kept.append((d, v))
+            idx += 1
+    return [g for _, g in kept]

@@ -4,6 +4,7 @@ from hwprobe import (
     HypothesisError,
     ISO,
     GradedMap,
+    PresentedModule,
     biduality_map,
     define_ring,
     depth,
@@ -24,7 +25,8 @@ from hwprobe import (
     torsion_submodule,
     transpose,
 )
-from hwprobe.homalg import ext_is_zero, hom_data
+from hwprobe.homalg import ext_is_zero, hom_maps, module_at
+from hwprobe.resolution import resolution_of
 
 
 def P(rq, s):
@@ -60,11 +62,41 @@ def test_ideal_dual_rank_bookkeeping(threefold):
     assert eta.is_injective() and eta.is_surjective()
 
 
-def test_hom_generators_are_honest_maps(cusp, cusp_m):
-    hd = hom_data(cusp_m, cusp_m)
-    assert hd.module.ngens == len(hd.gen_maps)
-    for g in hd.gen_maps:
-        assert g.check()
+def hom_generator_maps(m, n):
+    """Hom(M, N) = Ext^0 with each generator vector of ``module_at`` read as
+    a map M -> N: block j of the vector is the image of generator j."""
+    h, gens = module_at(hom_maps, resolution_of(m, 1), n, 0)
+    assert h.ngens == len(gens)
+    g_n = n.ngens
+    maps = []
+    for v, shift in zip(gens, h.twists):
+        cols = [{(c % g_n, mm): coef for (c, mm), coef in v.items()
+                 if c // g_n == j} for j in range(m.ngens)]
+        maps.append(GradedMap(m, n, cols, shift=shift))
+    return h, maps
+
+
+def test_hom_generators_are_honest_maps(cusp, cusp_m, gp_ring):
+    from conftest import gp_matrix_cols
+    gp_n = PresentedModule(gp_ring, (0, 0), gp_matrix_cols(gp_ring, 1))
+    k = residue_field_module(gp_ring)
+    # the cycle-data route (dim 1) and the strand route (dim 0)
+    for m, n in ((cusp_m, cusp_m), (gp_n, gp_n), (gp_n, k), (k, gp_n)):
+        h, maps = hom_generator_maps(m, n)
+        assert maps
+        for g in maps:
+            assert g.check()
+            assert not g.is_zero()
+
+
+@pytest.mark.parametrize("ideal", [["x"], ["x", "y"], ["x*y"]])
+def test_biduality_is_an_isomorphism_over_artinian_gorenstein(ideal):
+    # over the Gorenstein ring k[x,y]/(x^2, y^2) every module is reflexive
+    r = define_ring(["x", "y"], [1, 1], 7, ["x^2", "y^2"])
+    m = quotient_module(r, [P(r, g) for g in ideal])
+    eta = biduality_map(m)
+    assert eta.check()
+    assert eta.is_injective() and eta.is_surjective()
 
 
 # -- transpose ---------------------------------------------------------------

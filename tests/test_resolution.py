@@ -141,8 +141,8 @@ def test_levels_below_f0_are_zero():
 
 def test_readers_extend_only_missing_levels(threefold, monkeypatch):
     # every extend call must build a level: reading an existing level
-    # (hom_data reads F_0, F_1 and d_1) costs no call
-    from hwprobe.homalg import hom_data
+    # (hom reads F_0, F_1 and d_1) costs no call
+    from hwprobe.homalg import hom
     calls = []
     real_extend = Resolution.extend
 
@@ -153,8 +153,8 @@ def test_readers_extend_only_missing_levels(threefold, monkeypatch):
     monkeypatch.setattr(Resolution, "extend", counting_extend)
     m = quotient_module(threefold, [P(threefold, "x"), P(threefold, "z")])
     n = quotient_module(threefold, [P(threefold, "x"), P(threefold, "y")])
-    hom_data(m, n)
-    hom_data(m, n)
+    hom(m, n)
+    hom(m, n)
     assert calls == []
     res = resolution_of(m, 1)
     assert res.twists_at(3) == (3, 3)

@@ -3,7 +3,8 @@
 The strand path of Resolution is checked against
 
 * a Groebner reference built here from ``syzygies_over_quotient`` and
-  ``minimal_generators`` (the dim > 0 path), compared on graded Betti tables;
+  ``reference_minimal_generators`` (the package's earlier monomial-product
+  minimality test, kept in ``conftest``), compared on graded Betti tables;
 * for the Koszul ring GP, the Poincare series 1/H_R(-t) (Froberg), from the
   ring's own Hilbert numerator;
 * the Betti-Hilbert identity sum (-1)^i beta_i(t) H_R(t) = H_M(t) below the
@@ -13,16 +14,22 @@ The rank path of ``length_at`` (Tor, Ext and Tate lengths from F_p ranks) is
 checked against the lengths of the cycle data that ``h_length`` finishes
 with Groebner bases, the dim > 0 path.
 
-The modules of ``module_at`` (Tor, Ext and Tate modules built degree by
-degree) are checked against the cycle-data modules that ``subquotient``
-presents, the dim > 0 path: an isomorphism certificate that passes its own
+The modules of ``module_at`` (Hom, Tor, Ext and Tate modules built degree
+by degree) are checked against the cycle-data modules that ``subquotient``
+presents, the dim > 0 path, run with ``reference_minimal_generators`` in
+place of the package's: an isomorphism certificate that passes its own
 check, equal Hilbert functions and lengths, and a presentation that
 normalizing does not shrink.
+
+``minimal_generators`` itself, the strand test in any dimension, is checked
+to keep exactly the vectors the reference keeps, over curves in dimension 1.
 """
 
 import sys
 from collections import Counter
+from unittest.mock import patch
 
+from conftest import gp_matrix_cols, reference_minimal_generators
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +39,12 @@ from hwprobe import (
     PresentedModule,
     complete_resolution,
     define_ring,
+    dual,
     ext,
+    free_module,
+    hom,
     is_isomorphic,
+    quotient_module,
     residue_field_module,
     tate_ext,
     tate_ext_length,
@@ -43,9 +54,11 @@ from hwprobe import (
     tor_length,
 )
 from hwprobe.freemod import vec_degree
+from hwprobe import modules
 from hwprobe.groebner import (
     kernel_into_quotient,
     minimal_generators,
+    module_groebner,
     syzygies_over_quotient,
 )
 from hwprobe.hilbert import hilbert_numerator, series_coefficients
@@ -75,7 +88,7 @@ def groebner_levels(module, window):
     while len(levels) <= window:
         if cols:
             syz = syzygies_over_quotient(ring, cols, levels[-2])
-            cols = minimal_generators(ring, syz, levels[-1])
+            cols = reference_minimal_generators(ring, syz, levels[-1])
         levels.append(tuple(vec_degree(amb, c, levels[-1]) for c in cols))
     return levels
 
@@ -88,7 +101,6 @@ def strand_resolution(module, window):
 
 
 def gp_n(gp_ring):
-    from conftest import gp_matrix_cols
     return PresentedModule(gp_ring, (0, 0), gp_matrix_cols(gp_ring, 1))
 
 
@@ -213,10 +225,13 @@ def test_gp_tate_lengths_match_groebner_reference(gp_ring):
 
 
 def cycle_data_module(ring, data):
-    """The reference: Z/B from cycle data, presented by ``subquotient``."""
+    """The reference: Z/B from cycle data, presented by ``subquotient`` with
+    the reference minimality test."""
     if data is None:
         return PresentedModule(ring, (), ())
-    return subquotient(ring, *data)[0]
+    with patch.object(modules, "minimal_generators",
+                      reference_minimal_generators):
+        return subquotient(ring, *data)[0]
 
 
 def assert_matches_reference(new, ref):
@@ -275,16 +290,14 @@ def test_random_artinian_modules_match_cycle_data(data):
     for i in range(4):
         for side, build in ((tensor_maps, tensor_cycle_data),
                             (hom_maps, hom_cycle_data)):
-            new = module_at(side, res, n, i)
+            new, _ = module_at(side, res, n, i)
             assert_matches_reference(
                 new, cycle_data_module(ring, build(res, n, i)))
             assert new.length() == length_at(side, res, n, i)
 
 
-def test_artinian_lengths_build_no_cycle_data(gp_ring, monkeypatch):
-    n = gp_n(gp_ring)
-    k = residue_field_module(gp_ring)
-    cr = complete_resolution(n, 4, window=2)
+def count_cycle_data_calls(monkeypatch):
+    """Record every call of the cycle-data routines; returns the list."""
     calls = []
     for orig in (kernel_into_quotient, homology_length, subquotient):
         def counting(*args, orig=orig):
@@ -296,6 +309,14 @@ def test_artinian_lengths_build_no_cycle_data(gp_ring, monkeypatch):
             if name.startswith("hwprobe.") and getattr(mod, orig.__name__,
                                                        None) is orig:
                 monkeypatch.setattr(mod, orig.__name__, counting)
+    return calls
+
+
+def test_artinian_lengths_build_no_cycle_data(gp_ring, monkeypatch):
+    n = gp_n(gp_ring)
+    k = residue_field_module(gp_ring)
+    cr = complete_resolution(n, 4, window=2)
+    calls = count_cycle_data_calls(monkeypatch)
     lengths = [tor_length(n, k, i) for i in range(1, 4)]
     lengths += [tate_tor_length(cr, n, i) for i in range(-2, 3)]
     assert lengths[:3] == [2, 2, 2]
@@ -304,3 +325,85 @@ def test_artinian_lengths_build_no_cycle_data(gp_ring, monkeypatch):
     modules += [f(cr, n, i) for f in (tate_tor, tate_ext) for i in range(-2, 3)]
     assert [mod.length() for mod in modules[9:12]] == [2, 2, 2]  # Ext(N, k)
     assert calls == []
+
+
+# -- Hom is Ext^0 --------------------------------------------------------------
+
+
+def test_artinian_hom_builds_no_cycle_data(gp_ring, monkeypatch):
+    n = gp_n(gp_ring)
+    r = define_ring(["x", "y"], [1, 1], 7, ["x^2", "y^2"])
+    x = r.variables()[0]
+    m = quotient_module(r, [x])
+    calls = count_cycle_data_calls(monkeypatch)
+    hom(n, n), dual(n)
+    md = dual(m)
+    assert calls == []
+    # Hom(R/(x), R) is the annihilator of x, the ideal (x) of length 2
+    assert md.length() == 2
+
+
+def test_gp_hom_and_dual_match_cycle_data(gp_ring):
+    n = gp_n(gp_ring)
+    res = resolution_of(n, 1)
+    r1 = free_module(gp_ring, (0,))
+    assert_matches_reference(
+        hom(n, n), cycle_data_module(gp_ring, hom_cycle_data(res, n, 0)))
+    assert_matches_reference(
+        dual(n), cycle_data_module(gp_ring, hom_cycle_data(res, r1, 0)))
+
+
+# -- one minimality test in every dimension ------------------------------------
+
+
+CURVES = [
+    # the cusp, A = k[t^3, t^4, t^5] and B = k[t^4, t^5, t^6]
+    (["x", "y"], [3, 2], 7, ["x^2 - y^3"]),
+    (["x", "y", "z"], [3, 4, 5], 101, ["x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y"]),
+    (["x", "y", "z"], [4, 5, 6], 101, ["y^2 - x*z", "z^2 - x^3"]),
+]
+CURVE_RINGS = [define_ring(*spec, order=order) for spec in CURVES
+               for order in ("grevlex", "lex")]
+
+
+def random_vector(data, amb, twists, d):
+    """A random homogeneous vector of degree d, possibly zero."""
+    v = {}
+    for j, a in enumerate(twists):
+        if d >= a:
+            for m, c in random_form(data, amb, d - a).items():
+                v[(j, m)] = c
+    return v
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_minimal_generators_keep_what_the_reference_keeps(data):
+    ring = data.draw(st.sampled_from(CURVE_RINGS))
+    amb = ring.ambient
+    top = max(amb.weights)
+    twists = tuple(data.draw(st.lists(st.integers(0, top), min_size=1,
+                                      max_size=2)))
+    lo = max(twists)
+    vectors = [random_vector(data, amb, twists, lo + data.draw(st.integers(0, 2 * top)))
+               for _ in range(data.draw(st.integers(1, 5)))]
+    # redundant ones too: monomial multiples and sums of the first ones
+    for _ in range(data.draw(st.integers(0, 4))):
+        v = data.draw(st.sampled_from(vectors))
+        m = data.draw(st.sampled_from(
+            [m for e in range(top + 1) for m in amb.monomials_of_degree(e)]))
+        w = {(j, tuple(a + b for a, b in zip(t, m))): c for (j, t), c in v.items()}
+        u = data.draw(st.sampled_from(vectors))
+        if vec_degree(amb, u, twists) == vec_degree(amb, w, twists):
+            w = amb.add(w, u)
+        vectors.append(w)
+    vectors = [v for v in vectors if v]
+    order = data.draw(st.permutations(range(len(vectors))))
+    vectors = [vectors[i] for i in order]
+    assert minimal_generators(ring, vectors, twists) == \
+        reference_minimal_generators(ring, vectors, twists)
+    b = [random_vector(data, amb, twists, lo + data.draw(st.integers(0, top)))
+         for _ in range(data.draw(st.integers(1, 2)))]
+    gb = module_groebner(ring, [v for v in b if v], twists)
+    assert minimal_generators(ring, vectors, twists, modulo=gb) == \
+        reference_minimal_generators(ring, vectors, twists, modulo=gb)
