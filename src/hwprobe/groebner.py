@@ -12,6 +12,9 @@ reduction to zero certifies one syzygy of the *original* generators.  No pair
 selection criterion is applied in tracked runs; completeness of the certified
 syzygies depends on processing every pair.
 
+Lifts are batched: ``express_in_terms``, the one lift through a
+presentation, reduces a whole list of targets against one tracked run.
+
 Packed terms.  Inside the Buchberger core a term (component, monomial) is one
 int, its key under a ``freemod.TermOrder``, so the integer order is the term
 order.  The monomial part is the ring's linear form K (``ring.ORDERS``), so
@@ -502,11 +505,14 @@ def kernel_into_quotient(ring_q, map_cols, target_rels, target_twists):
     return out
 
 
-def express_in_terms(ring_q, v, gens, aux, twists):
-    """Coefficients c with ``v = sum(c_i * gens_i)`` modulo <aux> + I*F.
+def express_in_terms(ring_q, targets, gens, aux, twists):
+    """Lift each target through ``gens`` modulo <aux> + I*F.
 
-    Returns a list of polynomials (one per generator) or None when v does
-    not lie in the combined submodule.
+    One tracked run on ``[gens | aux | I-blocks]`` serves the whole batch;
+    each target is then reduced against its basis with tracking.  Returns,
+    per target, None when it does not lie in the combined submodule, else
+    the vector c with ``target = sum(c_i * gens_i)`` modulo <aux> + I*F:
+    component i is the coefficient of ``gens_i``, reduced mod I.
     """
     ring = ring_q.ambient
     p = ring.p
@@ -514,18 +520,24 @@ def express_in_terms(ring_q, v, gens, aux, twists):
     combined = list(gens) + list(aux) + ideal_block_gens(ring_q, len(twists))
     basis, reps, _, rep_order = _buchberger_core(order, combined, twists,
                                                  track=True)
-    packed, _ = _pack(order, _slots(order, twists)[0], v)
+    slots = _slots(order, twists)[0]
     # the run's basis is monic and nonzero, so _prepare keeps its indices
-    r, quot = _reduce(order, packed, _prepare(order, basis), track=True)
-    if r:
-        return None
+    prepared = _prepare(order, basis)
     rsh = rep_order.bits - order.bits
-    coeff = {}
-    for idx, qd in quot.items():
-        for d, q in qd.items():
-            _isub_shifted(coeff, reps[idx], d << rsh, (-q) % p, p)
-    coeff = _unpack(rep_order, coeff)
-    return [ring_q.nf(vec_component(coeff, i)) for i in range(len(gens))]
+    out = []
+    for v in targets:
+        r, quot = _reduce(order, _pack(order, slots, v)[0], prepared, track=True)
+        if r:
+            out.append(None)
+            continue
+        coeff = {}
+        for idx, qd in quot.items():
+            for d, q in qd.items():
+                _isub_shifted(coeff, reps[idx], d << rsh, (-q) % p, p)
+        coeff = _unpack(rep_order, coeff)
+        out.append(vec_from_polys(ring_q.nf(vec_component(coeff, i))
+                                  for i in range(len(gens))))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -674,31 +686,6 @@ def poly_det(ring, entry, rows, cols):
         return total
 
     return rec(tuple(rows), tuple(cols))
-
-
-def invert_graded_matrix(ring_q, cols, row_twists):
-    """Inverse of a square graded matrix over R whose determinant is a unit."""
-    ring = ring_q.ambient
-    n = len(cols)
-    if n != len(row_twists):
-        raise ValueError("matrix must be square")
-
-    def entry(r, c):
-        return vec_component(cols[c], r)
-
-    det = ring_q.nf(poly_det(ring, entry, range(n), range(n)))
-    u = det.get(ring.zero_mono)
-    if len(det) != 1 or not u:
-        raise ValueError("matrix is not invertible over the quotient ring")
-    uinv = ring.field.inv(u)
-
-    def cofactor(i, j):
-        rows = tuple(r for r in range(n) if r != j)
-        cs = tuple(c for c in range(n) if c != i)
-        sign = -1 if (i + j) % 2 else 1
-        return ring_q.nf(ring.scale(poly_det(ring, entry, rows, cs), sign * uinv))
-
-    return [vec_from_polys(cofactor(i, j) for i in range(n)) for j in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -399,17 +399,12 @@ def biduality_map(m) -> GradedMap:
     r1 = free_module(ring, (0,))
     md, phis = module_at(hom_maps, resolution_of(m, 1), r1, 0)
     mdd, evs = module_at(hom_maps, resolution_of(md, 1), r1, 0)
-    twists = tuple(-t for t in md.twists)
-    cols = []
-    for j in range(m.ngens):
-        ev = vec_from_polys(vec_component(phi, j) for phi in phis)
-        if not ev:
-            cols.append({})
-            continue
-        coords = express_in_terms(ring, ev, evs, [], twists)
-        if coords is None:
-            raise ArithmeticError("biduality image failed to land in Hom(M*, R)")
-        cols.append(vec_from_polys(coords))
+    cols = express_in_terms(
+        ring, [vec_from_polys(vec_component(phi, j) for phi in phis)
+               for j in range(m.ngens)],
+        evs, [], tuple(-t for t in md.twists))
+    if None in cols:
+        raise ArithmeticError("biduality image failed to land in Hom(M*, R)")
     return GradedMap(m, mdd, cols)
 
 

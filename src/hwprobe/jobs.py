@@ -303,18 +303,25 @@ def _task_depth_zero(ctx, t):
                             window=min(ctx.bounds["window"], 8))
 
 
+def _window(t, default):
+    """The task's ``window``; a negative one would check nothing."""
+    window = int(t.get("window", default))
+    if window < 0:
+        raise JobError(f"{t['op']}: window must be >= 0, got {window}")
+    return window
+
+
 def _task_rigidity(ctx, t):
     m = ctx.module(t["module"])
     n = ctx.module(t["against"])
-    return rigidity_probe(m, n, window=int(t.get("window",
-                                                 ctx.bounds["window"])))
+    return rigidity_probe(m, n, window=_window(t, ctx.bounds["window"]))
 
 
 def _task_tate(ctx, t, kind):
     m = ctx.module(t["module"])
     n = ctx.module(t["against"])
     q = t.get("q")
-    window = int(t.get("window", min(ctx.bounds["window"], 6)))
+    window = _window(t, min(ctx.bounds["window"], 6))
     cr = complete_resolution(m, q, window=window)
     lo, hi = int(t.get("lo", -window)), int(t.get("hi", window))
     fn = tate_tor_length if kind == "tor" else tate_ext_length
@@ -327,7 +334,7 @@ def _task_tate(ctx, t, kind):
 def _task_periodicity(ctx, t):
     m = ctx.module(t["module"])
     q = t.get("q")
-    window = int(t.get("window", min(ctx.bounds["window"], 6)))
+    window = _window(t, min(ctx.bounds["window"], 6))
     cr = complete_resolution(m, q, window=window)
     return {"period": cr.q, "base_index": cr.base, "twist_per_period": cr.shift,
             "provenance": cr.provenance, "verified_window": window,

@@ -472,18 +472,21 @@ class GradedMap:
         gb = self.target.rel_gb()
         return all(not gb.normal_form(c) for c in self.cols)
 
+    def kernel_generators(self):
+        """Generators of the kernel's preimage in the free module on the
+        source's generators: ``{v : map(v) = 0 in the target}``."""
+        return kernel_into_quotient(self.ring, list(self.cols),
+                                    list(self.target.rels), self.target.twists)
+
     def kernel(self):
         """Returns ``(K, iota)`` with iota: K -> source the inclusion."""
-        z = kernel_into_quotient(self.ring, list(self.cols),
-                                 list(self.target.rels), self.target.twists)
-        k, kept = subquotient(self.ring, self.source.twists, z,
-                              list(self.source.rels))
+        k, kept = subquotient(self.ring, self.source.twists,
+                              self.kernel_generators(), list(self.source.rels))
         return k, GradedMap(k, self.source, kept)
 
     def is_injective(self) -> bool:
-        z = kernel_into_quotient(self.ring, list(self.cols),
-                                 list(self.target.rels), self.target.twists)
-        return subquotient_is_zero(self.ring, self.source.twists, z,
+        return subquotient_is_zero(self.ring, self.source.twists,
+                                   self.kernel_generators(),
                                    list(self.source.rels))
 
     def cokernel(self):

@@ -3,15 +3,16 @@
 Over a hypersurface R = S/(f), a maximal Cohen-Macaulay module without free
 summands is the cokernel of a matrix factorization (A, B) with
 AB = BA = f*I exactly over S; the doubly infinite complex alternating A and
-B is totally acyclic and serves as the period-2 complete resolution.  Other
-even periods are detected from the minimal resolution: an isomorphism
-between distant syzygies, certified by an invertible change of basis, closes
-the resolution into a cycle.  Total acyclicity of the cycle and of its dual
-is always verified on a window.
+B is totally acyclic and serves as the period-2 complete resolution.  The
+factorization certifies MCM; depth only words a rejection.  Other even
+periods are detected from the minimal resolution: an isomorphism between
+distant syzygies, certified by an invertible change of basis, closes the
+resolution into a cycle.  Total acyclicity of the cycle and of its dual is
+always verified on a window.
 """
 
-from .freemod import compose_cols, vec_degree, vec_from_polys
-from .groebner import express_in_terms, invert_graded_matrix, vec_nf_ideal
+from .freemod import compose_cols, unit_vector, vec_degree
+from .groebner import express_in_terms, vec_nf_ideal
 from .homalg import depth, hom_maps, length_at, module_at, tensor_maps, vanishes_at
 from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
@@ -58,8 +59,11 @@ class MatrixFactorization:
 def matrix_factorization_of(module: PresentedModule) -> MatrixFactorization:
     """The reduced matrix factorization presenting an MCM module.
 
-    The minimal presentation lifts to S as A; the second matrix B is found by
-    expressing f*e_j in the columns of A over S (exact division tracking).
+    The minimal presentation lifts to S as A, and B lifts each f*e_j through
+    A's columns.  The lift certifies MCM: AB = f*I gives pd_S coker A <= 1,
+    so depth = dim R (Auslander-Buchsbaum); Eisenbud gives the converse for
+    minimal presentations without free summands.  Depth only words a
+    rejection.
     """
     ring = module.ring
     if not ring.is_hypersurface:
@@ -69,26 +73,25 @@ def matrix_factorization_of(module: PresentedModule) -> MatrixFactorization:
     trimmed, free = module.trim_free_summands()
     if free:
         raise HypothesisError("module has free summands; trim them first")
+    a_cols = list(module.rels)
+    square = len(a_cols) == module.ngens
+    if square:
+        f = ring.hypersurface_poly
+        b_cols = express_in_terms(
+            QuotientRing(ring.ambient, []),
+            [{(j, m): c for m, c in f.items()} for j in range(module.ngens)],
+            a_cols, [], module.twists)
+        if None not in b_cols:
+            return MatrixFactorization(ring, a_cols, module.twists, b_cols)
     dep = depth(module)
     if dep != ring.dim:
         raise HypothesisError("module is not maximal Cohen-Macaulay "
                               f"(depth {dep} < dim {ring.dim})")
-    amb = ring.ambient
-    a_cols = list(module.rels)
-    if len(a_cols) != module.ngens:
+    if not square:
         raise HypothesisError("minimal presentation of an MCM module over a "
                               "hypersurface must be square")
-    triv = QuotientRing(amb, [])
-    f = ring.hypersurface_poly
-    b_cols = []
-    for j in range(module.ngens):
-        target = {(j, m): c for m, c in f.items()}
-        coords = express_in_terms(triv, target, a_cols, [], module.twists)
-        if coords is None:
-            raise RuntimeError("lift of f*I through the presentation failed; "
-                               "this indicates a bug, not a legal state")
-        b_cols.append(vec_from_polys(coords))
-    return MatrixFactorization(ring, a_cols, module.twists, b_cols)
+    raise RuntimeError("lift of f*I through the presentation failed; "
+                       "this indicates a bug, not a legal state")
 
 
 class CompleteResolution:
@@ -128,8 +131,11 @@ class CompleteResolution:
         Total acyclicity is H_i(T (x) R) = 0 and H^i(Hom(T, R)) = 0.  The
         differentials repeat with period q and a twist changes no vanishing,
         so one index per residue class mod q decides for the whole window:
-        each range stops after its first q indices.
+        each range stops after its first q indices.  A negative window would
+        check nothing, so it is a ValueError.
         """
+        if window < 0:
+            raise ValueError(f"window must be >= 0, got {window}")
         ring = self.ring
         amb = ring.ambient
         end = self.q - window
@@ -194,9 +200,13 @@ def complete_resolution(module: PresentedModule, q=None,
         shift = -cert.twist
         v_cols = cert.certificate.cols
         amb = ring.ambient
-        v_inv = invert_graded_matrix(ring, v_cols,
-                                     tuple(t + shift for t in
-                                           res.twists_at(i0)))
+        row_twists = tuple(t + shift for t in res.twists_at(i0))
+        # V^-1 lifts each e_j through V's columns; ISO makes V square
+        v_inv = express_in_terms(ring, [unit_vector(amb, j) for j in
+                                        range(len(row_twists))],
+                                 v_cols, [], row_twists)
+        if None in v_inv:
+            raise ValueError("matrix is not invertible over the quotient ring")
         levels = [res.twists_at(i0 + k) for k in range(q)]
         levels.append(tuple(t + shift for t in res.twists_at(i0)))
         cycle = [list(res.differential(i0 + k + 1)) for k in range(q - 1)]

@@ -11,10 +11,9 @@ always certifies stabilization by recomputing at the next stable index.
 import random
 from dataclasses import dataclass, field
 
-from .freemod import unit_vector, vec_from_polys
+from .freemod import unit_vector
 from .groebner import (
     express_in_terms,
-    kernel_into_quotient,
     minimal_generators,
     minimalize_presentation,
 )
@@ -138,11 +137,9 @@ def verify_short_exact(f: GradedMap, g: GradedMap):
         return False, "f has a kernel"
     if not g.is_surjective():
         return False, "g is not surjective"
-    ring = f.ring
     y = f.target
-    z = kernel_into_quotient(ring, list(g.cols), list(g.target.rels),
-                             g.target.twists)
-    if not subquotient_is_zero(ring, y.twists, z, list(f.cols) + list(y.rels)):
+    if not subquotient_is_zero(f.ring, y.twists, g.kernel_generators(),
+                               list(f.cols) + list(y.rels)):
         return False, "ker g exceeds im f"
     return True, "exact"
 
@@ -168,14 +165,11 @@ def cokernel_with_projection(f: GradedMap):
     rels2 = minimal_generators(ring, cols2, twists2)
     z = PresentedModule(ring, twists2, rels2, normalize=False)
     amb = ring.ambient
-    gens = [unit_vector(amb, r) for r in kept_rows]
-    proj_cols = []
-    for j in range(y.ngens):
-        coords = express_in_terms(ring, unit_vector(amb, j), gens, cols,
-                                  y.twists)
-        if coords is None:
-            raise ArithmeticError("projection to the cokernel failed")
-        proj_cols.append(vec_from_polys(coords))
+    proj_cols = express_in_terms(
+        ring, [unit_vector(amb, j) for j in range(y.ngens)],
+        [unit_vector(amb, r) for r in kept_rows], cols, y.twists)
+    if None in proj_cols:
+        raise ArithmeticError("projection to the cokernel failed")
     return z, GradedMap(y, z, proj_cols)
 
 

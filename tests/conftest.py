@@ -3,8 +3,14 @@ from functools import partial
 import pytest
 
 from hwprobe import define_ring, ideal_module, parse_polynomial, quotient_module
-from hwprobe.freemod import row_insert, vec_degree, vec_mul_term
-from hwprobe.groebner import InhomogeneousError, vec_nf_ideal
+from hwprobe.freemod import (
+    row_insert,
+    vec_component,
+    vec_degree,
+    vec_from_polys,
+    vec_mul_term,
+)
+from hwprobe.groebner import InhomogeneousError, poly_det, vec_nf_ideal
 
 
 def poly(ring_q, text):
@@ -135,3 +141,33 @@ def reference_minimal_generators(ring_q, vectors, twists, modulo=None):
                 kept.append((d, v))
             idx += 1
     return [g for _, g in kept]
+
+
+def reference_invert_graded_matrix(ring_q, cols, row_twists):
+    """The package's earlier inverse by cofactor expansion, kept as a
+    reference for the inverse by lifting.
+
+    Inverse of a square graded matrix over R whose determinant is a unit;
+    ValueError otherwise.  It makes no tracked Buchberger run.
+    """
+    ring = ring_q.ambient
+    n = len(cols)
+    if n != len(row_twists):
+        raise ValueError("matrix must be square")
+
+    def entry(r, c):
+        return vec_component(cols[c], r)
+
+    det = ring_q.nf(poly_det(ring, entry, range(n), range(n)))
+    u = det.get(ring.zero_mono)
+    if len(det) != 1 or not u:
+        raise ValueError("matrix is not invertible over the quotient ring")
+    uinv = ring.field.inv(u)
+
+    def cofactor(i, j):
+        rows = tuple(r for r in range(n) if r != j)
+        cs = tuple(c for c in range(n) if c != i)
+        sign = -1 if (i + j) % 2 else 1
+        return ring_q.nf(ring.scale(poly_det(ring, entry, rows, cs), sign * uinv))
+
+    return [vec_from_polys(cofactor(i, j) for i in range(n)) for j in range(n)]

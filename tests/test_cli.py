@@ -106,6 +106,19 @@ def test_negative_tor_index_is_input_error(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_negative_window_is_input_error(tmp_path):
+    jobfile = tmp_path / "bad.json"
+    jobfile.write_text(json.dumps({
+        "field": 7, "variables": ["x", "y"], "weights": [3, 2],
+        "ideal": ["x^2 - y^3"],
+        "modules": {"m": {"type": "ideal", "gens": ["x", "y"]}},
+        "tasks": [{"op": "periodicity", "module": "m", "window": -5}]}))
+    out = run_cli("run", str(jobfile))
+    assert out.returncode == 2, out.stderr
+    assert "window must be >= 0" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_selftest_quick():
     out = run_cli("selftest", "--quick")
     assert out.returncode == 0, out.stdout + out.stderr

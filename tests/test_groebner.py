@@ -247,21 +247,20 @@ def test_express_in_terms_round_trip(cusp, cusp_m):
         for (c, m), coef in vec_mul_term(g, mono_scale, 1, 7).items():
             target[(c, m)] = (target.get((c, m), 0) + coef) % 7
     target = {t: c for t, c in target.items() if c}
-    coords = express_in_terms(cusp, target, gens, [], cusp_m.twists)
+    [coords] = express_in_terms(cusp, [target], gens, [], cusp_m.twists)
     assert coords is not None
     rebuilt = {}
-    for poly, g in zip(coords, gens):
-        for m, c in poly.items():
-            for (cc, mm), coef in vec_mul_term(g, m, c, 7).items():
-                v = (rebuilt.get((cc, mm), 0) + coef) % 7
-                if v:
-                    rebuilt[(cc, mm)] = v
-                else:
-                    rebuilt.pop((cc, mm), None)
+    for (i, m), c in coords.items():
+        for (cc, mm), coef in vec_mul_term(gens[i], m, c, 7).items():
+            v = (rebuilt.get((cc, mm), 0) + coef) % 7
+            if v:
+                rebuilt[(cc, mm)] = v
+            else:
+                rebuilt.pop((cc, mm), None)
     assert vec_nf_ideal(cusp, amb.sub(target, rebuilt)) == {}
     # an element outside the submodule has no expression
     outside = {(0, amb.zero_mono): 1}
-    assert express_in_terms(cusp, outside, gens, [], cusp_m.twists) is None
+    assert express_in_terms(cusp, [outside], gens, [], cusp_m.twists) == [None]
 
 
 def test_random_ideals_match_independent_cas():

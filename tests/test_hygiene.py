@@ -102,7 +102,9 @@ def _unset_defaults(def_sources, call_sources):
     A call ``f(...)`` or ``obj.f(...)`` matches every def named ``f``, and
     ``C(...)`` matches ``C.__init__``.  It sets a parameter when it passes it
     by keyword, passes enough positional arguments to reach it, or uses
-    ``*`` or ``**``.  Returns ``(path, line, def name, parameter)``.
+    ``*`` or ``**``.  A ``partial(f, ...)`` sets every parameter of ``f``:
+    the calls of the partial object are not traced.  Returns
+    ``(path, line, def name, parameter)``.
     """
     calls = defaultdict(list)  # callee name -> [(positional count, keywords)]
     for source in call_sources.values():
@@ -110,7 +112,11 @@ def _unset_defaults(def_sources, call_sources):
             if not isinstance(node, ast.Call):
                 continue
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+            if name == "partial" and node.args:
+                name = getattr(node.args[0], "id",
+                               getattr(node.args[0], "attr", None))
+                calls[name].append((float("inf"), set()))
+            elif any(isinstance(a, ast.Starred) for a in node.args) or any(
                     k.arg is None for k in node.keywords):
                 calls[name].append((float("inf"), set()))
             else:
@@ -147,8 +153,10 @@ def test_unset_defaults_are_detected():
     lib = ("def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n\n"
            "class C:\n    def __init__(self, x=0, y=0):\n        pass\n\n"
            "    def m(self, z=0):\n        return z\n\n\n"
-           "def g(u=0):\n    return u\n")
-    caller = ("f(0, 1, d=2)\nC(1)\nC().m()\ng(*[])\n")
+           "def g(u=0):\n    return u\n\n\n"
+           "def h(v, w=0):\n    return v + w\n")
+    caller = ("f(0, 1, d=2)\nC(1)\nC().m()\ng(*[])\n"
+              "functools.partial(h, 1)(2)\n")
     assert _unset_defaults({"lib.py": lib}, {"main.py": caller}) == [
         ("lib.py", 1, "f", "c"), ("lib.py", 1, "f", "e"),
         ("lib.py", 6, "__init__", "y"), ("lib.py", 9, "m", "z")]

@@ -206,6 +206,17 @@ def test_tor_lengths_negative_lo_is_rejected():
         run_job(spec)
 
 
+@pytest.mark.parametrize("op", ["periodicity", "tate_tor", "tate_ext",
+                                "rigidity_probe"])
+def test_negative_window_is_rejected(op):
+    # a negative window checks nothing, so it must not be reported verified
+    task = {"op": op, "module": "m", "window": -5}
+    if op != "periodicity":
+        task["against"] = "m"
+    with pytest.raises(JobError, match=f"{op}: window must be >= 0, got -5"):
+        run_job(minimal_spec(tasks=[task]))
+
+
 def test_emit_rejects_unknown_format():
     report = run_job(minimal_spec())
     with pytest.raises(ValueError):

@@ -67,6 +67,19 @@ def test_complete_resolution_verifies(cusp, cusp_m):
     assert cr.verify(4)
 
 
+def test_verify_rejects_negative_window(cusp, cusp_m):
+    # B replaced by zero keeps d^2 = 0 but leaves homology: not exact, and a
+    # negative window must not report it verified
+    from hwprobe.tate import CompleteResolution
+    cr = complete_resolution(cusp_m, 2, window=4)
+    broken = CompleteResolution(cusp, 2, 0, [cr.cycle[0], [{}] * len(cr.cycle[1])],
+                                cr.levels, cr.shift, {})
+    assert not broken.verify(2)
+    for c in (cr, broken):
+        with pytest.raises(ValueError, match="window must be >= 0"):
+            c.verify(-3)
+
+
 def test_pd_finite_module_has_no_complete_resolution(threefold):
     rx = quotient_module(threefold, [P(threefold, "x")])
     with pytest.raises(HypothesisError):
