@@ -7,10 +7,22 @@ taking a ``ring_q`` argument only use its ``ambient``, ``gb``, ``nf`` and
 ``mono_nf`` attributes.
 
 Syzygies come from Schreyer's construction: the basis is accumulated without
-discarding, every S-pair is reduced with tracked division quotients, and each
-reduction to zero certifies one syzygy of the *original* generators.  No pair
-selection criterion is applied in tracked runs; completeness of the certified
-syzygies depends on processing every pair.
+discarding, S-pairs are reduced with tracked division quotients, and each
+reduction to zero certifies one syzygy of the *original* generators.
+
+Pair criteria.  Pairs leave a heap by degree, and Buchberger's two criteria
+skip those that cannot add anything (Gebauer and Moeller, JSC 1988):
+
+* chain, in every run: (i, j) is skipped when some LT_k divides
+  lcm(LT_i, LT_j) and neither (i, k) nor (j, k) is still on the heap.  The
+  leading syzygy of (i, j) is then a combination of those of two pairs that
+  left the heap earlier, so by induction on the pop order every skipped
+  pair is generated by treated ones, and the certified syzygies still
+  generate (Moeller, Mora and Traverso, JSC 1992);
+* product, in untracked runs only: (i, j) is skipped when both vectors lie
+  in one component and their leading monomials are coprime.  Over several
+  components coprime leading monomials prove nothing, and in a tracked run
+  the skipped pair's Koszul syzygy would be missing.
 
 Lifts are batched: ``express_in_terms``, the one lift through a
 presentation, reduces a whole list of targets against one tracked run.
@@ -226,13 +238,15 @@ def _buchberger_core(order, gens, twists, track=False):
     representation of each basis element in terms of the inputs and the
     syzygies of the inputs certified by reductions to zero (tracked runs
     only), and the Schreyer order of the inputs that packs those two (None
-    in untracked runs).
+    in untracked runs).  Pairs are skipped by the chain and product
+    criteria of the module docstring; the packing bound is checked for
+    every pair as it is formed, before either criterion.
     """
     ring = order.ring
     p = ring.p
     inv = ring.field.inv
     fields_lcm = ring.fields_lcm
-    fmask = ring.field_mask
+    fmask, guard = ring.field_mask, ring.guard
     bits, mask = order.bits, order.mask
     slots, rises = _slots(order, twists)
     packed = []
@@ -249,9 +263,11 @@ def _buchberger_core(order, gens, twists, track=False):
         rsh = rep_order.bits - bits
 
     basis, lts, fields, reps = [], [], [], []
+    solo = []  # untracked runs: whether basis[i] lies in one component
     by_code = defaultdict(list)
     prepared = (basis, lts, fields, by_code)
     heap = []
+    pending = set()  # (i, j), i < j, of the pairs on the heap
     seq = 0
     syzygies = []
 
@@ -268,6 +284,7 @@ def _buchberger_core(order, gens, twists, track=False):
         code = lt & mask
         f = -(lt >> bits) & fmask
         rise = rises[code]
+        one = not track and len({t & mask for t in v}) == 1
         for i in by_code[code]:
             deg, k = fields_lcm(fields[i], f)
             height = deg + rise
@@ -275,7 +292,10 @@ def _buchberger_core(order, gens, twists, track=False):
                 raise ValueError(f"an S-pair of degree {height} over the "
                                  f"lowest twist is past the packing bound "
                                  f"{DEGREE_LIMIT - 1}")
+            if one and solo[i] and -k & fmask == fields[i] + f:
+                continue  # product criterion
             heapq.heappush(heap, (height, seq, i, idx, (k << bits) | code))
+            pending.add((i, idx))
             seq += 1
         by_code[code].append(idx)
         basis.append(v)
@@ -283,6 +303,18 @@ def _buchberger_core(order, gens, twists, track=False):
         fields.append(f)
         if track:
             reps.append(rep)
+        else:
+            solo.append(one)
+
+    def chained(i, j, lcm):
+        """The chain criterion for the pair (i, j) with this lcm."""
+        f = -(lcm >> bits) & fmask | guard
+        for k in by_code[lcm & mask]:
+            if ((f - fields[k]) & guard == guard and k != i and k != j
+                    and ((i, k) if i < k else (k, i)) not in pending
+                    and ((j, k) if j < k else (k, j)) not in pending):
+                return True
+        return False
 
     for i, v in enumerate(packed):
         unit = {rep_order((i, ring.zero_mono)): 1} if track else None
@@ -294,6 +326,9 @@ def _buchberger_core(order, gens, twists, track=False):
 
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
+        pending.remove((i, j))
+        if chained(i, j, lcm):
+            continue
         di = lcm - lts[i]
         dj = lcm - lts[j]
         s = {t + di: c for t, c in basis[i].items()}

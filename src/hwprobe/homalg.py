@@ -4,7 +4,8 @@ Tor is the homology of (resolution of M) (x) N, Ext the cohomology of
 Hom(resolution, N); both land in subquotients of free modules over R that
 the syzygy engine presents.  Depth comes from Koszul homology on all ambient
 variables, grade from the first nonvanishing Ext against the ring, torsion
-from saturation (dimension one) or from the kernel of the biduality map.
+from saturation by one variable (dimension one) or from the kernel of the
+biduality map.
 
 Every (co)homology here, Tate (co)homology and the acyclicity check of a
 complete resolution included, goes through one path.  A complex of free
@@ -411,9 +412,11 @@ def biduality_map(m) -> GradedMap:
 def torsion_submodule(m, method="auto"):
     """The torsion submodule with its embedding into M.
 
-    Over a one-dimensional ring this is 0 :_M m^infinity computed by
-    saturation; in general (over an asserted domain) it is the kernel of the
-    biduality map.  Returns ``(T, iota)``.
+    Over a one-dimensional domain this is 0 :_M x^infinity for one variable
+    x that is nonzero in R, computed by saturation: x is regular on the
+    torsion-free M/T, and T has finite length, so a power of x kills it.
+    In general (over an asserted domain) it is the kernel of the biduality
+    map.  Returns ``(T, iota)``.
     """
     ring = m.ring
     if not ring.domain:
@@ -426,7 +429,8 @@ def torsion_submodule(m, method="auto"):
     if method == "saturation":
         if ring.dim != 1:
             raise HypothesisError("saturation torsion is the dimension-one path")
-        sat_cols, _ = saturate(ring, list(m.rels), m.twists, ring.variables())
+        x = next(v for v in ring.variables() if ring.nf(v))
+        sat_cols, _ = saturate(ring, list(m.rels), m.twists, [x])
         t, kept = subquotient(ring, m.twists, sat_cols, list(m.rels))
         return t, GradedMap(t, m, kept)
     if method == "biduality":

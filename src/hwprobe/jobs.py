@@ -255,10 +255,18 @@ class TaskContext:
         return self.modules[name]
 
 
+def _index_range(t, lo, hi):
+    """The task's ``lo`` and ``hi``; a swapped range would report nothing."""
+    lo, hi = int(t.get("lo", lo)), int(t.get("hi", hi))
+    if lo > hi:
+        raise JobError(f"{t['op']}: lo must be <= hi, got lo {lo} and hi {hi}")
+    return lo, hi
+
+
 def _task_tor_lengths(ctx, t):
     m = ctx.module(t["module"])
     n = ctx.module(t["against"])
-    lo, hi = int(t.get("lo", 0)), int(t.get("hi", ctx.bounds["window"]))
+    lo, hi = _index_range(t, 0, ctx.bounds["window"])
     if lo < 0:
         raise JobError(f"tor_lengths: lo must be >= 0, got {lo}")
     cap = lo + ctx.bounds["window"] * 4
@@ -322,8 +330,8 @@ def _task_tate(ctx, t, kind):
     n = ctx.module(t["against"])
     q = t.get("q")
     window = _window(t, min(ctx.bounds["window"], 6))
+    lo, hi = _index_range(t, -window, window)
     cr = complete_resolution(m, q, window=window)
-    lo, hi = int(t.get("lo", -window)), int(t.get("hi", window))
     fn = tate_tor_length if kind == "tor" else tate_ext_length
     return {"lengths": {str(i): _fmt_len(fn(cr, n, i))
                         for i in range(lo, hi + 1)},
@@ -374,8 +382,7 @@ def _task_invariants(ctx, t):
 
 def _task_hilbert(ctx, t):
     m = ctx.module(t["module"])
-    lo = int(t.get("lo", 0))
-    hi = int(t.get("hi", ctx.bounds["degree"]))
+    lo, hi = _index_range(t, 0, ctx.bounds["degree"])
     return {"lo": lo, "hi": hi,
             "values": m.hilbert_function(lo, hi)}
 

@@ -1,8 +1,17 @@
+import heapq
+from collections import defaultdict
 from functools import partial
+from itertools import count
 
 import pytest
 
-from hwprobe import define_ring, ideal_module, parse_polynomial, quotient_module
+from hwprobe import (
+    define_ring,
+    groebner,
+    ideal_module,
+    parse_polynomial,
+    quotient_module,
+)
 from hwprobe.freemod import (
     row_insert,
     vec_component,
@@ -10,6 +19,7 @@ from hwprobe.freemod import (
     vec_from_polys,
     vec_mul_term,
 )
+from hwprobe.freemod import schreyer_key
 from hwprobe.groebner import InhomogeneousError, poly_det, vec_nf_ideal
 
 
@@ -171,3 +181,79 @@ def reference_invert_graded_matrix(ring_q, cols, row_twists):
         return ring_q.nf(ring.scale(poly_det(ring, entry, rows, cs), sign * uinv))
 
     return [vec_from_polys(cofactor(i, j) for i in range(n)) for j in range(n)]
+
+
+def reference_buchberger_core(order, gens, twists, track=False):
+    """The package's earlier ``_buchberger_core``, kept as a reference.
+
+    Same inputs and outputs, but every pair of leading terms in a component
+    is reduced: no criterion skips a pair.  It does not check the packing
+    bound of S-pairs, so keep its inputs small.  Reductions go through
+    ``groebner._reduce`` looked up at call time, so a test can count them.
+    """
+    ring = order.ring
+    p = ring.p
+    bits, mask, fmask = order.bits, order.mask, ring.field_mask
+    slots, rises = groebner._slots(order, twists)
+    packed = []
+    for g in gens:
+        v, heights = groebner._pack(order, slots, g)
+        if len(heights) > 1:
+            raise InhomogeneousError("generators must be homogeneous")
+        packed.append(v)
+    rep_order = rsh = None
+    if track:
+        zero = order((0, ring.zero_mono))
+        rep_order = schreyer_key(order, [max(v) if v else zero for v in packed])
+        rsh = rep_order.bits - bits
+    basis, lts, fields, reps = [], [], [], []
+    by_code = defaultdict(list)
+    prepared = (basis, lts, fields, by_code)
+    heap = []
+    seq = count()
+    syzygies = []
+
+    def add(v, rep):
+        lt = max(v)
+        s = ring.field.inv(v[lt])
+        v = ring.scale(v, s)
+        idx = len(basis)
+        code = lt & mask
+        f = -(lt >> bits) & fmask
+        for i in by_code[code]:
+            deg, k = ring.fields_lcm(fields[i], f)
+            heapq.heappush(heap, (deg + rises[code], next(seq), i, idx,
+                                  (k << bits) | code))
+        by_code[code].append(idx)
+        basis.append(v)
+        lts.append(lt)
+        fields.append(f)
+        if track:
+            reps.append(ring.scale(rep, s))
+
+    for i, v in enumerate(packed):
+        unit = {rep_order((i, ring.zero_mono)): 1} if track else None
+        if v:
+            add(v, unit)
+        elif track:
+            syzygies.append(unit)
+    while heap:
+        _, _, i, j, lcm = heapq.heappop(heap)
+        di, dj = lcm - lts[i], lcm - lts[j]
+        s = {t + di: c for t, c in basis[i].items()}
+        groebner._isub_shifted(s, basis[j], dj, 1, p)
+        rep = None
+        if track:
+            rep = {t + (di << rsh): c for t, c in reps[i].items()}
+            groebner._isub_shifted(rep, reps[j], dj << rsh, 1, p)
+        r, quot = (groebner._reduce(order, s, prepared, track) if s
+                   else ({}, {}))
+        if track:
+            for idx, qd in quot.items():
+                for d, q in qd.items():
+                    groebner._isub_shifted(rep, reps[idx], d << rsh, q, p)
+        if r:
+            add(r, rep)
+        elif track and rep:
+            syzygies.append(rep)
+    return basis, reps, syzygies, rep_order

@@ -4,22 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwprobe import PolyRing, define_ring, parse_polynomial
+from hwprobe import PolyRing, define_ring, groebner, jobs, parse_polynomial
+from hwprobe.catalog import catalog
+from hwprobe.hilbert import module_numerator
 from hwprobe.ring import DEGREE_LIMIT
 from hwprobe.freemod import (
     matvec,
     term_key,
     vec_component,
+    vec_degree,
     vec_mul_term,
 )
 from hwprobe.groebner import (
     GroebnerBasis,
     InhomogeneousError,
     _buchberger_core,
+    _interreduce,
     _prepare,
     _reduce,
     _unpack,
     colon_by_elements,
+    express_in_terms,
     groebner_basis,
     minimal_generators,
     minimalize_presentation,
@@ -27,6 +32,7 @@ from hwprobe.groebner import (
     saturate,
     syzygy_generators,
 )
+from conftest import reference_buchberger_core
 
 
 def P(ring, s):
@@ -422,3 +428,114 @@ def test_packing_bound_is_applied():
     # a component outside the free module does not pack either
     with pytest.raises(ValueError, match="component"):
         gb.normal_form({(1, (1, 0)): 1})
+
+
+def _random_vectors(data, r, twists, count):
+    """Homogeneous vectors, each over a random nonempty set of components."""
+    out = []
+    for _ in range(count):
+        comps = data.draw(st.lists(st.integers(0, len(twists) - 1),
+                                   min_size=1, max_size=len(twists),
+                                   unique=True))
+        d = data.draw(st.integers(max(twists) + 1, max(twists) + 3))
+        terms = [(c, m) for c in comps
+                 for m in r.monomials_of_degree(d - twists[c])]
+        chosen = data.draw(st.lists(st.sampled_from(terms), min_size=1,
+                                    max_size=3, unique=True))
+        out.append({t: data.draw(st.integers(1, r.p - 1)) for t in chosen})
+    return out
+
+
+def _hilbert(r, twists, vectors):
+    gb = groebner_basis(r, vectors, twists)
+    return gb, module_numerator(r, twists, gb.initial_module())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pair_criteria_keep_bases_syzygies_and_lifts(data):
+    # the criteria skip only pairs that cannot add anything: the reduced
+    # basis is canonical, so it equals the criteria-free run's item for
+    # item, and the syzygies generate the same module
+    r = data.draw(st.sampled_from(IR_RINGS))
+    twists = tuple(data.draw(st.integers(0, 1))
+                   for _ in range(data.draw(st.integers(1, 3))))
+    gens = _random_vectors(data, r, twists, data.draw(st.integers(1, 5)))
+    key = term_key(r, len(twists))
+    want = _interreduce(key, reference_buchberger_core(key, gens, twists)[0])
+    got = groebner_basis(r, gens, twists).elements
+    assert [list(g.items()) for g in got] == \
+        [list(_unpack(key, g).items()) for g in want]
+
+    syz_twists = tuple(vec_degree(r, g, twists) for g in gens)
+    syz = syzygy_generators(r, gens, twists)
+    _, _, ref, rep_order = reference_buchberger_core(key, gens, twists,
+                                                     track=True)
+    ref = [_unpack(rep_order, s) for s in ref if s]
+    assert all(not matvec(r, gens, s) for s in syz)
+    gb_syz, n_syz = _hilbert(r, syz_twists, syz)
+    gb_ref, n_ref = _hilbert(r, syz_twists, ref)
+    assert all(gb_syz.contains(s) for s in ref)
+    assert all(gb_ref.contains(s) for s in syz)
+    assert n_syz == n_ref
+
+    rq = define_ring(r.names, r.weights, r.p, [], order=r.order)
+    targets = []
+    for _ in range(2):
+        t = {}
+        for g in gens:
+            u = data.draw(st.sampled_from(r.monomials_of_degree(1)))
+            for k, c in vec_mul_term(g, u, data.draw(st.integers(0, 2)),
+                                     r.p).items():
+                t[k] = (t.get(k, 0) + c) % r.p
+        targets.append({k: c for k, c in t.items() if c})
+    for t, coeff in zip(targets, express_in_terms(rq, targets, gens, [],
+                                                  twists)):
+        assert coeff is not None
+        assert matvec(r, gens, coeff) == t
+
+
+def test_product_criterion_needs_one_component():
+    # x e0 + z e1 and y e0 + z e1 have coprime leading terms x e0 and y e0,
+    # but their S-vector (y - x) z e1 is not in the span of their leading
+    # terms: the pair must be reduced, untracked as well as tracked
+    r = PolyRing(["x", "y", "z"], [1, 1, 1], 7)
+    gens = [{(0, (1, 0, 0)): 1, (1, (0, 0, 1)): 1},
+            {(0, (0, 1, 0)): 1, (1, (0, 0, 1)): 1}]
+    s_vec = {(1, (1, 0, 1)): 6, (1, (0, 1, 1)): 1}
+    gb = groebner_basis(r, gens, (0, 0))
+    assert gb.contains(s_vec)
+    assert (1, (1, 0, 1)) in gb.leading_terms()
+    assert syzygy_generators(r, gens, (0, 0)) == []
+
+
+def test_pair_criteria_reduce_fewer_pairs_on_cusp_hw(monkeypatch):
+    # the work the criteria save, counted where it is spent: pairs that
+    # _buchberger_core hands to _reduce over the whole cusp-hw job
+    real_reduce = groebner._reduce
+
+    def reduced_pairs(core):
+        inside = [False]
+        count = [0]
+
+        def counting_core(*args, **kwargs):
+            inside[0] = True
+            try:
+                return core(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        def counting_reduce(*args, **kwargs):
+            count[0] += inside[0]
+            return real_reduce(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(groebner, "_buchberger_core", counting_core)
+            mp.setattr(groebner, "_reduce", counting_reduce)
+            report = jobs.run_job(catalog("cusp-hw"), 0)
+        return count[0], jobs.emit(report, "structured")
+
+    got, out = reduced_pairs(groebner._buchberger_core)
+    want, ref_out = reduced_pairs(reference_buchberger_core)
+    assert out == ref_out
+    assert 0 < got < want

@@ -231,6 +231,18 @@ def test_torsion_methods_agree_in_dim_one(cusp, cusp_m):
     assert t1.length() > 0
 
 
+def test_torsion_saturates_by_a_variable_nonzero_in_r():
+    # w is zero in R, so saturating by it alone would be a colon by the
+    # zero ideal; x is the first variable that is nonzero in R
+    r = define_ring(["w", "x", "y"], [1, 3, 2], 7, ["w", "x^2 - y^3"],
+                    domain=True)
+    m = ideal_module(r, [P(r, "x"), P(r, "y")])
+    prod = tensor(m, dual(m))
+    t1, _ = torsion_submodule(prod, "saturation")
+    t2, _ = torsion_submodule(prod, "biduality")
+    assert t1.length() == t2.length() == 2
+
+
 def test_torsion_needs_domain(gp_ring_t, gp_module_t):
     with pytest.raises(HypothesisError):
         torsion_submodule(gp_module_t)

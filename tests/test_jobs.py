@@ -206,6 +206,29 @@ def test_tor_lengths_negative_lo_is_rejected():
         run_job(spec)
 
 
+@pytest.mark.parametrize("op, lo, hi", [("tor_lengths", 4, 1),
+                                        ("tate_tor", 5, -5),
+                                        ("tate_ext", 1, 0),
+                                        ("hilbert", 6, 2)])
+def test_swapped_index_range_is_rejected(op, lo, hi):
+    # an empty range would report a finished task with no values
+    task = {"op": op, "module": "m", "lo": lo, "hi": hi}
+    if op != "hilbert":
+        task["against"] = "m"
+    with pytest.raises(JobError, match=f"{op}: lo must be <= hi, got lo {lo} "
+                                       f"and hi {hi}"):
+        run_job(minimal_spec(tasks=[task]))
+
+
+def test_single_index_range_is_accepted():
+    report = run_job(minimal_spec(tasks=[
+        {"op": "hilbert", "module": "m", "lo": 3, "hi": 3},
+        {"op": "tor_lengths", "module": "m", "against": "m", "lo": 1,
+         "hi": 1}]))
+    assert report.tasks[0]["result"]["values"] == [1]
+    assert list(report.tasks[1]["result"]["lengths"]) == ["1"]
+
+
 @pytest.mark.parametrize("op", ["periodicity", "tate_tor", "tate_ext",
                                 "rigidity_probe"])
 def test_negative_window_is_rejected(op):
