@@ -58,14 +58,8 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -74,6 +68,3 @@ class PrimeField:
 
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.p
-
-    def elements(self):
-        return range(self.p)

@@ -25,8 +25,9 @@ from .modules import (
     ideal_module,
     quotient_module,
 )
-from .quotient import NotDomainError, define_ring
+from .quotient import QuotientRing
 from .resolution import complexity_estimate, syzygy_module
+from .ring import PolyRing
 from .tate import complete_resolution, tate_ext_length, tate_tor_length
 from .theta import (
     COUNTEREXAMPLE_CANDIDATE,
@@ -42,19 +43,6 @@ from .theta import (
 DEFAULT_BOUNDS = {"degree": 20, "window": 10, "iso_budget": 500}
 JOB_KEYS = {"field", "variables", "weights", "ideal", "domain", "modules",
             "tasks", "bounds", "name", "expected"}
-# the fields each module type reads, besides "type"
-_MODULE_FIELDS = {
-    "quotient": ("ideal",),
-    "ideal": ("gens",),
-    "free": ("twists",),
-    "presentation": ("twists", "matrix"),
-    "syzygy": ("of", "n", "trim"),
-    "dual": ("of",),
-    "transpose": ("of",),
-    "tensor": ("left", "right"),
-    "direct_sum": ("left", "right"),
-    "twist": ("of", "s"),
-}
 
 
 class JobError(Exception):
@@ -107,9 +95,9 @@ def _job_bounds(spec: dict) -> dict:
         raise JobError("tasks must be a list of task objects")
     for name, d in modules.items():
         kind = d.get("type")
-        if kind not in _MODULE_FIELDS:
+        if kind not in MODULE_TYPES:
             raise JobError(f"module {name!r}: unknown module type {kind!r}")
-        _check_keys(f"{kind!r} module", d, ("type",) + _MODULE_FIELDS[kind])
+        _check_keys(f"{kind!r} module", d, ("type",) + MODULE_TYPES[kind][1])
     for t in tasks:
         op = t.get("op")
         if op not in TASKS:
@@ -139,23 +127,57 @@ def _parse(ring_amb, text, where):
 
 def build_ring(spec: dict):
     try:
-        ring = define_ring(spec["variables"], spec["weights"], spec["field"],
-                           [], domain=bool(spec.get("domain", False)))
-    except (ValueError, NotDomainError) as e:
+        amb = PolyRing(spec["variables"], spec["weights"], spec["field"])
+    except ValueError as e:
         raise JobError(f"invalid ring data: {e}") from e
-    amb = ring.ambient
     gens = [_parse(amb, s, f"ideal generator {i}")
             for i, s in enumerate(spec.get("ideal", []))]
     try:
-        return define_ring(spec["variables"], spec["weights"], spec["field"],
-                           gens, domain=bool(spec.get("domain", False)))
-    except (ValueError, NotDomainError) as e:
+        return QuotientRing(amb, gens, domain=bool(spec.get("domain", False)))
+    except ValueError as e:
         raise JobError(f"invalid ring data: {e}") from e
 
 
+def _polys(ring, texts, where):
+    return [_parse(ring.ambient, s, where) for s in texts]
+
+
+def _presentation(ring, d, get, where):
+    twists = tuple(d["twists"])
+    rows = [_polys(ring, row, where) for row in d["matrix"]]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise JobError(f"{where}: ragged matrix")
+    cols = [{(j, m): coef for j, row in enumerate(rows)
+             for m, coef in row[c].items()}
+            for c in range(len(rows[0]) if rows else 0)]
+    return PresentedModule(ring, twists, cols)
+
+
+# type -> (builder(ring, definition, get, where), the fields it reads besides
+# "type"); ``get`` looks up a module defined earlier in the job
+MODULE_TYPES = {
+    "quotient": (lambda r, d, get, w: quotient_module(
+        r, _polys(r, d["ideal"], w)), ("ideal",)),
+    "ideal": (lambda r, d, get, w: ideal_module(r, _polys(r, d["gens"], w)),
+              ("gens",)),
+    "free": (lambda r, d, get, w: free_module(r, tuple(d.get("twists", (0,)))),
+             ("twists",)),
+    "presentation": (_presentation, ("twists", "matrix")),
+    "syzygy": (lambda r, d, get, w: syzygy_module(
+        get(d["of"]), int(d["n"]), trim=bool(d.get("trim", False))),
+        ("of", "n", "trim")),
+    "dual": (lambda r, d, get, w: dual(get(d["of"])), ("of",)),
+    "transpose": (lambda r, d, get, w: transpose(get(d["of"])), ("of",)),
+    "tensor": (lambda r, d, get, w: tensor(get(d["left"]), get(d["right"])),
+               ("left", "right")),
+    "direct_sum": (lambda r, d, get, w: get(d["left"]).direct_sum(
+        get(d["right"])), ("left", "right")),
+    "twist": (lambda r, d, get, w: get(d["of"]).twist(int(d["s"])),
+              ("of", "s")),
+}
+
+
 def build_modules(spec: dict, ring) -> dict:
-    amb = ring.ambient
-    defs = spec.get("modules", {})
     out = {}
 
     def get(name):
@@ -163,55 +185,17 @@ def build_modules(spec: dict, ring) -> dict:
             raise JobError(f"module {name!r} referenced before definition")
         return out[name]
 
-    for name, d in defs.items():
-        kind = d.get("type")
+    for name, d in spec.get("modules", {}).items():
         where = f"module {name!r}"
+        build = MODULE_TYPES[d["type"]][0]
         try:
-            if kind == "quotient":
-                mod = quotient_module(
-                    ring, [_parse(amb, s, where) for s in d["ideal"]])
-            elif kind == "ideal":
-                mod = ideal_module(
-                    ring, [_parse(amb, s, where) for s in d["gens"]])
-            elif kind == "free":
-                mod = free_module(ring, tuple(d.get("twists", (0,))))
-            elif kind == "presentation":
-                twists = tuple(d["twists"])
-                rows = [[_parse(amb, s, where) for s in row]
-                        for row in d["matrix"]]
-                if any(len(r) != len(rows[0]) for r in rows):
-                    raise JobError(f"{where}: ragged matrix")
-                ncols = len(rows[0]) if rows else 0
-                cols = []
-                for c in range(ncols):
-                    col = {}
-                    for j, row in enumerate(rows):
-                        for m, coef in row[c].items():
-                            col[(j, m)] = coef
-                    cols.append(col)
-                mod = PresentedModule(ring, twists, cols)
-            elif kind == "syzygy":
-                mod = syzygy_module(get(d["of"]), int(d["n"]),
-                                    trim=bool(d.get("trim", False)))
-            elif kind == "dual":
-                mod = dual(get(d["of"]))
-            elif kind == "transpose":
-                mod = transpose(get(d["of"]))
-            elif kind == "tensor":
-                mod = tensor(get(d["left"]), get(d["right"]))
-            elif kind == "direct_sum":
-                mod = get(d["left"]).direct_sum(get(d["right"]))
-            elif kind == "twist":
-                mod = get(d["of"]).twist(int(d["s"]))
-            else:
-                raise JobError(f"{where}: unknown module type {kind!r}")
+            out[name] = build(ring, d, get, where)
         except KeyError as e:
             raise JobError(f"{where}: missing field {e}") from e
         except (HypothesisError, ValueError) as e:
             if isinstance(e, JobError):
                 raise
             raise JobError(f"{where}: {e}") from e
-        out[name] = mod
     return out
 
 

@@ -8,7 +8,8 @@ arithmetic over R happens in S carrying the reduced Groebner basis of I.
 from operator import neg
 
 from .freemod import row_insert
-from .groebner import groebner_basis, vec_nf_ideal
+from .grammar import parse_polynomial
+from .groebner import groebner_basis, reduce_poly, vec_nf_ideal
 from .hilbert import monomial_quotient_dim
 from .ring import PolyRing, memoized
 
@@ -21,7 +22,12 @@ class NotDomainError(ValueError):
 
 
 class QuotientRing:
-    """Ambient polynomial ring plus a homogeneous ideal I; R = S/I."""
+    """Ambient polynomial ring plus a homogeneous ideal I; R = S/I.
+
+    A ``domain=True`` assertion on a principal ideal is checked by a bounded
+    irreducibility scan: a visible factorization raises NotDomainError, an
+    inconclusive scan keeps the assertion.
+    """
 
     def __init__(self, ambient: PolyRing, ideal_gens, *, domain=False):
         self.ambient = ambient
@@ -46,6 +52,10 @@ class QuotientRing:
         self.is_hypersurface = len(self.gb) == 1
         self.hypersurface_poly = self.gb[0] if self.is_hypersurface else None
         self.domain = bool(domain)
+        if self.domain and self.is_hypersurface and \
+                principal_irreducible_scan(ambient, self.gb[0]) is False:
+            raise NotDomainError("hypersurface equation factors; not a domain: "
+                                 + ambient.format_poly(self.gb[0]))
 
     def __eq__(self, other):
         return (isinstance(other, QuotientRing) and other.ambient == self.ambient
@@ -117,19 +127,6 @@ def _quadratic_form_rank(ring: PolyRing, f) -> int:
     return len(pivots)
 
 
-def _poly_divides(ring: PolyRing, g, f) -> bool:
-    """Exact divisibility test g | f via leading-term division."""
-    rem = dict(f)
-    while rem:
-        lt_r = ring.leading_term(rem)
-        lt_g = ring.leading_term(g)
-        q = ring.term_divide(lt_r, lt_g)
-        if q is None:
-            return False
-        rem = ring.sub(rem, ring.mul_term(g, q[0], q[1]))
-    return True
-
-
 def principal_irreducible_scan(ring: PolyRing, f):
     """Best-effort irreducibility check for a homogeneous polynomial.
 
@@ -172,7 +169,8 @@ def principal_irreducible_scan(ring: PolyRing, f):
                 for m, c in zip(monos[lead + 1:], rest):
                     if c:
                         g[m] = c
-                if _poly_divides(ring, g, f):
+                # g alone is a Groebner basis of (g): g | f iff f reduces to 0
+                if not reduce_poly(ring, f, [g]):
                     return False
     return True
 
@@ -182,21 +180,9 @@ def define_ring(variables, weights, p, ideal_gens, *, order="grevlex",
     """Construct R = F_p[variables]/(ideal_gens) with the given weights.
 
     ``ideal_gens`` may be polynomials (dicts) or strings in the polynomial
-    grammar.  A ``domain=True`` assertion on a principal ideal is checked by
-    a bounded irreducibility scan; a visible factorization is an error, an
-    inconclusive scan keeps the assertion.
+    grammar; ``QuotientRing`` checks a ``domain=True`` assertion.
     """
     ring = PolyRing(variables, weights, p, order=order)
-    gens = []
-    for g in ideal_gens:
-        if isinstance(g, str):
-            from .grammar import parse_polynomial
-            g = parse_polynomial(ring, g)
-        gens.append(g)
-    rq = QuotientRing(ring, gens, domain=domain)
-    if domain and rq.is_hypersurface:
-        verdict = principal_irreducible_scan(ring, rq.gb[0])
-        if verdict is False:
-            raise NotDomainError("hypersurface equation factors; not a domain: "
-                                 + ring.format_poly(rq.gb[0]))
-    return rq
+    gens = [parse_polynomial(ring, g) if isinstance(g, str) else g
+            for g in ideal_gens]
+    return QuotientRing(ring, gens, domain=domain)

@@ -192,11 +192,6 @@ class PolyRing:
         """a | b componentwise."""
         return all(x <= y for x, y in zip(a, b))
 
-    def mono_div(self, a: Mono, b: Mono):
-        """a / b, or None when not divisible."""
-        q = tuple(x - y for x, y in zip(a, b))
-        return None if any(e < 0 for e in q) else q
-
     @memoized
     def monomials_of_degree(self, d: int):
         """All exponent tuples of weighted degree exactly d."""
@@ -322,14 +317,6 @@ class PolyRing:
             raise ZeroDivisionError("leading term of the zero polynomial")
         m = max(f, key=self.mono_key)
         return m, f[m]
-
-    def term_divide(self, t, u):
-        """Quotient term t/u with exact coefficient division, else None."""
-        (mt, ct), (mu, cu) = t, u
-        q = self.mono_div(mt, mu)
-        if q is None:
-            return None
-        return (q, self.field.div(ct, cu))
 
     # -- formatting ----------------------------------------------------------
 

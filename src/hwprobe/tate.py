@@ -17,7 +17,7 @@ from .homalg import depth, hom_maps, length_at, module_at, tensor_maps, vanishes
 from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
 from .quotient import QuotientRing
-from .resolution import resolution_of
+from .resolution import resolution_of, syzygy_module
 from .ring import memoized
 
 
@@ -190,11 +190,8 @@ def complete_resolution(module: PresentedModule, q=None,
             raise HypothesisError("finite projective dimension: Tate "
                                   "(co)homology vanishes and no complete "
                                   "resolution exists")
-        low = PresentedModule(ring, res.twists_at(i0),
-                              res.differential(i0 + 1), normalize=False)
-        high = PresentedModule(ring, res.twists_at(i0 + q),
-                               res.differential(i0 + q + 1), normalize=False)
-        cert = is_isomorphic(high, low, allow_twist=True)
+        cert = is_isomorphic(syzygy_module(module, i0 + q),
+                             syzygy_module(module, i0), allow_twist=True)
         if cert.verdict != ISO:
             continue
         shift = -cert.twist

@@ -49,10 +49,31 @@ class ThetaResult:
                 "periodicity": self.periodicity}
 
 
-def _second_syzygy_iso(t):
-    """The comparison of T with its trimmed second syzygy, up to a twist:
-    an ISO verdict certifies that T is two-periodic."""
-    return is_isomorphic(t, syzygy_module(t, 2, trim=True), allow_twist=True)
+def certify_two_periodic(module):
+    """The certificate that a nonzero module without free summands is
+    two-periodic, as the ``periodicity`` record of a theta result.
+
+    Over a hypersurface it is the matrix factorization, which also certifies
+    MCM; otherwise it is an ISO verdict between the module and its trimmed
+    second syzygy, up to a twist.  Raises HypothesisError without one.
+    """
+    if module.ring.is_hypersurface:
+        matrix_factorization_of(module)
+        return {"via": "matrix-factorization"}
+    cert = is_isomorphic(module, syzygy_module(module, 2, trim=True),
+                         allow_twist=True)
+    if cert.verdict != ISO:
+        raise HypothesisError("module is not eventually two-periodic "
+                              f"(syzygy comparison: {cert.verdict})")
+    return {"via": "syzygy-isomorphism", "twist": cert.twist}
+
+
+def _is_two_periodic(module):
+    try:
+        certify_two_periodic(module)
+    except HypothesisError:
+        return False
+    return True
 
 
 class ThetaContext:
@@ -72,19 +93,8 @@ class ThetaContext:
         stable = syzygy_module(module, r, trim=True) if r else \
             module.trim_free_summands()[0]
         self.stable_module = stable
-        if stable.is_zero():
-            self.periodicity = {"via": "finite projective dimension"}
-        elif ring.is_hypersurface:
-            matrix_factorization_of(stable)
-            self.periodicity = {"via": "matrix-factorization"}
-        else:
-            cert = _second_syzygy_iso(stable)
-            if cert.verdict != ISO:
-                raise HypothesisError(
-                    "module is not eventually two-periodic "
-                    f"(syzygy comparison: {cert.verdict})")
-            self.periodicity = {"via": "syzygy-isomorphism",
-                                "twist": cert.twist}
+        self.periodicity = certify_two_periodic(stable) if not \
+            stable.is_zero() else {"via": "finite projective dimension"}
         # smallest n with 2n - 1 > replacement index
         self.stable_n = (r + 1) // 2 + 1
 
@@ -233,16 +243,8 @@ def rigidity_probe(module, other, window=10):
     elif ring.dim == 1 and ring.domain:
         hypotheses["ring_class"] = "one-dimensional domain"
     trimmed, _ = module.trim_free_summands()
-    if not trimmed.is_zero():
-        try:
-            if ring.is_hypersurface:
-                matrix_factorization_of(trimmed)
-                hypotheses["two_periodic"] = True
-            else:
-                cert = _second_syzygy_iso(trimmed)
-                hypotheses["two_periodic"] = cert.verdict == ISO
-        except HypothesisError:
-            hypotheses["two_periodic"] = False
+    hypotheses["two_periodic"] = not trimmed.is_zero() and \
+        _is_two_periodic(trimmed)
     flagged = bool(gaps) and hypotheses["ring_class"] is not None \
         and hypotheses["two_periodic"]
     return {"lengths": lengths, "gaps": gaps, "hypotheses": hypotheses,
@@ -290,7 +292,8 @@ def hw_check(module: PresentedModule, window=8):
     report = {"torsion_length": torsion_len, "window": window,
               "ci_dim": "unknown"}
     trimmed, _ = module.trim_free_summands()
-    if ring.is_hypersurface and not trimmed.is_zero():
+    report["two_periodic"] = _is_two_periodic(trimmed)
+    if ring.is_hypersurface:
         tate_window = min(window, 4)
         cr = complete_resolution(trimmed, 2, window=tate_window)
         report["tate_verification_window"] = tate_window
@@ -306,10 +309,6 @@ def hw_check(module: PresentedModule, window=8):
         report["ext_crosscheck_agrees"] = agree_ext
         if not agree_ext:
             raise ArithmeticError("Ext^1 cross-check disagrees with torsion")
-        report["two_periodic"] = True  # certified by the matrix factorization
-    else:
-        cert = _second_syzygy_iso(trimmed)
-        report["two_periodic"] = cert.verdict == ISO
     if torsion_len > 0:
         report["verdict"] = CONJECTURE_HOLDS
         return report
@@ -346,7 +345,7 @@ def even_dim_torsion_check(module: PresentedModule):
     if trimmed.is_zero():
         raise HypothesisError("the module is free, hence not two-periodic "
                               "after trimming")
-    matrix_factorization_of(trimmed)  # certifies MCM and two-periodicity
+    certify_two_periodic(trimmed)  # the matrix factorization: MCM too
     locus = module.nonfree_locus_dim()
     if locus > 0:
         raise HypothesisError("module is not locally free on the punctured "

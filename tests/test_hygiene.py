@@ -1,6 +1,7 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import importlib
 from collections import defaultdict
 from pathlib import Path
 
@@ -229,3 +230,83 @@ def test_one_memo_mechanism():
     # derived data is cached on its owner through ring.memoized alone
     sources = {str(p): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert _memo_breaches(sources) == []
+
+
+def _bench_references(sources):
+    """The hwprobe names a benchmark harness relies on.
+
+    These are the ``(module, attribute)`` pairs of a ``TARGETS`` list, the
+    names imported from hwprobe modules, and the attributes read from a
+    module imported by ``from hwprobe import ...``.  Returns sorted
+    ``(module, dotted attribute)`` pairs.
+    """
+    refs = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        modules = {}  # local name -> hwprobe module path
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "TARGETS" for t in node.targets):
+                for entry in node.value.elts:
+                    module, attr = entry.elts[0].value, entry.elts[1].value
+                    refs.add((f"hwprobe.{module}", attr))
+            elif isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "hwprobe":
+                for alias in node.names:
+                    refs.add((node.module, alias.name))
+                    if node.module == "hwprobe":
+                        modules[alias.asname or alias.name] = \
+                            f"hwprobe.{alias.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name) and node.value.id in modules:
+                refs.add((modules[node.value.id], node.attr))
+    return sorted(refs)
+
+
+def _unresolved(refs):
+    """The pairs whose dotted attribute the installed package lacks."""
+    missing = []
+    for module, attr in refs:
+        try:
+            obj = importlib.import_module(module)
+            for part in attr.split("."):
+                obj = getattr(obj, part) if hasattr(obj, part) else \
+                    importlib.import_module(f"{obj.__name__}.{part}")
+        except (ImportError, AttributeError):
+            missing.append((module, attr))
+    return missing
+
+
+def test_bench_references_are_detected():
+    tracing = ('TARGETS = [\n    ("groebner", "reduce_poly", None),\n'
+               '    ("quotient", "QuotientRing.no_such_method", None),\n]\n')
+    workloads = ("from hwprobe import jobs, selftest\n"
+                 "from hwprobe.catalog import catalog, no_such_entry\n\n"
+                 "jobs.build_modules\njobs.no_such_builder(1)\n"
+                 "selftest._check_expected\nother.no_such_name\n")
+    refs = _bench_references({"tracing.py": tracing,
+                              "workloads.py": workloads})
+    assert refs == [
+        ("hwprobe", "jobs"), ("hwprobe", "selftest"),
+        ("hwprobe.catalog", "catalog"), ("hwprobe.catalog", "no_such_entry"),
+        ("hwprobe.groebner", "reduce_poly"),
+        ("hwprobe.jobs", "build_modules"), ("hwprobe.jobs", "no_such_builder"),
+        ("hwprobe.quotient", "QuotientRing.no_such_method"),
+        ("hwprobe.selftest", "_check_expected")]
+    assert _unresolved(refs) == [
+        ("hwprobe.catalog", "no_such_entry"),
+        ("hwprobe.jobs", "no_such_builder"),
+        ("hwprobe.quotient", "QuotientRing.no_such_method")]
+
+
+def test_bench_references_resolve():
+    # a deletion that the benchmark harness still names would break the
+    # traced benchmark run, so it fails here first
+    sources = {str(p): p.read_text()
+               for p in sorted((REPO / "bench").glob("*.py"))}
+    refs = _bench_references(sources)
+    assert ("hwprobe.groebner", "reduce_poly") in refs
+    assert ("hwprobe.jobs", "build_modules") in refs
+    assert ("hwprobe.selftest", "_check_expected") in refs
+    assert _unresolved(refs) == []

@@ -1,19 +1,28 @@
 import json
+import random
+import re
 from pathlib import Path
 
 import pytest
 
 from hwprobe.catalog import catalog, catalog_names
+from hwprobe.homalg import dual, tensor, transpose
 from hwprobe.jobs import (
+    MODULE_TYPES,
     JobError,
+    build_modules,
+    build_ring,
     canonical_text,
     emit,
     job_hash,
     load_jobspec,
     run_job,
 )
+from hwprobe.tate import complete_resolution, tate_ext_length, tate_tor_length
+from hwprobe.theta import random_short_exact_sequence, theta_additivity_check
 
 GOLDEN = Path(__file__).parent / "golden"
+DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 def minimal_spec(**overrides):
@@ -273,3 +282,57 @@ def test_unknown_module_field_is_rejected():
         load_jobspec(json.dumps(spec))
     with pytest.raises(JobError, match="'colour'"):
         run_job(spec)
+
+
+def test_derived_module_types_match_library_calls(cusp_m):
+    spec = minimal_spec(modules={
+        "m": {"type": "ideal", "gens": ["x", "y"]},
+        "d": {"type": "dual", "of": "m"},
+        "tr": {"type": "transpose", "of": "m"},
+        "t": {"type": "tensor", "left": "m", "right": "d"},
+    })
+    built = build_modules(spec, build_ring(spec))
+    for name, direct in (("m", cusp_m), ("d", dual(cusp_m)),
+                         ("tr", transpose(cusp_m)),
+                         ("t", tensor(cusp_m, dual(cusp_m)))):
+        assert built[name].twists == direct.twists, name
+        assert list(built[name].rels) == list(direct.rels), name
+
+
+def test_module_table_in_docs_matches_module_types():
+    text = (DOCS / "jobfile_format.md").read_text()
+    table = text.split("## Module definitions")[1].split("##")[0]
+    documented = {}
+    for row in table.splitlines():
+        cells = row.split("|")
+        if len(cells) > 3 and cells[1].strip().startswith("`"):
+            fields = re.findall(r"`(\w+)\??(?::[^`]*)?`", cells[2])
+            documented[cells[1].strip().strip("`")] = tuple(fields)
+    assert documented == {kind: fields
+                          for kind, (_, fields) in MODULE_TYPES.items()}
+
+
+def test_theta_additivity_task_matches_library_calls(threefold_mn):
+    m, n = threefold_mn
+    spec = dict(catalog("a1-threefold-theta"), tasks=[
+        {"op": "theta_additivity", "module": "M", "on": "N", "count": 2,
+         "seed": 3}])
+    rng = random.Random(3)
+    runs = [theta_additivity_check(m, *random_short_exact_sequence(n, rng))
+            for _ in range(2)]
+    entry = run_job(spec).tasks[0]
+    assert entry["status"] == "ok"
+    assert entry["result"] == {"runs": runs, "all_additive": True}
+
+
+def test_tate_tasks_match_library_calls(cusp_m):
+    tasks = [{"op": op, "module": "m", "against": "m", "window": 2,
+              "lo": -2, "hi": 2} for op in ("tate_tor", "tate_ext")]
+    report = run_job(minimal_spec(tasks=tasks))
+    cr = complete_resolution(cusp_m, window=2)
+    for entry, length in zip(report.tasks, (tate_tor_length, tate_ext_length)):
+        assert entry["status"] == "ok"
+        assert entry["result"] == {
+            "lengths": {str(i): length(cr, cusp_m, i) for i in range(-2, 3)},
+            "period": 2, "provenance": {"via": "matrix-factorization"},
+            "total_acyclicity_window": 2}

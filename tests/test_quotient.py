@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +82,31 @@ def test_domain_scan_accepts_catalog_equations(cusp, threefold, surface,
     # construction already ran the scan; re-run it directly
     for rq in (cusp, threefold, surface, fermat_dim1, torus_dim1):
         assert principal_irreducible_scan(rq.ambient, rq.gb[0]) is True
+
+
+def test_divisor_scan_decides_cubics_in_three_variables():
+    # neither the quadric rank nor the two-variable binomial rule applies, so
+    # both answers come from the budgeted scan over linear divisors
+    r5 = PolyRing(["x", "y", "z"], [1, 1, 1], 5)
+    assert principal_irreducible_scan(
+        r5, parse_polynomial(r5, "x^2*y + y^2*z + z^2*x")) is True
+    # x^3 + y^3 + z^3 = (x + y + z)^3 in characteristic 3
+    r3 = PolyRing(["x", "y", "z"], [1, 1, 1], 3)
+    assert principal_irreducible_scan(
+        r3, parse_polynomial(r3, "x^3 + y^3 + z^3")) is False
+    with pytest.raises(NotDomainError, match="x\\^3 \\+ y\\^3 \\+ z\\^3"):
+        define_ring(["x", "y", "z"], [1, 1, 1], 3, ["x^3 + y^3 + z^3"],
+                    domain=True)
+
+
+def test_divisor_scan_finds_planted_factors():
+    r = PolyRing(["x", "y", "z"], [1, 1, 1], 3)
+    rng = random.Random(7)
+    for _ in range(5):
+        linear = {m: rng.randrange(1, 3) for m in r.monomials_of_degree(1)}
+        quadric = {m: rng.randrange(3) for m in r.monomials_of_degree(2)}
+        quadric = {m: c for m, c in quadric.items() if c} or {(2, 0, 0): 1}
+        assert principal_irreducible_scan(r, r.mul(linear, quadric)) is False
 
 
 def test_quadric_rank_criterion():

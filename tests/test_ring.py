@@ -61,14 +61,6 @@ def test_weighted_degree():
     assert rw.mono_deg((0, 3)) == 6
 
 
-def test_term_divide():
-    r = PolyRing(["x", "y"], [1, 1], 5)
-    assert r.term_divide(((2, 1), 1), ((1, 1), 1)) == ((1, 0), 1)
-    assert r.term_divide(((1, 0), 1), ((0, 1), 1)) is None
-    # 3x^2 / 2x = 4x since 2^{-1} = 3 and 3*3 = 4 in F_5
-    assert r.term_divide(((2, 0), 3), ((1, 0), 2)) == ((1, 0), 4)
-
-
 def test_lex_order():
     r = PolyRing(["x", "y"], [1, 1], 7, order="lex")
     m, _ = r.leading_term(P(r, "x + y^5"))
@@ -84,6 +76,19 @@ def test_parser_errors_carry_position():
         P(r, "x + ")
     with pytest.raises(ParseError):
         P(r, "x^y")
+
+
+def test_unary_minus_and_parentheses():
+    # expansions written out by hand, as exponent tuple -> coefficient
+    r7 = PolyRing(["x", "y"], [1, 1], 7)
+    assert P(r7, "(x + y)*(x - y)") == {(2, 0): 1, (0, 2): 6}
+    assert P(r7, "-(x - y)^2 + 3*(x + y)*y") == {(2, 0): 6, (1, 1): 5,
+                                                 (0, 2): 2}
+    # over F_5, -3 is 2 and 7 is 2
+    r5 = PolyRing(["x", "y"], [1, 1], 5)
+    assert P(r5, "-3*x^2*y + 7") == {(2, 1): 2, (0, 0): 2}
+    with pytest.raises(ParseError, match=r"expected '\)'"):
+        P(r7, "(x + y")
 
 
 def test_format_round_trip():

@@ -133,6 +133,33 @@ def test_rigidity_probe_two_periodic_no_gap(cusp, cusp_m):
     assert not out["refutation_grade_anomaly"]
 
 
+def semigroup_345_and_maximal_ideal():
+    # k[t^3, t^4, t^5]: a one-dimensional domain that is not a hypersurface
+    a = define_ring(["x", "y", "z"], [3, 4, 5], 101,
+                    ["x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y"], domain=True)
+    return a, ideal_module(a, [P(a, "x"), P(a, "y"), P(a, "z")])
+
+
+def test_theta_needs_syzygy_iso_off_hypersurfaces():
+    _, m = semigroup_345_and_maximal_ideal()
+    with pytest.raises(HypothesisError, match=r"not eventually two-periodic "
+                       r"\(syzygy comparison: NOT_ISO\)"):
+        theta(m, m)
+
+
+def test_rigidity_probe_two_periodicity_by_syzygy_iso():
+    # over F_5[x, y]/(x^2, y^2) the syzygy of R/(x) is (x) = R/(x)(-1)
+    r = define_ring(["x", "y"], [1, 1], 5, ["x^2", "y^2"])
+    m = quotient_module(r, [P(r, "x")])
+    out = rigidity_probe(m, m, window=4)
+    assert out["hypotheses"] == {"ring_class": "artinian",
+                                 "two_periodic": True}
+    _, mx = semigroup_345_and_maximal_ideal()
+    out = rigidity_probe(mx, mx, window=2)
+    assert out["hypotheses"] == {"ring_class": "one-dimensional domain",
+                                 "two_periodic": False}
+
+
 def test_hw_check_on_cusp(cusp_m):
     out = hw_check(cusp_m)
     assert out["verdict"] == CONJECTURE_HOLDS
