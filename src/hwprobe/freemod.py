@@ -18,12 +18,15 @@ This module is the one home of sparse F_p arithmetic on tuple-keyed dicts:
 * ``vec_isub_term_mul`` is the only loop that adds c*x^m*v into an
   accumulator; ``matvec`` (and so ``compose_cols``) calls it once per term.
   Its packed twin, where x^m is one added int, is ``groebner._isub_shifted``;
+* ``sum_rows`` is the only loop that sums rows of a memoized NF table;
 * ``row_reduce`` / ``row_insert`` are the only sparse echelon routine: rows
   are dicts of any hashable key, the pivot of a row is its ``key``-maximal
   entry;
 * ``PolyRing.add``, ``sub`` and ``scale`` never look at keys, so they serve
   vectors as well as polynomials.
 """
+
+from operator import add
 
 from .ring import DEGREE_LIMIT
 
@@ -125,6 +128,35 @@ def vec_isub_term_mul(acc: Vec, v: Vec, m, c: int, p: int) -> None:
             acc[t] = val
         else:
             acc.pop(t, None)
+
+
+def sum_rows(ring, row, g, v: Vec, m=None) -> Vec:
+    """Normal form of v, or of x^m * v, as a sum of table rows.
+
+    Component j of v is generator j % g of copy j // g of a module whose
+    table ``row(k, t)`` is the normal form of x^t * e_k.  Normal form is
+    linear, so this sums c * row(j % g, t + m), moved to copy j // g, over
+    the terms c * x^t * e_j of v.  Copies come in order of first appearance,
+    each in decreasing term-over-position order, as dividing gives them.
+    """
+    p = ring.p
+    out = {}
+    rank = {}  # copy, by its first component -> place of first appearance
+    for (j, t), coef in v.items():
+        k = j % g
+        base = j - k  # component 0 of the copy
+        rank.setdefault(base, len(rank))
+        for (i, u), a in row(k, t if m is None else tuple(map(add, t, m))).items():
+            key = (base + i, u)
+            val = (out.get(key, 0) + a * coef) % p
+            if val:
+                out[key] = val
+            else:
+                out.pop(key, None)
+    if len(rank) < len(v) and len(out) > 1:
+        return {key: out[key] for key in sorted(out, key=lambda key: (
+            rank[key[0] - key[0] % g], -ring.mono_key(key[1]), key[0]))}
+    return out
 
 
 def vec_degree(ring, v: Vec, twists):

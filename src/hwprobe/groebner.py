@@ -4,7 +4,7 @@ Everything here computes over the ambient polynomial ring S.  Quotient-ring
 computations R = S/I pass the ideal's Groebner basis as extra generators in
 every component (the "augmentation") and project results back; the helpers
 taking a ``ring_q`` argument only use its ``ambient``, ``gb``, ``nf`` and
-``mono_nf`` attributes.
+``term_nf`` attributes.
 
 Syzygies come from Schreyer's construction: the basis is accumulated without
 discarding, S-pairs are reduced with tracked division quotients, and each
@@ -58,11 +58,11 @@ and raise ValueError past it; a packed key never mis-orders.
 import heapq
 from collections import defaultdict
 from functools import partial
-from operator import add
 
 from .freemod import (
     row_insert,
     schreyer_key,
+    sum_rows,
     term_key,
     vec_component,
     vec_degree,
@@ -469,34 +469,11 @@ def ideal_block_gens(ring_q, ncomp):
 
 
 def vec_nf_ideal(ring_q, v, m=None):
-    """Componentwise normal form of v, or of x^m * v, modulo the ideal.
-
-    Normal form is linear, so this is the sum of c times the row
-    ``ring_q.mono_nf(m + m_t)`` over the terms c*x^(m_t) e_j of v; x^m * v
-    is never built.  Components come in order of first appearance, each in
-    decreasing term order: one row is already in that order, a component
-    summing several is sorted.
-    """
+    """Componentwise normal form of v, or of x^m * v, modulo the ideal: the
+    rank-one case of ``freemod.sum_rows``, on the rows ``ring_q.term_nf``."""
     if not ring_q.gb:
         return dict(v) if m is None else vec_mul_term(v, m, 1, ring_q.p)
-    p = ring_q.ambient.p
-    row = ring_q.mono_nf
-    out = {}
-    rank = {}  # component -> place of its first appearance
-    for (c, t), coef in v.items():
-        rank.setdefault(c, len(rank))
-        for u, a in row(t if m is None else tuple(map(add, t, m))).items():
-            k = (c, u)
-            val = (out.get(k, 0) + a * coef) % p
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
-    if len(rank) < len(v) and len(out) > 1:
-        key = ring_q.ambient.mono_key
-        return {k: out[k] for k in
-                sorted(out, key=lambda k: (rank[k[0]], -key(k[1])))}
-    return out
+    return sum_rows(ring_q.ambient, ring_q.term_nf, 1, v, m)
 
 
 def module_groebner(ring_q, gens, twists):

@@ -19,14 +19,16 @@ the maps into and out of position i as block matrices over N.
 ``ring.dim`` alone.
 
 * Over an Artinian ring every C_i (x) N and Hom(C_i, N) is a finite
-  F_p-space, a sum of copies of N in the frame of ``modules.Blocks``.  The
-  length at i is its dimension minus the ranks of the two maps, and
-  vanishing is length zero.  The module at i is built degree by degree by
-  ``Blocks.minimal_kernel``, the routine of the resolution's strand step:
-  its generators are the cycles independent of the boundaries and of the
-  lower cycles times the variables, its relations the minimal kernel of the
-  free module on them into the middle modulo the boundaries.  This
-  presentation is minimal by construction; no Groebner basis is built.
+  F_p-space, a sum of copies of N in the frame of ``modules.Blocks``, whose
+  ``mul_nf`` sums rows of N's table ``PresentedModule.term_nf``: each
+  x^t * e_k is divided by N's relations once.  The length at i is its
+  dimension minus the ranks of the two maps, and vanishing is length zero.
+  The module at i is built degree by degree by ``Blocks.minimal_kernel``,
+  the routine of the resolution's strand step: its generators are the
+  cycles independent of the boundaries and of the lower cycles times the
+  variables, its relations the minimal kernel of the free module on them
+  into the middle modulo the boundaries.  This presentation is minimal by
+  construction; no Groebner basis is built.
 * Over dim > 0, ``tensor_cycle_data`` and ``hom_cycle_data`` turn the maps
   into cycle data ``(twists, Z, B)``, or None when C_i or N is zero, which
   ``subquotient``, ``h_length`` and ``subquotient_is_zero`` finish with
@@ -37,7 +39,6 @@ generators of M* and M** that ``module_at`` returns with each module.
 """
 
 from itertools import combinations
-from operator import add
 
 from .freemod import vec_component, vec_degree, vec_from_polys
 from .groebner import express_in_terms, kernel_into_quotient, saturate
@@ -225,26 +226,11 @@ def _strand_module(n, maps):
 @memoized
 def _module_blocks(n):
     """Sums of copies of N: per component k, the standard monomials of its
-    initial module; x^m * v reduced copy by copy by N's relations."""
-    gb = n.rel_gb()
-    init = gb.initial_module()
+    initial module; the rows of N's table ``n.term_nf``."""
+    init = n.rel_gb().initial_module()
     std = [std_monomials(n.ring.ambient, init.get(k, ()))
            for k in range(n.ngens)]
-    g_n = n.ngens
-    nf = gb.normal_form
-
-    def mul_nf(v, m):
-        copies = {}
-        for (j, t), coef in v.items():
-            copy = copies.setdefault(j // g_n, {})
-            copy[(j % g_n, tuple(map(add, t, m)))] = coef
-        out = {}
-        for b, w in copies.items():
-            for (k, t), coef in nf(w).items():
-                out[(b * g_n + k, t)] = coef
-        return out
-
-    return Blocks(n.ring, std, mul_nf)
+    return Blocks(n.ring, std, n.term_nf)
 
 
 # ---------------------------------------------------------------------------

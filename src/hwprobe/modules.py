@@ -19,10 +19,8 @@ The column layout of M (x) N has one home here: ``tensor`` and the Tor maps
 of ``homalg`` both build on ``_tensor_block_cols`` and ``_free_tensor_rels``.
 """
 
-from functools import partial
-
 from . import hilbert as hb
-from .freemod import matvec, row_insert, vec_component, vec_degree
+from .freemod import matvec, row_insert, sum_rows, vec_component, vec_degree
 from .groebner import (
     InhomogeneousError,
     kernel_into_quotient,
@@ -87,6 +85,11 @@ class PresentedModule:
     def element_nf(self, v):
         """Canonical representative of a coset of the relation submodule."""
         return self.rel_gb().normal_form(v)
+
+    @memoized
+    def term_nf(self, k, t):
+        """NF(x^t * e_k) modulo the relations: a row of the module's table."""
+        return self.rel_gb().normal_form({(k, t): 1})
 
     # -- Hilbert data ----------------------------------------------------------
 
@@ -331,7 +334,8 @@ class Blocks:
     generators.  ``std[k]`` lists the standard monomials of component k of
     N's initial module by degree, so a sum whose components have twists a_j
     has the F_p-basis (j, m), m in ``std[j % g][D - a_j]``, in degree D;
-    ``mul_nf(v, m)`` writes x^m * v in that basis.  ``ring_blocks`` serves
+    ``mul_nf(v, m)`` writes x^m * v in that basis as a sum of rows of N's
+    memoized table, ``row(k, t)`` = NF(x^t * e_k).  ``ring_blocks`` serves
     free modules (N = R); ``homalg`` builds the blocks of other modules.
 
     This is the strand frame of La Scala and Stillman (JSC 1998): ranks,
@@ -339,11 +343,15 @@ class Blocks:
     degree, with no Buchberger run.
     """
 
-    def __init__(self, ring, std, mul_nf):
+    def __init__(self, ring, std, row):
         self.ring = ring
         self.std = std
         self.flat = [[m for ms in table for m in ms] for table in std]
-        self.mul_nf = mul_nf
+        self.row = row
+
+    def mul_nf(self, v, m):
+        """x^m * v in normal form, summed from the rows of the table."""
+        return sum_rows(self.ring.ambient, self.row, len(self.std), v, m)
 
     def dim(self, ncomps):
         """dim_k of the sum of ``ncomps`` components."""
@@ -420,7 +428,7 @@ class Blocks:
 def ring_blocks(ring):
     """Free modules over an Artinian R as sums of copies of R."""
     return Blocks(ring, [hb.std_monomials(ring.ambient, ring._initial_ideal)],
-                  partial(vec_nf_ideal, ring))
+                  ring.term_nf)
 
 
 # ---------------------------------------------------------------------------

@@ -76,26 +76,20 @@ class QuotientRing:
         return self.ambient.p
 
     @memoized
-    def mono_nf(self, m):
-        """Normal form of the monomial x^m modulo I: one row of the table.
-
-        Divided once per ring and monomial by the Groebner basis built in
-        ``__init__``, which raises ValueError past the packing bound; the
-        terms come in decreasing term order.
-        """
+    def term_nf(self, k, t):
+        """NF(x^t * e_k) modulo I*F, a row of the ring's table, in decreasing
+        term order; ValueError past the packing bound."""
         if not self.gb:
-            return {m: 1}
-        rem = self._ideal_basis.normal_form({(0, m): 1})
-        return {t: c for (_, t), c in rem.items()}
+            return {(k, t): 1}
+        rem = self._ideal_basis.normal_form({(0, t): 1})
+        return {(k, u): c for (_, u), c in rem.items()}
 
     def nf(self, f):
         """Normal form of a polynomial modulo I, in decreasing term order.
 
         The one-component case of ``groebner.vec_nf_ideal``: a sum of the
-        rows ``mono_nf(m)`` over the terms x^m of f.
+        rows ``term_nf(0, m)`` over the terms x^m of f.
         """
-        if not self.gb:
-            return dict(f)
         rem = vec_nf_ideal(self, {(0, m): c for m, c in f.items()})
         return {m: c for (_, m), c in rem.items()}
 
@@ -153,9 +147,10 @@ def principal_irreducible_scan(ring: PolyRing, f):
                 from math import gcd
                 if gcd(a, b) == 1:
                     return True
-    # brute-force divisor scan over low-degree homogeneous candidates
+    # brute-force divisor scan over homogeneous candidates of degree at most
+    # deg/2: a factor of higher degree has a cofactor among them
     p = ring.p
-    for d in range(1, deg):
+    for d in range(1, deg // 2 + 1):
         monos = ring.monomials_of_degree(d)
         if not monos:
             continue

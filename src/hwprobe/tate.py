@@ -56,6 +56,7 @@ class MatrixFactorization:
                                normalize=False)
 
 
+@memoized
 def matrix_factorization_of(module: PresentedModule) -> MatrixFactorization:
     """The reduced matrix factorization presenting an MCM module.
 
@@ -63,7 +64,7 @@ def matrix_factorization_of(module: PresentedModule) -> MatrixFactorization:
     A's columns.  The lift certifies MCM: AB = f*I gives pd_S coker A <= 1,
     so depth = dim R (Auslander-Buchsbaum); Eisenbud gives the converse for
     minimal presentations without free summands.  Depth only words a
-    rejection.
+    rejection.  Memoized, so each module's f*I is lifted once.
     """
     ring = module.ring
     if not ring.is_hypersurface:

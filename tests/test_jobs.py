@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hwprobe import homalg, tate
 from hwprobe.catalog import catalog, catalog_names
 from hwprobe.homalg import dual, tensor, transpose
 from hwprobe.jobs import (
@@ -169,6 +170,22 @@ def test_golden_structured_reports(name):
     path = GOLDEN / f"{name}.json"
     assert path.exists(), f"golden file missing: {path}"
     assert got == path.read_bytes()
+
+
+def test_hw_check_lifts_f_once(monkeypatch):
+    # over a hypersurface, hw_check certifies two-periodicity and builds the
+    # complete resolution of one trimmed module; the matrix factorization is
+    # memoized on it, so f*I is lifted through the presentation once, and
+    # the biduality map of the torsion recheck is the one other lift
+    lifts = []
+    for mod in (homalg, tate):
+        def counting(*args, real=mod.express_in_terms, name=mod.__name__):
+            lifts.append(name)
+            return real(*args)
+        monkeypatch.setattr(mod, "express_in_terms", counting)
+    got = emit(run_job(catalog("cusp-hw"), seed=0), format="structured")
+    assert sorted(lifts) == ["hwprobe.homalg", "hwprobe.tate"]
+    assert got == (GOLDEN / "cusp-hw.json").read_bytes()
 
 
 def test_required_catalog_names_present():

@@ -109,6 +109,31 @@ def test_divisor_scan_finds_planted_factors():
         assert principal_irreducible_scan(r, r.mul(linear, quadric)) is False
 
 
+@pytest.mark.parametrize("text, verdict", [
+    # smooth plane curves: irreducible, decided by the 57 linear candidates
+    # (the cubic) and the 57 + 19,608 candidates of degree at most 2 (the
+    # quartic, whose degree-3 candidates are past the budget)
+    ("x^3 + y^3 + z^3", True),
+    ("x^4 + y^4 + 3*z^4", True),
+    # a product of two quadrics: the scan reaches degree deg/2 itself
+    ("(x^2 + y^2 + z^2)*(x^2 + 2*y^2 + 3*z^2)", False),
+])
+def test_divisor_scan_stops_at_half_the_degree(text, verdict):
+    sympy = pytest.importorskip("sympy")
+    r = PolyRing(["x", "y", "z"], [1, 1, 1], 7)
+    f = parse_polynomial(r, text)
+    assert principal_irreducible_scan(r, f) is verdict
+    # sympy cannot factor in several variables over F_7, so the verdict is
+    # checked another way: a plane curve with no singular point is
+    # irreducible (two components would meet), and f, f_x, f_y, f_z have
+    # only the origin as common zero iff their ideal is zero-dimensional
+    x, y, z = sympy.symbols("x y z")
+    g = sympy.sympify(text.replace("^", "**"))
+    jac = sympy.groebner([g] + [sympy.diff(g, v) for v in (x, y, z)],
+                         x, y, z, modulus=7, order="grevlex")
+    assert jac.is_zero_dimensional is verdict
+
+
 def test_quadric_rank_criterion():
     r = define_ring(["x", "y", "z", "w"], [1, 1, 1, 1], 101, [])
     amb = r.ambient
@@ -251,3 +276,52 @@ def test_packing_bound_survives_the_table():
         with pytest.raises(ValueError, match="packing bound"):
             vec_nf_ideal(rq, {(0, (1, 0)): 1}, (DEGREE_LIMIT // 3, 0))
     assert rq.nf({(3, 0): 1}) == {(1, 3): 1}
+
+
+def _draw_module(data, rq):
+    """A presented module on 1-3 generators of twists 0..2, with 1-3
+    homogeneous relation columns, each of degree 1..3 over the lowest twist
+    and with no unit entry, so that no generator cancels."""
+    amb = rq.ambient
+    twists = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    cols = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        d = min(twists) + data.draw(st.integers(1, 3))
+        col = {}
+        for j, a in enumerate(twists):
+            if d > a:
+                monos = amb.monomials_of_degree(d - a)
+                for m in data.draw(st.lists(st.sampled_from(monos),
+                                            min_size=1, max_size=2)):
+                    col[(j, m)] = data.draw(st.integers(1, amb.p - 1))
+        cols.append(col)
+    return PresentedModule(rq, twists, cols)
+
+
+ARTINIAN = sorted(name for name, make in NF_RINGS.items() if make().dim == 0)
+
+
+@pytest.mark.parametrize("name", ARTINIAN)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_module_table_matches_copywise_division(name, data):
+    # the rows of a module's term_nf table, summed per copy, give the
+    # remainder of dividing each whole copy by the relations, item for item
+    rq = NF_RINGS[name]()
+    amb = rq.ambient
+    n = _draw_module(data, rq)
+    ncomp = data.draw(st.integers(1, 3)) * n.ngens
+    if data.draw(st.booleans()):
+        w = _draw_vector(data, rq, ncomp)
+    else:
+        # one degree and few monomials, so that rows of different generators
+        # of one copy meet on a monomial and only the component orders them
+        monos = amb.monomials_of_degree(data.draw(st.integers(0, 2)))[:3]
+        terms = data.draw(st.lists(st.tuples(st.integers(0, ncomp - 1),
+                                             st.sampled_from(monos)),
+                                   min_size=1, max_size=6, unique=True))
+        w = {t: data.draw(st.integers(1, amb.p - 1)) for t in terms}
+    m = data.draw(st.sampled_from([u for d in range(4)
+                                   for u in amb.monomials_of_degree(d)]))
+    assert list(_module_blocks(n).mul_nf(w, m).items()) == \
+        _copywise_division(n, vec_mul_term(w, m, 1, amb.p))

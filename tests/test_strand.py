@@ -56,6 +56,7 @@ from hwprobe import (
 from hwprobe.freemod import vec_degree
 from hwprobe import modules
 from hwprobe.groebner import (
+    GroebnerBasis,
     kernel_into_quotient,
     minimal_generators,
     module_groebner,
@@ -325,6 +326,31 @@ def test_artinian_lengths_build_no_cycle_data(gp_ring, monkeypatch):
     modules += [f(cr, n, i) for f in (tate_tor, tate_ext) for i in range(-2, 3)]
     assert [mod.length() for mod in modules[9:12]] == [2, 2, 2]  # Ext(N, k)
     assert calls == []
+
+
+def test_strand_frame_divides_each_term_once(gp_ring, monkeypatch):
+    # the Tor and Ext calls of one pass of the benchmark's functors workload:
+    # every row of the strand frame comes from a memoized table, so each
+    # Groebner division is of one term x^t * e_k, and none is repeated
+    n = gp_n(gp_ring)
+    k = residue_field_module(gp_ring)
+    divided = []
+    real = GroebnerBasis.normal_form
+
+    def counting(basis, v):
+        divided.append((basis, *v.items()))
+        return real(basis, v)
+
+    monkeypatch.setattr(GroebnerBasis, "normal_form", counting)
+    for i in range(1, 13):
+        assert tor_length(n, k, i) == 2
+        tor_length(n, n, i)
+    for i in range(1, 9):
+        assert ext(n, k, i).length() == 2
+        ext(n, n, i).length()
+    assert divided
+    assert all(len(call) == 2 and call[1][1] == 1 for call in divided)
+    assert len(set(divided)) == len(divided)
 
 
 # -- Hom is Ext^0 --------------------------------------------------------------
