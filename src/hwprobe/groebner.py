@@ -676,28 +676,28 @@ def minimalize_presentation(ring_q, cols, twists):
 
 def poly_det(ring, entry, rows, cols):
     """Determinant over S by expansion; entry(r, c) returns a polynomial."""
-    memo = {}
+    return _minor(ring, entry, {}, tuple(rows), tuple(cols))
 
-    def rec(rs, cs):
-        if not rs:
-            return ring.one()
-        k = (rs, cs)
-        got = memo.get(k)
-        if got is not None:
-            return got
-        r0 = rs[0]
-        total = ring.zero()
-        for pos, c in enumerate(cs):
-            e = entry(r0, c)
-            if not e:
-                continue
-            sub = rec(rs[1:], cs[:pos] + cs[pos + 1:])
-            term = ring.mul(e, sub)
-            total = ring.add(total, term) if pos % 2 == 0 else ring.sub(total, term)
-        memo[k] = total
-        return total
 
-    return rec(tuple(rows), tuple(cols))
+def _minor(ring, entry, memo, rs, cs):
+    # A module-level recursion: a closure calling itself would be a cycle
+    # holding ``entry``, and with it the entry's owner, until collected.
+    if not rs:
+        return ring.one()
+    got = memo.get((rs, cs))
+    if got is not None:
+        return got
+    r0 = rs[0]
+    total = ring.zero()
+    for pos, c in enumerate(cs):
+        e = entry(r0, c)
+        if not e:
+            continue
+        sub = _minor(ring, entry, memo, rs[1:], cs[:pos] + cs[pos + 1:])
+        term = ring.mul(e, sub)
+        total = ring.add(total, term) if pos % 2 == 0 else ring.sub(total, term)
+    memo[(rs, cs)] = total
+    return total
 
 
 # ---------------------------------------------------------------------------

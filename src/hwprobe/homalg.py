@@ -15,24 +15,29 @@ of C_i) and ``differential(i)`` (the columns of C_i -> C_{i-1}):
 ``tensor_maps`` for H_i(C (x) N) and ``hom_maps`` for H^i(Hom(C, N)), give
 the maps into and out of position i as block matrices over N.
 
-``module_at``, ``length_at`` and ``vanishes_at`` choose the method from
-``ring.dim`` alone.
+Lengths and vanishing here, like exactness in ``modules`` and ``theta``,
+come from sizes alone: B (the incoming image plus the middle's relations)
+lies in the cycles Z, since d o d = 0, so Mid/Z is the image of the
+outgoing map in the target Tgt, and ``length_at`` reads
 
-* Over an Artinian ring every C_i (x) N and Hom(C_i, N) is a finite
-  F_p-space, a sum of copies of N in the frame of ``modules.Blocks``, whose
-  ``mul_nf`` sums rows of N's table ``PresentedModule.term_nf``: each
-  x^t * e_k is divided by N's relations once.  The length at i is its
-  dimension minus the ranks of the two maps, and vanishing is length zero.
-  The module at i is built degree by degree by ``Blocks.minimal_kernel``,
-  the routine of the resolution's strand step: its generators are the
-  cycles independent of the boundaries and of the lower cycles times the
-  variables, its relations the minimal kernel of the free module on them
-  into the middle modulo the boundaries.  This presentation is minimal by
-  construction; no Groebner basis is built.
+    len H_i = len(Mid/B) + len(Tgt/im out) - len(Tgt).
+
+Over an Artinian ring the terms are dimensions less F_p-ranks in the frame
+of ``modules.Blocks``, whose ``mul_nf`` sums rows of N's table
+``PresentedModule.term_nf``; otherwise they are Hilbert numerators, and
+only their sum goes to ``series_total_if_finite``.
+
+Only ``module_at`` builds cycles, choosing the method from ``ring.dim``.
+
+* Over an Artinian ring the module at i is built degree by degree by
+  ``Blocks.minimal_kernel``, the routine of the resolution's strand step:
+  its generators are the cycles independent of the boundaries and of the
+  lower cycles times the variables, its relations the minimal kernel of the
+  free module on them into the middle modulo the boundaries.  This
+  presentation is minimal by construction; no Groebner basis is built.
 * Over dim > 0, ``tensor_cycle_data`` and ``hom_cycle_data`` turn the maps
   into cycle data ``(twists, Z, B)``, or None when C_i or N is zero, which
-  ``subquotient``, ``h_length`` and ``subquotient_is_zero`` finish with
-  Groebner bases.
+  ``subquotient`` finishes with Groebner bases.
 
 Hom is Ext^0 and takes the same route; ``biduality_map`` reads the
 generators of M* and M** that ``module_at`` returns with each module.
@@ -40,6 +45,7 @@ generators of M* and M** that ``module_at`` returns with each module.
 
 from itertools import combinations
 
+from . import hilbert as hb
 from .freemod import vec_component, vec_degree, vec_from_polys
 from .groebner import express_in_terms, kernel_into_quotient, saturate
 from .hilbert import std_monomials
@@ -52,10 +58,9 @@ from .modules import (
     _tensor_block_cols,
     _tensor_twists,
     free_module,
-    homology_length,
     ring_blocks,
     subquotient,
-    subquotient_is_zero,
+    submodule_numerator,
     tensor,
 )
 from .resolution import resolution_of
@@ -152,8 +157,7 @@ def module_at(side, cx, n, i):
 
     Returns ``(module, vectors)``: vector j lies in the middle module
     (C_i (x) N or Hom(C_i, N), in the block layout of ``side``) and
-    represents generator j.  This, ``length_at`` and ``vanishes_at`` are
-    where the method is chosen: over an Artinian ring, F_p linear algebra
+    represents generator j.  Over an Artinian ring, F_p linear algebra
     degree by degree; otherwise cycle data finished with Groebner bases.
     """
     maps = side(cx, n, i)
@@ -165,40 +169,32 @@ def module_at(side, cx, n, i):
     return subquotient(cx.ring, *data)
 
 
-def h_length(ring, data):
-    """Length of Z/B from a builder's cycle data; None when infinite."""
-    return 0 if data is None else homology_length(ring, *data)
-
-
 def length_at(side, cx, n, i):
     """Length of the (co)homology at i of ``side`` applied to C and N; None
-    when infinite."""
-    maps = side(cx, n, i)
-    if cx.ring.dim == 0:
-        return _rank_length(n, maps)
-    return h_length(cx.ring, _cycle_data(n, maps))
+    when infinite, so it vanishes iff ``length_at(...) == 0``.
 
-
-def vanishes_at(side, cx, n, i):
-    """Whether the (co)homology at i of ``side`` applied to C and N is 0."""
-    maps = side(cx, n, i)
-    if cx.ring.dim == 0:
-        return _rank_length(n, maps) == 0
-    data = _cycle_data(n, maps)
-    return data is None or subquotient_is_zero(cx.ring, *data)
-
-
-def _rank_length(n, maps):
-    """dim_k(middle) - rank(outgoing) - rank(incoming) over an Artinian ring.
-
-    The middle module is one copy of N per generator of C_i.
+    len(Mid/B) + len(Tgt/im out) - len(Tgt), where Mid and Tgt are one copy
+    of N per generator of C there.
     """
+    maps = side(cx, n, i)
     if maps is None:
         return 0
-    f_i, _, outgoing, incoming, _ = maps
-    blocks = _module_blocks(n)
-    return (blocks.dim(len(f_i) * n.ngens) - blocks.rank(outgoing)
-            - blocks.rank(incoming))
+    f_i, f_out, outgoing, incoming, twists = maps
+    ring = n.ring
+    if ring.dim == 0:
+        blocks = _module_blocks(n)
+        return (blocks.dim(len(f_i) * n.ngens) - blocks.rank(outgoing)
+                - blocks.rank(incoming))
+    tgt = twists(f_out, n)
+    numer = hb.tpoly_add(
+        submodule_numerator(ring, twists(f_i, n),
+                            incoming + _free_tensor_rels(len(f_i), n)),
+        submodule_numerator(ring, tgt,
+                            outgoing + _free_tensor_rels(len(f_out), n)))
+    copy = n.hilbert_numerator()
+    for a in tgt[::n.ngens]:
+        numer = hb.tpoly_sub(numer, hb.tpoly_shift(copy, a - n.twists[0]))
+    return hb.series_total_if_finite(ring.ambient, numer)
 
 
 def _strand_module(n, maps):
@@ -223,14 +219,17 @@ def _strand_module(n, maps):
     return PresentedModule(ring, gen_twists, rels, normalize=False), gens
 
 
-@memoized
 def _module_blocks(n):
     """Sums of copies of N: per component k, the standard monomials of its
     initial module; the rows of N's table ``n.term_nf``."""
+    return Blocks(n.ring, _module_std(n), n.term_nf)
+
+
+@memoized
+def _module_std(n):
     init = n.rel_gb().initial_module()
-    std = [std_monomials(n.ring.ambient, init.get(k, ()))
-           for k in range(n.ngens)]
-    return Blocks(n.ring, std, n.term_nf)
+    return [std_monomials(n.ring.ambient, init.get(k, ()))
+            for k in range(n.ngens)]
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +258,7 @@ def tor_length(m, n, i):
 
 
 def tor_is_zero(m, n, i):
-    _check_index("Tor", i)
-    if i == 0:
-        return tensor(m, n).is_zero()
-    return vanishes_at(tensor_maps, resolution_of(m, i + 1), n, i)
+    return tor_length(m, n, i) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,7 @@ def dual(m):
 
 def ext_is_zero(m, n, i):
     _check_index("Ext", i)
-    return vanishes_at(hom_maps, resolution_of(m, i + 1), n, i)
+    return length_at(hom_maps, resolution_of(m, i + 1), n, i) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +347,7 @@ def depth(m):
     n = m.ring.ambient.nvars
     koszul = KoszulComplex(m.ring)
     for i in range(n, 0, -1):
-        if not vanishes_at(tensor_maps, koszul, m, i):
+        if length_at(tensor_maps, koszul, m, i) != 0:
             return n - i
     return n
 

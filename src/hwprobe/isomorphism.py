@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import neg
 
-from .freemod import row_insert, vec_component, vec_isub_term_mul
+from .freemod import row_insert, sum_rows, vec_isub_term_mul
 from .hilbert import std_monomials_of_degree
 from .modules import GradedMap, PresentedModule
 
@@ -84,11 +84,10 @@ def degree_zero_homs(m: PresentedModule, n: PresentedModule):
     for rel in m.rels:
         row_acc = {}  # N coordinate term -> {unknown index: coefficient}
         for u_idx, (j, (k, mono)) in enumerate(unknowns):
-            # the unknown sends generator j to x^mono e_k
-            f = amb.mul_term(vec_component(rel, j), mono, 1)
-            if not f:
-                continue
-            img = n.element_nf({(k, mm): c for mm, c in f.items()})
+            # the unknown sends generator j to x^mono e_k: the image of rel
+            # is x^mono * rel_j * e_k, summed from N's table
+            rel_jk = {(k, t): c for (jj, t), c in rel.items() if jj == j}
+            img = sum_rows(amb, n.term_nf, n.ngens, rel_jk, mono)
             for t, c in img.items():
                 row_acc.setdefault(t, {})[u_idx] = c
         rows.extend(row_acc.values())

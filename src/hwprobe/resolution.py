@@ -40,7 +40,6 @@ class Resolution:
     """
 
     def __init__(self, module):
-        self.module = module
         self.ring = module.ring
         amb = module.ring.ambient
         first = list(module.rels)

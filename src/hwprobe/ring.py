@@ -29,7 +29,9 @@ def memoized(fn):
     The value is kept in the owner's ``__dict__`` under ``(fn, args)``, so it
     lives exactly as long as the owner and is never shared with an equal
     owner built apart.  The arguments must be hashable; a value of None is
-    kept like any other.
+    kept like any other.  A value must not refer back to its owner (a bound
+    method of it, say): the cycle would keep the owner until the cyclic
+    collector runs.
     """
     @wraps(fn)
     def memo(owner, *args):
@@ -265,16 +267,6 @@ class PolyRing:
             return {}
         p = self.p
         return {m: cc * c % p for m, cc in f.items()} if c != 1 else dict(f)
-
-    def mul_term(self, f: Poly, m: Mono, c: int) -> Poly:
-        c %= self.p
-        if not c or not f:
-            return {}
-        p = self.p
-        out = {}
-        for mm, cc in f.items():
-            out[tuple(x + y for x, y in zip(mm, m))] = cc * c % p
-        return out
 
     def mul(self, f: Poly, g: Poly) -> Poly:
         p = self.p

@@ -13,7 +13,7 @@ always verified on a window.
 
 from .freemod import compose_cols, unit_vector, vec_degree
 from .groebner import express_in_terms, vec_nf_ideal
-from .homalg import depth, hom_maps, length_at, module_at, tensor_maps, vanishes_at
+from .homalg import depth, hom_maps, length_at, module_at, tensor_maps
 from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
 from .quotient import QuotientRing
@@ -148,9 +148,9 @@ class CompleteResolution:
                     return False
         r1 = free_module(ring, (0,))
         for i in range(-window, min(window + 1, end)):
-            if not vanishes_at(tensor_maps, self, r1, i):
+            if length_at(tensor_maps, self, r1, i) != 0:
                 return False
-            if not vanishes_at(hom_maps, self, r1, i):
+            if length_at(hom_maps, self, r1, i) != 0:
                 return False
         return True
 

@@ -1,13 +1,15 @@
 """The one memo mechanism: ``ring.memoized`` keeps derived data on its owner.
 
 A value is computed once per owner and arguments, lives exactly as long as
-the owner, and is never shared between equal owners built apart.
+the owner, and is never shared between equal owners built apart.  No value
+refers back to its owner, so rings and modules are freed by reference
+counting alone, without the cyclic collector.
 """
 
 import gc
 import weakref
 
-from conftest import gp_matrix_cols, poly
+from conftest import GP_IDEAL, gp_matrix_cols, poly
 
 from hwprobe import (
     PresentedModule,
@@ -16,7 +18,10 @@ from hwprobe import (
     theta,
     tor_length,
 )
-from hwprobe import homalg, modules
+from hwprobe import homalg, jobs, modules
+from hwprobe.catalog import catalog, catalog_names
+from hwprobe.quotient import QuotientRing
+from hwprobe.resolution import betti_numbers
 from hwprobe.ring import memoized
 
 
@@ -112,3 +117,35 @@ def test_theta_checks_its_hypotheses_once_per_module(threefold, monkeypatch):
     monkeypatch.setattr(PresentedModule, "nonfree_locus_dim", counting)
     assert theta(m, n).value == theta(m, n).value == -1
     assert calls == [m]
+
+
+def test_passes_leave_no_ring_alive_without_the_collector(monkeypatch):
+    # a resolve-deep pass (Betti numbers of k over the Gasharov-Peeva ring)
+    # and each catalog job, with gc disabled: every ring they build is gone
+    # as soon as the last outside reference is
+    rings = []
+    init = QuotientRing.__init__
+
+    def recording(self, *args, **kwargs):
+        rings.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuotientRing, "__init__", recording)
+
+    def resolve_deep():
+        gp = define_ring(["x1", "x2", "x3", "x4"], [1] * 4, 5, GP_IDEAL)
+        assert betti_numbers(modules.residue_field_module(gp), 5) == \
+            [1, 4, 13, 40, 121, 364]
+
+    gc.collect()
+    gc.disable()
+    try:
+        resolve_deep()
+        assert rings and [r() for r in rings] == [None] * len(rings)
+        for name in catalog_names():
+            del rings[:]
+            jobs.run_job(catalog(name), 0)
+            assert rings, name
+            assert [r() for r in rings] == [None] * len(rings), name
+    finally:
+        gc.enable()

@@ -204,8 +204,8 @@ def _draw_vector(data, rq, ncomp):
         g = data.draw(st.sampled_from(rq.gb))
         us = amb.monomials_of_degree(degree - amb.homogeneous_degree(g))
         if us:
-            f = amb.add(f, amb.mul_term(g, data.draw(st.sampled_from(us)),
-                                        data.draw(st.integers(1, p - 1))))
+            f = amb.add(f, amb.mul(g, {data.draw(st.sampled_from(us)):
+                                       data.draw(st.integers(1, p - 1))}))
         v.update(((c, m), coef) for m, coef in f.items())
     return dict(data.draw(st.permutations(list(v.items()))))
 

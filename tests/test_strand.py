@@ -1,4 +1,5 @@
-"""The Artinian paths (dim R = 0) against routes they do not use.
+"""The Artinian paths (dim R = 0) and the length identity against routes
+they do not use.
 
 The strand path of Resolution is checked against
 
@@ -10,9 +11,12 @@ The strand path of Resolution is checked against
 * the Betti-Hilbert identity sum (-1)^i beta_i(t) H_R(t) = H_M(t) below the
   lowest twist of the first level left out.
 
-The rank path of ``length_at`` (Tor, Ext and Tate lengths from F_p ranks) is
-checked against the lengths of the cycle data that ``h_length`` finishes
-with Groebner bases, the dim > 0 path.
+``length_at`` (Tor, Ext and Tate lengths from cokernel sizes: F_p ranks over
+an Artinian ring, Hilbert numerators otherwise) is checked against the
+lengths of the cycle data that ``homology_length`` finishes with Groebner
+bases, the reference, over Artinian rings and over curves, surfaces and a
+threefold, on resolutions, Koszul complexes and complete resolutions; in
+every dimension it builds no cycle data.
 
 The modules of ``module_at`` (Hom, Tor, Ext and Tate modules built degree
 by degree) are checked against the cycle-data modules that ``subquotient``
@@ -25,6 +29,7 @@ normalizing does not shrink.
 to keep exactly the vectors the reference keeps, over curves in dimension 1.
 """
 
+import random
 import sys
 from collections import Counter
 from unittest.mock import patch
@@ -39,11 +44,14 @@ from hwprobe import (
     PresentedModule,
     complete_resolution,
     define_ring,
+    depth,
     dual,
     ext,
     free_module,
     hom,
+    ideal_module,
     is_isomorphic,
+    parse_polynomial,
     quotient_module,
     residue_field_module,
     tate_ext,
@@ -52,6 +60,7 @@ from hwprobe import (
     tate_tor_length,
     tor,
     tor_length,
+    verify_short_exact,
 )
 from hwprobe.freemod import vec_degree
 from hwprobe import modules
@@ -64,7 +73,8 @@ from hwprobe.groebner import (
 )
 from hwprobe.hilbert import hilbert_numerator, series_coefficients
 from hwprobe.homalg import (
-    h_length,
+    KoszulComplex,
+    ext_is_zero,
     hom_cycle_data,
     hom_maps,
     length_at,
@@ -74,6 +84,12 @@ from hwprobe.homalg import (
 )
 from hwprobe.modules import homology_length, subquotient
 from hwprobe.resolution import Resolution, resolution_of
+from hwprobe.theta import random_short_exact_sequence
+
+
+def reference_length(ring, data):
+    """Length of Z/B from cycle data; None when infinite."""
+    return 0 if data is None else homology_length(ring, *data)
 
 
 def betti_table(levels):
@@ -207,9 +223,9 @@ def test_rank_lengths_match_groebner_reference(data):
     res = resolution_of(m, 4)
     for i in range(4):
         assert length_at(tensor_maps, res, n, i) == \
-            h_length(ring, tensor_cycle_data(res, n, i))
+            reference_length(ring, tensor_cycle_data(res, n, i))
         assert length_at(hom_maps, res, n, i) == \
-            h_length(ring, hom_cycle_data(res, n, i))
+            reference_length(ring, hom_cycle_data(res, n, i))
 
 
 def test_gp_tate_lengths_match_groebner_reference(gp_ring):
@@ -217,9 +233,76 @@ def test_gp_tate_lengths_match_groebner_reference(gp_ring):
     cr = complete_resolution(n, 4, window=4)
     for i in range(-4, 5):
         assert length_at(tensor_maps, cr, n, i) == \
-            h_length(gp_ring, tensor_cycle_data(cr, n, i))
+            reference_length(gp_ring, tensor_cycle_data(cr, n, i))
         assert length_at(hom_maps, cr, n, i) == \
-            h_length(gp_ring, hom_cycle_data(cr, n, i))
+            reference_length(gp_ring, hom_cycle_data(cr, n, i))
+
+
+# the cusp, the surface, the threefold and A = k[t^3, t^4, t^5], which is
+# not a hypersurface; each hypersurface with an ideal that is an MCM module
+# without free summands, for its complete resolution
+POSITIVE_DIM = [
+    (["x", "y"], [3, 2], 7, ["x^2 - y^3"], ["x", "y"]),
+    (["x", "y", "z"], [1, 1, 1], 101, ["x*z - y^2"], ["x", "y"]),
+    (["x", "y", "z", "w"], [1, 1, 1, 1], 101, ["x*w - y*z"], ["x", "z"]),
+    (["x", "y", "z"], [3, 4, 5], 101,
+     ["x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y"], None),
+]
+
+
+def positive_dim_case(spec):
+    names, weights, p, eqs, mcm = spec
+    ring = define_ring(names, weights, p, eqs)
+    if mcm is None:
+        return ring, None
+    return ring, ideal_module(ring, [parse_polynomial(ring.ambient, g)
+                                     for g in mcm])
+
+
+def random_module(data, ring):
+    """A random presentation on one or two generators."""
+    amb = ring.ambient
+    top = max(amb.weights)
+    twists = tuple(data.draw(st.lists(st.integers(0, top), min_size=1,
+                                      max_size=2)))
+    cols = [random_vector(data, amb, twists,
+                          max(twists) + data.draw(st.integers(1, top)))
+            for _ in range(data.draw(st.integers(0, 2)))]
+    return PresentedModule(ring, twists, [c for c in cols if c])
+
+
+def assert_lengths_match_reference(cx, n, indices):
+    ring = n.ring
+    for i in indices:
+        assert length_at(tensor_maps, cx, n, i) == \
+            reference_length(ring, tensor_cycle_data(cx, n, i))
+        assert length_at(hom_maps, cx, n, i) == \
+            reference_length(ring, hom_cycle_data(cx, n, i))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lengths_from_sizes_match_cycle_data_in_positive_dimension(data):
+    ring, mcm = positive_dim_case(data.draw(st.sampled_from(POSITIVE_DIM)))
+    m, n = random_module(data, ring), random_module(data, ring)
+    assert_lengths_match_reference(resolution_of(m, 3), n, range(3))
+    assert_lengths_match_reference(KoszulComplex(ring), n,
+                                   range(1, ring.ambient.nvars + 1))
+    if mcm is not None:
+        cr = complete_resolution(mcm, 2, window=2)
+        assert_lengths_match_reference(cr, n, range(-2, 3))
+
+
+def test_infinite_lengths_match_cycle_data():
+    # over k[x, y, z]/(xy), R/(x) has infinite Tor and Tate lengths against
+    # itself; infinite is None on both paths
+    r = define_ring(["x", "y", "z"], [1, 1, 1], 7, ["x*y"])
+    m = quotient_module(r, [parse_polynomial(r.ambient, "x")])
+    cr = complete_resolution(m, 2, window=2)
+    for cx, indices in ((resolution_of(m, 3), range(3)), (cr, range(-2, 3))):
+        assert_lengths_match_reference(cx, m, indices)
+        assert None in [length_at(tensor_maps, cx, m, i) for i in indices]
+        assert None in [length_at(hom_maps, cx, m, i) for i in indices]
 
 
 # -- modules degree by degree ------------------------------------------------
@@ -325,6 +408,24 @@ def test_artinian_lengths_build_no_cycle_data(gp_ring, monkeypatch):
                for i in range(1, 4)]
     modules += [f(cr, n, i) for f in (tate_tor, tate_ext) for i in range(-2, 3)]
     assert [mod.length() for mod in modules[9:12]] == [2, 2, 2]  # Ext(N, k)
+    assert calls == []
+
+
+def test_sizes_build_no_cycles_in_positive_dimension(cusp, cusp_m,
+                                                    threefold_mn, monkeypatch):
+    # lengths, vanishing, depth, total acyclicity and exactness read sizes;
+    # only the resolutions themselves, built first, run a tracked syzygy
+    m, n = threefold_mn
+    resolution_of(m, 5)
+    cr = complete_resolution(cusp_m, 2, window=2)
+    f, g = random_short_exact_sequence(n, random.Random(3))
+    calls = count_cycle_data_calls(monkeypatch)
+    assert [tor_length(m, n, i) for i in range(1, 5)] == [1, 0, 1, 0]
+    assert [ext_is_zero(m, n, i) for i in range(3)] == [True, False, True]
+    assert depth(m) == depth(cusp_m) + 1 == 2
+    assert cr.verify(3)
+    assert f.is_injective() and g.is_surjective()
+    assert verify_short_exact(f, g) == (True, "exact")
     assert calls == []
 
 

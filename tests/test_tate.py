@@ -263,10 +263,10 @@ def test_verify_checks_one_index_per_residue_class(gp_ring, monkeypatch):
 
     def counting(side, cx, module, i):
         calls.append(i)
-        return vanishes_at(side, cx, module, i)
+        return length_at(side, cx, module, i)
 
-    vanishes_at = tate.vanishes_at
-    monkeypatch.setattr(tate, "vanishes_at", counting)
+    length_at = tate.length_at
+    monkeypatch.setattr(tate, "length_at", counting)
     assert cr.verify(6)
     assert len(calls) == 2 * cr.q == 8
     assert {i % cr.q for i in calls} == set(range(cr.q))

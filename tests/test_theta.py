@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -228,3 +229,56 @@ def test_stable_syzygy_depth_zero(torus_dim1):
     m = ideal_module(torus_dim1, [P(torus_dim1, "x"), P(torus_dim1, "y")])
     out = depth_zero_check(m)
     assert out["verdict"] == "DEPTH_ZERO"
+
+
+def test_hw_check_recheck_runs_under_the_other_order(monkeypatch):
+    # a grevlex torsion of 0 must not survive the recheck, which rebuilds
+    # the ring under lex: over k[t^3, t^4, t^5] (not a hypersurface, so no
+    # Tate cross-check intervenes) the lex torsion overrules it.  The
+    # attribute ``hwprobe.theta`` is the function, so the module is imported
+    # by its dotted name.
+    theta_module = importlib.import_module("hwprobe.theta")
+    real = theta_module._torsion_both_ways
+    orders = []
+
+    def grevlex_says_zero(m):
+        orders.append(m.ring.ambient.order)
+        return 0 if m.ring.ambient.order == "grevlex" else real(m)
+
+    monkeypatch.setattr(theta_module, "_torsion_both_ways", grevlex_says_zero)
+    names = ["x", "y", "z"]
+    rq = define_ring(names, [3, 4, 5], 101,
+                     ["x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y"], domain=True)
+    out = hw_check(ideal_module(rq, [P(rq, v) for v in names]))
+    assert orders == ["grevlex", "lex"]
+    assert out["recheck_torsion_length"] == out["torsion_length"] == 6
+    assert out["verdict"] == CONJECTURE_HOLDS
+
+
+def test_short_exact_check_finds_a_kernel_of_f():
+    # over k[x, y]/(xy), y: R(-1) -> R kills x, and R -> R/(y) is onto with
+    # g o f = 0
+    r = define_ring(["x", "y"], [1, 1], 7, ["x*y"])
+    amb = r.ambient
+    one = free_module(r, (0,))
+    f = GradedMap(one.twist(-1), one, [{(0, (0, 1)): 1}])
+    g = GradedMap(one, quotient_module(r, [P(r, "y")]),
+                  [unit_vector(amb, 0)])
+    assert not f.is_injective()
+    assert verify_short_exact(f, g) == (False, "f has a kernel")
+
+
+def test_short_exact_check_finds_ker_g_beyond_im_f():
+    # over k[x, y], x^2: R(-2) -> R is injective and R -> R/(x) is onto with
+    # g o f = 0, but ker g = (x) is larger than im f = (x^2)
+    r = define_ring(["x", "y"], [1, 1], 7, [])
+    amb = r.ambient
+    one = free_module(r, (0,))
+    f = GradedMap(one.twist(-2), one, [{(0, (2, 0)): 1}])
+    g = GradedMap(one, quotient_module(r, [P(r, "x")]),
+                  [unit_vector(amb, 0)])
+    assert f.is_injective() and g.is_surjective()
+    assert verify_short_exact(f, g) == (False, "ker g exceeds im f")
+    # the same g after x: R(-1) -> R is exact
+    f1 = GradedMap(one.twist(-1), one, [{(0, (1, 0)): 1}])
+    assert verify_short_exact(f1, g) == (True, "exact")
