@@ -19,6 +19,7 @@ This module is the one home of sparse F_p arithmetic on tuple-keyed dicts:
   accumulator; ``matvec`` (and so ``compose_cols``) calls it once per term.
   Its packed twin, where x^m is one added int, is ``groebner._isub_shifted``;
 * ``sum_rows`` is the only loop that sums rows of a memoized NF table;
+* ``transpose_cols`` is the only transpose of a column list;
 * ``row_reduce`` / ``row_insert`` are the only sparse echelon routine: rows
   are dicts of any hashable key, the pivot of a row is its ``key``-maximal
   entry;
@@ -175,6 +176,16 @@ def vec_degree(ring, v: Vec, twists):
 def vec_component(v: Vec, comp) -> dict:
     """Extract one component as a polynomial."""
     return {m: c for (cc, m), c in v.items() if cc == comp}
+
+
+def transpose_cols(cols, nrows):
+    """Columns of the transpose: entry (r, m) of column j goes to (j, m) in
+    column r, for a matrix with ``nrows`` rows."""
+    out = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for (r, m), c in col.items():
+            out[r][(j, m)] = c
+    return out
 
 
 def matvec(ring, cols, v: Vec) -> Vec:

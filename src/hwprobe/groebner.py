@@ -60,6 +60,7 @@ from collections import defaultdict
 from functools import partial
 
 from .freemod import (
+    compose_cols,
     row_insert,
     schreyer_key,
     sum_rows,
@@ -421,18 +422,13 @@ class GroebnerBasis:
 
     @memoized
     def initial_module(self):
-        """Minimal monomial generators of the initial module, per component."""
+        """Minimal monomial generators of the initial module, per component:
+        the leading terms, none dividing another, since ``_interreduce``
+        drops every lead that a smaller kept lead of its component divides."""
         per_comp = defaultdict(list)
         for c, m in self.leading_terms():
             per_comp[c].append(m)
-        out = {}
-        for c, ms in per_comp.items():
-            mins = []
-            for m in sorted(ms, key=self.ring.mono_deg):
-                if not any(self.ring.mono_divides(g, m) for g in mins):
-                    mins.append(m)
-            out[c] = tuple(mins)
-        return out
+        return {c: tuple(ms) for c, ms in per_comp.items()}
 
 
 def groebner_basis(ring, gens, twists):
@@ -474,6 +470,13 @@ def vec_nf_ideal(ring_q, v, m=None):
     if not ring_q.gb:
         return dict(v) if m is None else vec_mul_term(v, m, 1, ring_q.p)
     return sum_rows(ring_q.ambient, ring_q.term_nf, 1, v, m)
+
+
+def composes_to_zero(ring_q, outer, inner):
+    """Whether outer o inner = 0 over R = S/I, for column lists of maps of
+    free modules: every column of the product vanishes modulo the ideal."""
+    return not any(vec_nf_ideal(ring_q, c)
+                   for c in compose_cols(ring_q.ambient, outer, inner))
 
 
 def module_groebner(ring_q, gens, twists):

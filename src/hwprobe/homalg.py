@@ -13,7 +13,10 @@ modules is any object with ``ring``, ``twists_at(i)`` (the generator degrees
 of C_i) and ``differential(i)`` (the columns of C_i -> C_{i-1}):
 ``Resolution``, ``CompleteResolution`` and ``KoszulComplex``.  Two sides,
 ``tensor_maps`` for H_i(C (x) N) and ``hom_maps`` for H^i(Hom(C, N)), give
-the maps into and out of position i as block matrices over N.
+the maps into and out of position i as block matrices over N, both as
+four entries in one layout.  Hom(F, N) = F* (x) N for F free, so Hom(C, N)
+is the tensor side of the dual complex C*, with negated twists and the
+differentials transposed by ``freemod.transpose_cols``.
 
 Lengths and vanishing here, like exactness in ``modules`` and ``theta``,
 come from sizes alone: B (the incoming image plus the middle's relations)
@@ -46,7 +49,7 @@ generators of M* and M** that ``module_at`` returns with each module.
 from itertools import combinations
 
 from . import hilbert as hb
-from .freemod import vec_component, vec_degree, vec_from_polys
+from .freemod import transpose_cols, vec_degree
 from .groebner import express_in_terms, kernel_into_quotient, saturate
 from .hilbert import std_monomials
 from .modules import (
@@ -67,38 +70,15 @@ from .resolution import resolution_of
 from .ring import memoized
 
 # ---------------------------------------------------------------------------
-# block matrices for (-) (x) N and Hom(-, N) on free complexes
-
-
-def _hom_block_cols(d_cols, n_src_comps, g_n):
-    """Columns of Hom(d, N): precomposition with d, acting on blocks."""
-    out = []
-    for c in range(n_src_comps):
-        for k in range(g_n):
-            col = {}
-            for cp, dcol in enumerate(d_cols):
-                for (j, m), coef in dcol.items():
-                    if j == c:
-                        col[(cp * g_n + k, m)] = coef
-            out.append(col)
-    return out
-
-
-def _hom_twists(f_twists, n_module):
-    return tuple(b - t for t in f_twists for b in n_module.twists)
-
-
-# ---------------------------------------------------------------------------
 # (co)homology of a free complex against a module
 
 
 def tensor_maps(cx, n, i):
     """C (x) N around position i, or None if C_i or N is zero.
 
-    Returns ``(F_i, F_{i-1}, d_i (x) 1, d_{i+1} (x) 1, twists)``: the
-    generator degrees of C_i and of the target of the outgoing map, the
-    block columns of the outgoing and the incoming map, and the rule that
-    turns generator degrees of C into those of C (x) N.
+    Returns ``(F_i, F_{i-1}, d_i (x) 1, d_{i+1} (x) 1)``: the generator
+    degrees of C_i and of the target of the outgoing map, and the block
+    columns of the outgoing and the incoming map.
     """
     if cx.ring != n.ring:
         raise HypothesisError("homology over different rings")
@@ -108,25 +88,24 @@ def tensor_maps(cx, n, i):
     g_n = n.ngens
     return (f_i, cx.twists_at(i - 1),
             _tensor_block_cols(cx.differential(i), g_n),
-            _tensor_block_cols(cx.differential(i + 1), g_n), _tensor_twists)
+            _tensor_block_cols(cx.differential(i + 1), g_n))
 
 
 def hom_maps(cx, n, i):
     """Hom(C, N) around position i, or None if C_i or N is zero.
 
-    Returns ``(F_i, F_{i+1}, Hom(d_{i+1}, N), Hom(d_i, N), twists)`` in the
-    layout of ``tensor_maps``.
+    Hom(F, N) = F* (x) N for F free, so this is the tensor side of the dual
+    complex C*: ``(-F_i, -F_{i+1}, d_{i+1}^T (x) 1, d_i^T (x) 1)``.
     """
     if cx.ring != n.ring:
         raise HypothesisError("cohomology over different rings")
     f_i = cx.twists_at(i)
     if not f_i or n.is_zero():
         return None
-    g_n = n.ngens
-    return (f_i, cx.twists_at(i + 1),
-            _hom_block_cols(cx.differential(i + 1), len(f_i), g_n),
-            _hom_block_cols(cx.differential(i), len(cx.twists_at(i - 1)), g_n),
-            _hom_twists)
+    out = transpose_cols(cx.differential(i + 1), len(f_i))
+    inc = transpose_cols(cx.differential(i), len(cx.twists_at(i - 1)))
+    return (tuple(-t for t in f_i), tuple(-t for t in cx.twists_at(i + 1)),
+            _tensor_block_cols(out, n.ngens), _tensor_block_cols(inc, n.ngens))
 
 
 def _cycle_data(n, maps):
@@ -135,10 +114,10 @@ def _cycle_data(n, maps):
     relations of the middle module."""
     if maps is None:
         return None
-    f_i, f_out, outgoing, incoming, twists = maps
+    f_i, f_out, outgoing, incoming = maps
     z = kernel_into_quotient(n.ring, outgoing, _free_tensor_rels(len(f_out), n),
-                             twists(f_out, n))
-    return twists(f_i, n), z, incoming + _free_tensor_rels(len(f_i), n)
+                             _tensor_twists(f_out, n))
+    return _tensor_twists(f_i, n), z, incoming + _free_tensor_rels(len(f_i), n)
 
 
 def tensor_cycle_data(cx, n, i):
@@ -179,15 +158,15 @@ def length_at(side, cx, n, i):
     maps = side(cx, n, i)
     if maps is None:
         return 0
-    f_i, f_out, outgoing, incoming, twists = maps
+    f_i, f_out, outgoing, incoming = maps
     ring = n.ring
     if ring.dim == 0:
         blocks = _module_blocks(n)
         return (blocks.dim(len(f_i) * n.ngens) - blocks.rank(outgoing)
                 - blocks.rank(incoming))
-    tgt = twists(f_out, n)
+    tgt = _tensor_twists(f_out, n)
     numer = hb.tpoly_add(
-        submodule_numerator(ring, twists(f_i, n),
+        submodule_numerator(ring, _tensor_twists(f_i, n),
                             incoming + _free_tensor_rels(len(f_i), n)),
         submodule_numerator(ring, tgt,
                             outgoing + _free_tensor_rels(len(f_out), n)))
@@ -208,8 +187,8 @@ def _strand_module(n, maps):
     ring = n.ring
     if maps is None:
         return PresentedModule(ring, (), ()), []
-    f_i, _, outgoing, incoming, twists = maps
-    middle = twists(f_i, n)
+    f_i, _, outgoing, incoming = maps
+    middle = _tensor_twists(f_i, n)
     blocks = _module_blocks(n)
     b = blocks.image(incoming, middle)
     gens = blocks.minimal_kernel(middle, outgoing, blocks, source_mod=b)
@@ -293,9 +272,7 @@ def ext_is_zero(m, n, i):
 def transpose(m):
     """Auslander transpose: cokernel of the dual of the minimal presentation."""
     twists = tuple(-e for e in m.rel_degrees())
-    cols = [vec_from_polys(vec_component(rel, j) for rel in m.rels)
-            for j in range(m.ngens)]
-    return PresentedModule(m.ring, twists, cols)
+    return PresentedModule(m.ring, twists, transpose_cols(m.rels, m.ngens))
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +283,23 @@ class KoszulComplex:
     """The Koszul complex on all ambient variables, a complex of free modules.
 
     K_j (j >= 0) has one generator per j-subset of the variables, of the
-    subset's weighted degree, so K_j is empty for j > n.
+    subset's weighted degree, so K_j is empty for j > n and for j < 0.
     """
 
     def __init__(self, ring):
         self.ring = ring
 
     def twists_at(self, j):
+        if j < 0:
+            return ()
         w = self.ring.ambient.weights
         return tuple(sum(w[i] for i in s)
                      for s in combinations(range(self.ring.ambient.nvars), j))
 
     def differential(self, j):
-        """Columns of K_j -> K_{j-1}."""
+        """Columns of K_j -> K_{j-1}; d_0 is the zero map K_0 -> 0."""
+        if j <= 0:
+            return [{} for _ in self.twists_at(j)]
         amb = self.ring.ambient
         n = amb.nvars
         p = amb.p
@@ -382,10 +363,8 @@ def biduality_map(m) -> GradedMap:
     r1 = free_module(ring, (0,))
     md, phis = module_at(hom_maps, resolution_of(m, 1), r1, 0)
     mdd, evs = module_at(hom_maps, resolution_of(md, 1), r1, 0)
-    cols = express_in_terms(
-        ring, [vec_from_polys(vec_component(phi, j) for phi in phis)
-               for j in range(m.ngens)],
-        evs, [], tuple(-t for t in md.twists))
+    cols = express_in_terms(ring, transpose_cols(phis, m.ngens), evs, [],
+                            tuple(-t for t in md.twists))
     if None in cols:
         raise ArithmeticError("biduality image failed to land in Hom(M*, R)")
     return GradedMap(m, mdd, cols)

@@ -25,8 +25,8 @@ computed prefix.
 
 import math
 
-from .freemod import compose_cols, vec_degree
-from .groebner import minimal_generators, syzygies_over_quotient, vec_nf_ideal
+from .freemod import vec_degree
+from .groebner import composes_to_zero, minimal_generators, syzygies_over_quotient
 from .modules import PresentedModule, ring_blocks
 from .ring import memoized
 
@@ -119,13 +119,9 @@ class Resolution:
         upto = upto if upto is not None else self.length - 1
         if upto + 1 > self.length:
             self.extend(upto + 1)
-        for i in range(1, upto + 1):
-            comp = compose_cols(self.ring.ambient, self.differential(i),
-                                self.differential(i + 1))
-            for c in comp:
-                if vec_nf_ideal(self.ring, c):
-                    return False
-        return True
+        return all(composes_to_zero(self.ring, self.differential(i),
+                                    self.differential(i + 1))
+                   for i in range(1, upto + 1))
 
 
 @memoized
@@ -150,17 +146,17 @@ def minimal_free_resolution(module: PresentedModule, length: int) -> Resolution:
 def syzygy_module(module: PresentedModule, n: int, trim=False):
     """The n-th syzygy: presented by d_{n+1} on the n-th level generators.
 
-    Free summands are kept unless ``trim`` is set; n = 0 returns the module
+    Free summands are kept unless ``trim`` is set; n = 0 is the module
     itself.
     """
     if n < 0:
         raise ValueError("negative syzygy index: cosyzygies live in the "
                          "complete-resolution layer")
-    if n == 0:
-        return module
-    res = resolution_of(module, n + 1)
-    m = PresentedModule(module.ring, res.twists_at(n),
-                        res.differential(n + 1), normalize=False)
+    m = module
+    if n > 0:
+        res = resolution_of(module, n + 1)
+        m = PresentedModule(module.ring, res.twists_at(n),
+                            res.differential(n + 1), normalize=False)
     if trim:
         m, _ = m.trim_free_summands()
     return m

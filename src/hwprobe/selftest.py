@@ -9,9 +9,9 @@ import random
 from .catalog import catalog, catalog_names
 from .grammar import parse_polynomial
 from .groebner import groebner_basis, syzygy_generators
-from .homalg import dual, grade, tensor, tor_length, torsion_submodule, transpose
+from .homalg import dual, ext, grade, tensor, tor_length, torsion_submodule, transpose
 from .jobs import run_job
-from .modules import free_module, ideal_module, quotient_module
+from .modules import free_module, ideal_module, quotient_module, residue_field_module
 from .quotient import define_ring
 from .resolution import resolution_of
 from .tate import complete_resolution, tate_tor_length
@@ -105,6 +105,15 @@ def run_selftest(quick=False, seed=0):
         res = resolution_of(m, 5)
         return res.verify(4) and res.is_minimal()
     s.run("resolution differentials compose to zero and are minimal", resolution_square_zero)
+
+    def ext_tor_betti():
+        # both sides of the complex against k read the Betti numbers:
+        # len Ext^i(m, k) = len Tor_i(m, k) = beta_i, here 2, 2, 2
+        k = residue_field_module(cusp)
+        res = resolution_of(m, 4)
+        return all(ext(m, k, i).length() == tor_length(m, k, i)
+                   == res.betti(i) for i in (1, 2, 3))
+    s.run("Ext and Tor against k both give the Betti numbers", ext_tor_betti)
 
     def torsion_agreement():
         prod = tensor(m, dual(m))

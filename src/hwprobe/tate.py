@@ -12,7 +12,7 @@ always verified on a window.
 """
 
 from .freemod import compose_cols, unit_vector, vec_degree
-from .groebner import express_in_terms, vec_nf_ideal
+from .groebner import composes_to_zero, express_in_terms
 from .homalg import depth, hom_maps, length_at, module_at, tensor_maps
 from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
@@ -138,14 +138,11 @@ class CompleteResolution:
         if window < 0:
             raise ValueError(f"window must be >= 0, got {window}")
         ring = self.ring
-        amb = ring.ambient
         end = self.q - window
-        for i in range(-window, min(window + 2, end)):
-            comp = compose_cols(amb, self.differential(i),
-                                self.differential(i + 1))
-            for c in comp:
-                if vec_nf_ideal(ring, c):
-                    return False
+        if not all(composes_to_zero(ring, self.differential(i),
+                                    self.differential(i + 1))
+                   for i in range(-window, min(window + 2, end))):
+            return False
         r1 = free_module(ring, (0,))
         for i in range(-window, min(window + 1, end)):
             if length_at(tensor_maps, self, r1, i) != 0:

@@ -85,8 +85,7 @@ class ThetaContext:
         self.locus_dim = locus
         r = ring.dim
         self.replacement_index = r
-        stable = syzygy_module(module, r, trim=True) if r else \
-            module.trim_free_summands()[0]
+        stable = syzygy_module(module, r, trim=True)
         self.stable_module = stable
         self.periodicity = certify_two_periodic(stable) if not \
             stable.is_zero() else {"via": "finite projective dimension"}

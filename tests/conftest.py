@@ -257,3 +257,37 @@ def reference_buchberger_core(order, gens, twists, track=False):
         elif track and rep:
             syzygies.append(rep)
     return basis, reps, syzygies, rep_order
+
+
+def reference_hom_maps(cx, n, i):
+    """The package's earlier ``homalg.hom_maps``, kept as a reference for
+    the Hom side built as the tensor side of the dual complex.
+
+    Returns ``(F_i, F_{i+1}, Hom(d_{i+1}, N), Hom(d_i, N), twists)``, or None
+    if C_i or N is zero: each block column is laid out by scanning every
+    entry of d once per source component, and ``twists`` turns generator
+    degrees of C into those of Hom(C, N).
+    """
+    f_i = cx.twists_at(i)
+    if not f_i or n.is_zero():
+        return None
+    g_n = n.ngens
+
+    def block_cols(d_cols, n_src_comps):
+        out = []
+        for c in range(n_src_comps):
+            for k in range(g_n):
+                col = {}
+                for cp, dcol in enumerate(d_cols):
+                    for (j, m), coef in dcol.items():
+                        if j == c:
+                            col[(cp * g_n + k, m)] = coef
+                out.append(col)
+        return out
+
+    def twists(f_twists, n_module):
+        return tuple(b - t for t in f_twists for b in n_module.twists)
+
+    return (f_i, cx.twists_at(i + 1),
+            block_cols(cx.differential(i + 1), len(f_i)),
+            block_cols(cx.differential(i), len(cx.twists_at(i - 1))), twists)

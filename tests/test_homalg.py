@@ -25,7 +25,14 @@ from hwprobe import (
     torsion_submodule,
     transpose,
 )
-from hwprobe.homalg import ext_is_zero, hom_maps, module_at
+from hwprobe.homalg import (
+    KoszulComplex,
+    ext_is_zero,
+    hom_maps,
+    length_at,
+    module_at,
+    tensor_maps,
+)
 from hwprobe.resolution import resolution_of
 
 
@@ -199,6 +206,26 @@ def test_depth_examples(cusp, threefold):
     assert depth(free_module(threefold, (0,))) == 3
     with pytest.raises(HypothesisError):
         depth(quotient_module(cusp, [P(cusp, "1")]))
+
+
+def test_koszul_complex_is_zero_below_degree_zero(cusp, cusp_m, gp_ring):
+    # H_0(K (x) N) = N/mN has one dimension per generator, and
+    # H^0(Hom(K, N)) is the socle Hom(k, N); K_{-1} = 0 gives zero at -1
+    from conftest import gp_matrix_cols
+    gp_n = PresentedModule(gp_ring, (0, 0), gp_matrix_cols(gp_ring, 1))
+    cases = [(cusp_m, 2, 0), (residue_field_module(cusp), 1, 1),
+             (free_module(cusp, (0,)), 1, 0), (gp_n, 2, 6),
+             (residue_field_module(gp_ring), 1, 1),
+             (free_module(gp_ring, (0,)), 1, 3)]
+    for n, top, socle in cases:
+        koszul = KoszulComplex(n.ring)
+        assert koszul.twists_at(-1) == () and koszul.differential(-1) == []
+        assert koszul.differential(0) == [{}]
+        assert length_at(tensor_maps, koszul, n, 0) == n.ngens == top
+        assert length_at(hom_maps, koszul, n, 0) == socle == \
+            ext(residue_field_module(n.ring), n, 0).length()
+        assert length_at(tensor_maps, koszul, n, -1) == 0
+        assert length_at(hom_maps, koszul, n, -1) == 0
 
 
 def test_grade_examples(cusp, cusp_m, threefold):

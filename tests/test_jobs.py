@@ -316,6 +316,19 @@ def test_derived_module_types_match_library_calls(cusp_m):
         assert list(built[name].rels) == list(direct.rels), name
 
 
+def test_syzygy_zero_with_trim_drops_free_summands(cusp_m):
+    spec = minimal_spec(modules={
+        "m": {"type": "ideal", "gens": ["x", "y"]},
+        "r": {"type": "free"},
+        "s": {"type": "direct_sum", "left": "m", "right": "r"},
+        "t": {"type": "syzygy", "of": "s", "n": 0, "trim": True},
+    }, tasks=[{"op": "invariants", "module": name} for name in ("s", "t")])
+    report = run_job(spec)
+    assert [t["result"]["generators"] for t in report.tasks] == [3, 2]
+    built = build_modules(spec, build_ring(spec))
+    assert built["t"].twists == cusp_m.twists
+
+
 def test_module_table_in_docs_matches_module_types():
     text = (DOCS / "jobfile_format.md").read_text()
     table = text.split("## Module definitions")[1].split("##")[0]

@@ -80,6 +80,25 @@ def test_syzygy_conventions(cusp, cusp_m):
         syzygy_module(cusp_m, -1)
 
 
+def test_syzygy_zero_trims_free_summands(cusp, cusp_m):
+    s = cusp_m.direct_sum(free_module(cusp, (0,)))
+    assert syzygy_module(s, 0) is s
+    trimmed = syzygy_module(s, 0, trim=True)
+    assert trimmed.ngens == 2
+    assert (trimmed.twists, list(trimmed.rels)) == \
+        (cusp_m.twists, list(cusp_m.rels))
+
+
+def test_verify_rejects_a_corrupted_differential(cusp, cusp_m):
+    # a fresh resolution, so the memoized one stays intact; x * e_0 in place
+    # of the first column of d_3 makes d_2 o d_3 nonzero over the domain R
+    res = Resolution(cusp_m).extend(4)
+    assert res.verify(3)
+    (x_mono, _), = P(cusp, "x").items()
+    res.diffs[2] = [{(0, x_mono): 1}] + res.diffs[2][1:]
+    assert res.verify(3) is False
+
+
 def test_betti_numbers_are_order_independent():
     for order in ("grevlex", "lex"):
         r = define_ring(["x", "y", "z", "w"], [1, 1, 1, 1], 101,

@@ -27,6 +27,10 @@ normalizing does not shrink.
 
 ``minimal_generators`` itself, the strand test in any dimension, is checked
 to keep exactly the vectors the reference keeps, over curves in dimension 1.
+
+``hom_maps`` (Hom(C, N) as the tensor side of the transposed complex) is
+checked item for item against the package's earlier block layout,
+``reference_hom_maps`` in ``conftest``.
 """
 
 import random
@@ -34,7 +38,12 @@ import sys
 from collections import Counter
 from unittest.mock import patch
 
-from conftest import gp_matrix_cols, reference_minimal_generators
+from conftest import (
+    GP_IDEAL,
+    gp_matrix_cols,
+    reference_hom_maps,
+    reference_minimal_generators,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,15 +63,17 @@ from hwprobe import (
     parse_polynomial,
     quotient_module,
     residue_field_module,
+    syzygy_module,
     tate_ext,
     tate_ext_length,
     tate_tor,
     tate_tor_length,
     tor,
     tor_length,
+    transpose,
     verify_short_exact,
 )
-from hwprobe.freemod import vec_degree
+from hwprobe.freemod import transpose_cols, vec_component, vec_degree
 from hwprobe import modules
 from hwprobe.groebner import (
     GroebnerBasis,
@@ -71,7 +82,12 @@ from hwprobe.groebner import (
     module_groebner,
     syzygies_over_quotient,
 )
-from hwprobe.hilbert import hilbert_numerator, series_coefficients
+from hwprobe.hilbert import (
+    hilbert_numerator,
+    series_coefficients,
+    tpoly_add,
+    tpoly_sub,
+)
 from hwprobe.homalg import (
     KoszulComplex,
     ext_is_zero,
@@ -82,7 +98,7 @@ from hwprobe.homalg import (
     tensor_cycle_data,
     tensor_maps,
 )
-from hwprobe.modules import homology_length, subquotient
+from hwprobe.modules import _tensor_twists, homology_length, subquotient
 from hwprobe.resolution import Resolution, resolution_of
 from hwprobe.theta import random_short_exact_sequence
 
@@ -259,15 +275,16 @@ def positive_dim_case(spec):
                                      for g in mcm])
 
 
-def random_module(data, ring):
-    """A random presentation on one or two generators."""
+def random_module(data, ring, rels=(0, 2)):
+    """A random presentation on one or two generators, with between
+    ``rels[0]`` and ``rels[1]`` relations before zero ones are dropped."""
     amb = ring.ambient
     top = max(amb.weights)
     twists = tuple(data.draw(st.lists(st.integers(0, top), min_size=1,
                                       max_size=2)))
     cols = [random_vector(data, amb, twists,
                           max(twists) + data.draw(st.integers(1, top)))
-            for _ in range(data.draw(st.integers(0, 2)))]
+            for _ in range(data.draw(st.integers(*rels)))]
     return PresentedModule(ring, twists, [c for c in cols if c])
 
 
@@ -287,10 +304,42 @@ def test_lengths_from_sizes_match_cycle_data_in_positive_dimension(data):
     m, n = random_module(data, ring), random_module(data, ring)
     assert_lengths_match_reference(resolution_of(m, 3), n, range(3))
     assert_lengths_match_reference(KoszulComplex(ring), n,
-                                   range(1, ring.ambient.nvars + 1))
+                                   range(ring.ambient.nvars + 1))
     if mcm is not None:
         cr = complete_resolution(mcm, 2, window=2)
         assert_lengths_match_reference(cr, n, range(-2, 3))
+
+
+def assert_betti_hilbert_identity(m):
+    # 0 -> Omega^4 M -> F_3 -> ... -> F_0 -> M -> 0 is exact, so
+    # HS(M) = sum_{i <= 3} (-1)^i HS(F_i) + HS(Omega^4 M), numerators over
+    # one denominator; Omega^4 M is presented by d_5
+    res = resolution_of(m, 5)
+    assert res.verify(3)
+    numer = syzygy_module(m, 4).hilbert_numerator()
+    for i in range(4):
+        step = free_module(m.ring, res.twists_at(i)).hilbert_numerator()
+        numer = (tpoly_add if i % 2 == 0 else tpoly_sub)(numer, step)
+    assert numer == m.hilbert_numerator()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_betti_hilbert_identity_in_positive_dimension(data):
+    # over the cusp and A
+    ring, _ = positive_dim_case(data.draw(st.sampled_from(
+        [POSITIVE_DIM[0], POSITIVE_DIM[3]])))
+    assert_betti_hilbert_identity(random_module(data, ring, rels=(2, 3)))
+
+
+def test_betti_hilbert_identity_over_a():
+    # k, m and (x, y) over A = k[t^3, t^4, t^5]
+    ring, _ = positive_dim_case(POSITIVE_DIM[3])
+    amb = ring.ambient
+    for m in (residue_field_module(ring), ideal_module(ring, ring.variables()),
+              ideal_module(ring, [parse_polynomial(amb, "x"),
+                                  parse_polynomial(amb, "y")])):
+        assert_betti_hilbert_identity(m)
 
 
 def test_infinite_lengths_match_cycle_data():
@@ -478,6 +527,57 @@ def test_gp_hom_and_dual_match_cycle_data(gp_ring):
         hom(n, n), cycle_data_module(gp_ring, hom_cycle_data(res, n, 0)))
     assert_matches_reference(
         dual(n), cycle_data_module(gp_ring, hom_cycle_data(res, r1, 0)))
+
+
+# -- Hom as the tensor side of the dual complex -------------------------------
+
+
+def assert_hom_layout_matches_reference(cx, n, indices):
+    for i in indices:
+        new, ref = hom_maps(cx, n, i), reference_hom_maps(cx, n, i)
+        if ref is None:
+            assert new is None
+            continue
+        f_i, f_out, outgoing, incoming, twists = ref
+        assert len(new) == 4
+        assert _tensor_twists(new[0], n) == twists(f_i, n)
+        assert _tensor_twists(new[1], n) == twists(f_out, n)
+        for cols, ref_cols in ((new[2], outgoing), (new[3], incoming)):
+            assert [list(c.items()) for c in cols] == \
+                [list(c.items()) for c in ref_cols]
+
+
+GP_RING = define_ring(["x1", "x2", "x3", "x4"], [1, 1, 1, 1], 5, GP_IDEAL)
+# (ring, a module with a complete resolution, its period); A has none
+HOM_LAYOUT_CASES = [(*positive_dim_case(POSITIVE_DIM[0]), 2),
+                    (*positive_dim_case(POSITIVE_DIM[3]), None),
+                    (GP_RING, gp_n(GP_RING), 4)]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hom_layout_matches_the_reference(data):
+    # over the cusp, A and GP: resolutions, Koszul complexes and complete
+    # resolutions at negative and positive indices
+    for ring, periodic, q in HOM_LAYOUT_CASES:
+        cx = q and complete_resolution(periodic, q, window=2)
+        m = random_module(data, ring, rels=(2, 3))
+        n = random_module(data, ring)
+        assert_hom_layout_matches_reference(resolution_of(m, 3), n,
+                                            range(-1, 4))
+        assert_hom_layout_matches_reference(KoszulComplex(ring), n,
+                                            range(-1, ring.ambient.nvars + 2))
+        if cx is not None:
+            assert_hom_layout_matches_reference(cx, n, range(-3, 4))
+        # the Auslander transpose reads the column loop it replaced
+        old = [{(i, mono): c for i, rel in enumerate(m.rels)
+                for mono, c in vec_component(rel, j).items()}
+               for j in range(m.ngens)]
+        assert [list(c.items()) for c in transpose_cols(m.rels, m.ngens)] \
+            == [list(c.items()) for c in old]
+        tr = transpose(m)
+        ref = PresentedModule(ring, tr.twists, old)
+        assert (tr.twists, list(tr.rels)) == (ref.twists, list(ref.rels))
 
 
 # -- one minimality test in every dimension ------------------------------------

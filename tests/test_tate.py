@@ -199,6 +199,20 @@ def test_tate_ext_module_matches_its_length(cusp, cusp_m):
     assert neg.length() == tate_ext_length(cr, md, -2)
 
 
+def test_verify_rejects_a_complex_that_does_not_square_to_zero(cusp, cusp_m):
+    # x * e_0 in place of the first column of B: A o B is no longer zero
+    from hwprobe.groebner import composes_to_zero
+    from hwprobe.tate import CompleteResolution
+    cr = complete_resolution(cusp_m, 2, window=4)
+    (x_mono, _), = P(cusp, "x").items()
+    b = [{(0, x_mono): 1}] + cr.cycle[1][1:]
+    assert composes_to_zero(cusp, cr.cycle[0], cr.cycle[1])
+    assert not composes_to_zero(cusp, cr.cycle[0], b)
+    broken = CompleteResolution(cusp, 2, 0, [cr.cycle[0], b], cr.levels,
+                                cr.shift, {})
+    assert broken.verify(0) is False
+
+
 def test_tate_length_cache_tells_temporary_modules_apart(cusp, cusp_m):
     # the modules are temporaries, so CPython hands a freed module's address
     # to the next one; a cache keyed by id() returns the other module's length
