@@ -562,11 +562,17 @@ def express_in_terms(ring_q, targets, gens, aux, twists):
 def minimal_by_degree(ring, pieces, mul_nf, modulo=None):
     """The strand test of La Scala and Stillman (JSC 1998), in any dimension.
 
-    ``pieces`` gives ``(D, vectors of degree D)`` for consecutive D.  The
-    span in degree D is sum_x x * span_{D - w(x)}, plus ``modulo[D]``
+    ``pieces`` gives ``(D, vectors of degree D, full)`` for consecutive D.
+    The span in degree D is sum_x x * span_{D - w(x)}, plus ``modulo[D]``
     (``{D: echelon pivots}``) if given, plus the earlier vectors of degree D;
     a vector is kept iff it is independent of that span.  ``mul_nf(v, m)``
     writes x^m * v in the coordinates of the vectors.
+
+    ``full`` is None or the dimension of the kernel Z_D, when the vectors
+    are an F_p-basis of Z_D and ``modulo[D]`` lies inside Z_D.  Then the
+    span lies in Z_D too, and once it reaches that dimension no vector of
+    degree D can be independent: the products stop and none is kept.  The
+    span is still a basis of Z_D, so later degrees keep the same vectors.
     """
     p = ring.p
     variables = [(tuple(int(i == k) for i in range(ring.nvars)), w)
@@ -574,12 +580,17 @@ def minimal_by_degree(ring, pieces, mul_nf, modulo=None):
     top = max(ring.weights)
     spans = {}
     kept = []
-    for d, vectors in pieces:
+    for d, vectors, full in pieces:
         span = dict(modulo.get(d, {})) if modulo else {}
-        for x, w in variables:
-            for row in spans.get(d - w, {}).values():
-                row_insert(mul_nf(row, x), span, None, p)
-        kept.extend(v for v in vectors if row_insert(dict(v), span, None, p))
+        products = ((x, row) for x, w in variables
+                    for row in spans.get(d - w, {}).values())
+        for x, row in products:
+            if len(span) == full:
+                break
+            row_insert(mul_nf(row, x), span, None, p)
+        if len(span) != full:
+            kept.extend(v for v in vectors
+                        if row_insert(dict(v), span, None, p))
         spans[d] = span
         spans.pop(d - top, None)  # no later degree reads it
     return kept
@@ -591,7 +602,8 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
     The reduced vectors go to ``minimal_by_degree`` by increasing degree,
     with coordinates in F/(I*F); when ``modulo`` (a Groebner basis of an
     auxiliary submodule B + I*F) is given, in F/B instead, yielding minimal
-    generators of the image of <vectors> there.
+    generators of the image of <vectors> there.  They are no basis of a
+    known space, so ``full`` is None and every product is made.
     """
     ring = ring_q.ambient
     if modulo is None:
@@ -612,7 +624,7 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
         by_degree[d].append(v)
     if not by_degree:
         return []
-    return minimal_by_degree(ring, ((d, by_degree.get(d, ())) for d in
+    return minimal_by_degree(ring, ((d, by_degree.get(d, ()), None) for d in
                                     range(min(by_degree), max(by_degree) + 1)),
                              mul_nf)
 

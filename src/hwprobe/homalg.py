@@ -187,13 +187,14 @@ def _strand_module(n, maps):
     ring = n.ring
     if maps is None:
         return PresentedModule(ring, (), ()), []
-    f_i, _, outgoing, incoming = maps
+    f_i, f_out, outgoing, incoming = maps
     middle = _tensor_twists(f_i, n)
     blocks = _module_blocks(n)
     b = blocks.image(incoming, middle)
-    gens = blocks.minimal_kernel(middle, outgoing, blocks, source_mod=b)
+    gens = blocks.minimal_kernel(middle, outgoing, blocks,
+                                 _tensor_twists(f_out, n), source_mod=b)
     gen_twists = tuple(vec_degree(ring.ambient, v, middle) for v in gens)
-    rels = ring_blocks(ring).minimal_kernel(gen_twists, gens, blocks,
+    rels = ring_blocks(ring).minimal_kernel(gen_twists, gens, blocks, middle,
                                             target_mod=b)
     return PresentedModule(ring, gen_twists, rels, normalize=False), gens
 

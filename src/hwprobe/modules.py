@@ -382,39 +382,53 @@ class Blocks:
                            None, self.ring.p)
         return out
 
-    def minimal_kernel(self, twists, cols, target, *, source_mod=None,
-                       target_mod=None):
+    def minimal_kernel(self, twists, cols, target, target_twists, *,
+                       source_mod=None, target_mod=None):
         """Minimal generators of the kernel of the map from the sum with
-        component twists ``twists`` into a sum of ``target``'s copies.
+        component twists ``twists`` into the sum of ``target``'s copies with
+        component twists ``target_twists``.
 
         In degree D the rows are the images of the basis vectors x^m * e_j,
         each followed by an identity coordinate (key (-1, n), below every
         image key (component, monomial), so image entries pivot first); the
-        rows left with identity pivots span the kernel Z_D.  Each Z_D goes to
-        ``groebner.minimal_by_degree``, which keeps the vectors independent
-        of sum_x x * Z_{D - w(x)}.  ``target_mod`` (``{D: pivots}`` in the
-        target) takes the kernel into the target modulo that subspace;
-        ``source_mod`` (in the source, inside the kernel) gives generators of
-        the kernel modulo it instead.
+        rows left with identity pivots span the kernel Z_D.  Above the
+        target's top degree, max_c (target_twists[c] + top degree of its
+        component), the target is zero, so Z_D is the whole source there
+        and no image is computed.  Each Z_D goes to
+        ``groebner.minimal_by_degree`` with its dimension, which keeps the
+        vectors independent of sum_x x * Z_{D - w(x)} and stops once that
+        span fills Z_D.  ``target_mod`` (``{D: pivots}`` in the target)
+        takes the kernel into the target modulo that subspace;
+        ``source_mod`` (in the source) gives generators of the kernel modulo
+        it instead, and must lie inside the kernel, as boundaries lie in the
+        cycles, for the stop to be right.
         """
         if not twists:
             return []
         p = self.ring.p
         g = len(self.std)
         tables = [self.std[j % g] for j in range(len(twists))]
+        tg = len(target.std)
+        top = max((a + len(target.std[c % tg]) - 1
+                   for c, a in enumerate(target_twists)),
+                  default=min(twists) - 1)
 
         def kernels():
             for d in range(min(twists),
                            max(a + len(t) for a, t in zip(twists, tables))):
                 basis = [(j, m) for j, a in enumerate(twists)
                          if 0 <= d - a < len(tables[j]) for m in tables[j][d - a]]
+                if d > top:
+                    yield d, [{b: 1} for b in basis], len(basis)
+                    continue
                 pivots = dict(target_mod.get(d, {})) if target_mod else {}
                 for n, (j, m) in enumerate(basis):
                     row = target.mul_nf(cols[j], m)
                     row[(-1, n)] = 1
                     row_insert(row, pivots, None, p)
-                yield d, [{basis[n]: c for (_, n), c in row.items()}
-                          for (comp, _), row in pivots.items() if comp < 0]
+                z = [{basis[n]: c for (_, n), c in row.items()}
+                     for (comp, _), row in pivots.items() if comp < 0]
+                yield d, z, len(z)
 
         return minimal_by_degree(self.ring.ambient, kernels(), self.mul_nf,
                                  source_mod)

@@ -17,7 +17,8 @@ of two ways to do it:
 Both cut down to minimal generators with one test, the strand test of La
 Scala and Stillman (JSC 1998) in ``groebner.minimal_by_degree``: a vector of
 degree D is kept iff it is independent of sum_x x * span_{D - w(x)} and of
-the earlier vectors of degree D.  Both fill the same ``diffs`` and
+the earlier vectors of degree D.  The strand step hands it a basis of each
+Z_D, so it stops once that span fills Z_D.  Both fill the same ``diffs`` and
 ``level_twists``.  Each module has one
 resolution, memoized on it and extended on demand; it always holds a fully
 computed prefix.
@@ -63,7 +64,8 @@ class Resolution:
                 continue
             if self.ring.dim == 0:
                 free = ring_blocks(self.ring)
-                nxt = free.minimal_kernel(src_twists, cols, free)
+                nxt = free.minimal_kernel(src_twists, cols, free,
+                                          ambient_twists)
             else:
                 syz = syzygies_over_quotient(self.ring, cols, ambient_twists)
                 nxt = minimal_generators(self.ring, syz, src_twists)

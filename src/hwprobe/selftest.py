@@ -106,6 +106,17 @@ def run_selftest(quick=False, seed=0):
         return res.verify(4) and res.is_minimal()
     s.run("resolution differentials compose to zero and are minimal", resolution_square_zero)
 
+    def gp_residue_betti():
+        # the Artinian strand path against Gasharov and Peeva: k over their
+        # ring has Betti numbers (3^(i+1) - 1)/2, since P_k = 1/(1 - 4t + 3t^2)
+        gp = define_ring(["x1", "x2", "x3", "x4"], [1, 1, 1, 1], 5,
+                         ["x1^2", "x2^2", "x3^2", "x3*x4", "x4^2",
+                          "x1*x4 + x2*x4", "2*x1*x3 + x2*x3"])
+        res = resolution_of(residue_field_module(gp), 6)
+        expected = [(3 ** (i + 1) - 1) // 2 for i in range(7)]
+        return res.betti_numbers(6) == expected and res.verify(upto=3)
+    s.run("Betti numbers of k over the Gasharov-Peeva ring", gp_residue_betti)
+
     def ext_tor_betti():
         # both sides of the complex against k read the Betti numbers:
         # len Ext^i(m, k) = len Tor_i(m, k) = beta_i, here 2, 2, 2

@@ -153,6 +153,60 @@ def reference_minimal_generators(ring_q, vectors, twists, modulo=None):
     return [g for _, g in kept]
 
 
+def reference_minimal_by_degree(ring, pieces, mul_nf, modulo=None):
+    """The package's earlier ``groebner.minimal_by_degree``, kept as a
+    reference for the strand test that stops once the span fills Z_D.
+
+    ``pieces`` gives ``(D, vectors of degree D)``; every product x * v of
+    the lower spans is made and every vector is tested.
+    """
+    p = ring.p
+    variables = [(tuple(int(i == k) for i in range(ring.nvars)), w)
+                 for k, w in enumerate(ring.weights)]
+    top = max(ring.weights)
+    spans = {}
+    kept = []
+    for d, vectors in pieces:
+        span = dict(modulo.get(d, {})) if modulo else {}
+        for x, w in variables:
+            for row in spans.get(d - w, {}).values():
+                row_insert(mul_nf(row, x), span, None, p)
+        kept.extend(v for v in vectors if row_insert(dict(v), span, None, p))
+        spans[d] = span
+        spans.pop(d - top, None)
+    return kept
+
+
+def reference_minimal_kernel(blocks, twists, cols, target, *, source_mod=None,
+                             target_mod=None):
+    """The package's earlier ``Blocks.minimal_kernel``, kept as a reference.
+
+    It reads no target twists: every basis vector's image is computed, in
+    every degree, and the kernels go to ``reference_minimal_by_degree``.
+    """
+    if not twists:
+        return []
+    p = blocks.ring.p
+    g = len(blocks.std)
+    tables = [blocks.std[j % g] for j in range(len(twists))]
+
+    def kernels():
+        for d in range(min(twists),
+                       max(a + len(t) for a, t in zip(twists, tables))):
+            basis = [(j, m) for j, a in enumerate(twists)
+                     if 0 <= d - a < len(tables[j]) for m in tables[j][d - a]]
+            pivots = dict(target_mod.get(d, {})) if target_mod else {}
+            for n, (j, m) in enumerate(basis):
+                row = target.mul_nf(cols[j], m)
+                row[(-1, n)] = 1
+                row_insert(row, pivots, None, p)
+            yield d, [{basis[n]: c for (_, n), c in row.items()}
+                      for (comp, _), row in pivots.items() if comp < 0]
+
+    return reference_minimal_by_degree(blocks.ring.ambient, kernels(),
+                                       blocks.mul_nf, source_mod)
+
+
 def reference_invert_graded_matrix(ring_q, cols, row_twists):
     """The package's earlier inverse by cofactor expansion, kept as a
     reference for the inverse by lifting.

@@ -31,6 +31,11 @@ to keep exactly the vectors the reference keeps, over curves in dimension 1.
 ``hom_maps`` (Hom(C, N) as the tensor side of the transposed complex) is
 checked item for item against the package's earlier block layout,
 ``reference_hom_maps`` in ``conftest``.
+
+``Blocks.minimal_kernel``, which skips the images above the target's top
+degree and stops the strand test once the span fills the kernel, is checked
+to return the vectors of the package's earlier routine, in the same order,
+at every call a resolution and its Tor and Ext modules make.
 """
 
 import random
@@ -43,6 +48,7 @@ from conftest import (
     gp_matrix_cols,
     reference_hom_maps,
     reference_minimal_generators,
+    reference_minimal_kernel,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -578,6 +584,44 @@ def test_hom_layout_matches_the_reference(data):
         tr = transpose(m)
         ref = PresentedModule(ring, tr.twists, old)
         assert (tr.twists, list(tr.rels)) == (ref.twists, list(ref.rels))
+
+
+# -- the strand step stops where the answer is known --------------------------
+
+
+# GP, k[x, y]/(x^2, y^2) and a weighted ring whose socle x^3 = y^2 sits in
+# degree 6
+STRAND_RINGS = [GP_RING,
+                define_ring(["x", "y"], [1, 1], 7, ["x^2", "y^2"]),
+                define_ring(["x", "y"], [2, 3], 7, ["x^3 - y^2", "x*y"])]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_minimal_kernel_matches_the_reference(data):
+    # every strand step of a resolution and of the Tor and Ext modules
+    # against it: plain, modulo boundaries in the source (the generators of
+    # Z/B) and modulo boundaries in the target (its relations)
+    ring = data.draw(st.sampled_from(STRAND_RINGS))
+    m = random_module(data, ring, rels=(1, 3))
+    n = random_module(data, ring)
+    real = modules.Blocks.minimal_kernel
+    kinds = Counter()
+
+    def checked(blocks, twists, cols, target, target_twists, **mods):
+        got = real(blocks, twists, cols, target, target_twists, **mods)
+        ref = reference_minimal_kernel(blocks, twists, cols, target, **mods)
+        assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+        kinds[tuple(sorted(mods))] += 1
+        return got
+
+    with patch.object(modules.Blocks, "minimal_kernel", checked):
+        res = resolution_of(m, 4)
+        for i in range(3):
+            module_at(tensor_maps, res, n, i)
+            module_at(hom_maps, res, n, i)
+    assert set(kinds) == {("source_mod",), ("target_mod",)} | (
+        {()} if m.rels else set())
 
 
 # -- one minimality test in every dimension ------------------------------------
