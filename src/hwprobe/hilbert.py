@@ -168,17 +168,32 @@ def std_monomials_of_degree(ring, gens, d):
 def std_monomials(ring, gens):
     """Standard monomials of an Artinian monomial ideal, listed by degree.
 
-    The ideal holds a pure power x^e of each variable, so no standard
-    monomial has degree above sum (e - 1) * w(x).  The table runs from
-    degree 0 to the top degree with a standard monomial; it is empty when
-    the ideal is the unit ideal.
+    A divisor of a standard monomial is standard, so degree d is grown from
+    x * (the standard monomials of degree d - w(x)), sorted as
+    ``monomials_of_degree`` lists them.  Once max(w) degrees in a row are
+    empty, every later one is.  The ideal holds a pure power x^e of each
+    variable, which bounds the degrees by sum (e - 1) * w(x).  The table
+    runs from degree 0 to the top degree with a standard monomial; it is
+    empty when the ideal is the unit ideal.
     """
     gens = minimalize_monomials(gens)
     bound = 0
     for k, w in enumerate(ring.weights):
         e = min(g[k] for g in gens if sum(g) == g[k])
         bound += (e - 1) * w
-    table = [std_monomials_of_degree(ring, gens, d) for d in range(bound + 1)]
+    top = max(ring.weights, default=1)
+    table = []
+    for d in range(bound + 1):
+        if d == 0:
+            grown = {(0,) * ring.nvars}
+        else:
+            grown = {m[:k] + (m[k] + 1,) + m[k + 1:]
+                     for k, w in enumerate(ring.weights) if w <= d
+                     for m in table[d - w]}
+        table.append(sorted(m for m in grown if not any(
+            all(x <= y for x, y in zip(g, m)) for g in gens)))
+        if len(table) >= top and not any(table[-top:]):
+            break
     while table and not table[-1]:
         table.pop()
     return table

@@ -28,7 +28,14 @@ outgoing map in the target Tgt, and ``length_at`` reads
 Over an Artinian ring the terms are dimensions less F_p-ranks in the frame
 of ``modules.Blocks``, whose ``mul_nf`` sums rows of N's table
 ``PresentedModule.term_nf``; otherwise they are Hilbert numerators, and
-only their sum goes to ``series_total_if_finite``.
+only their sum goes to ``series_total_if_finite``.  A rank is the dimension
+of the submodule the block columns span, grown degree by degree; a degree
+stops once it fills the target, and once max(w) degrees in a row are full
+at or above the target's top twist, the rest comes from the target's sizes.
+The lengths at i and at i + 1 read the same differential, so each rank is
+computed once, by ``_diff_rank``, memoized on N with the complex in its key:
+memos point from a module to a complex, never back, so no cycle keeps a
+ring alive.
 
 Only ``module_at`` builds cycles, choosing the method from ``ring.dim``.
 
@@ -57,6 +64,7 @@ from .modules import (
     GradedMap,
     HypothesisError,
     PresentedModule,
+    _dual_block_cols,
     _free_tensor_rels,
     _tensor_block_cols,
     _tensor_twists,
@@ -102,10 +110,11 @@ def hom_maps(cx, n, i):
     f_i = cx.twists_at(i)
     if not f_i or n.is_zero():
         return None
-    out = transpose_cols(cx.differential(i + 1), len(f_i))
-    inc = transpose_cols(cx.differential(i), len(cx.twists_at(i - 1)))
+    g_n = n.ngens
     return (tuple(-t for t in f_i), tuple(-t for t in cx.twists_at(i + 1)),
-            _tensor_block_cols(out, n.ngens), _tensor_block_cols(inc, n.ngens))
+            _dual_block_cols(cx.differential(i + 1), len(f_i), g_n),
+            _dual_block_cols(cx.differential(i), len(cx.twists_at(i - 1)),
+                             g_n))
 
 
 def _cycle_data(n, maps):
@@ -153,17 +162,21 @@ def length_at(side, cx, n, i):
     when infinite, so it vanishes iff ``length_at(...) == 0``.
 
     len(Mid/B) + len(Tgt/im out) - len(Tgt), where Mid and Tgt are one copy
-    of N per generator of C there.
+    of N per generator of C there.  Over an Artinian ring that is
+    dim(C_i (x) N) - R(i) - R(i + 1) on either side, R(j) the rank of d_j
+    (x) 1_N, or of its transpose on the Hom side, from ``_diff_rank``.
     """
-    maps = side(cx, n, i)
-    if maps is None:
+    if cx.ring != n.ring:
+        raise HypothesisError("(co)homology over different rings")
+    f_i = cx.twists_at(i)
+    if not f_i or n.is_zero():
         return 0
-    f_i, f_out, outgoing, incoming = maps
     ring = n.ring
     if ring.dim == 0:
-        blocks = _module_blocks(n)
-        return (blocks.dim(len(f_i) * n.ngens) - blocks.rank(outgoing)
-                - blocks.rank(incoming))
+        dual = side is hom_maps
+        return (_module_blocks(n).dim(len(f_i) * n.ngens)
+                - _diff_rank(n, cx, i, dual) - _diff_rank(n, cx, i + 1, dual))
+    f_i, f_out, outgoing, incoming = side(cx, n, i)
     tgt = _tensor_twists(f_out, n)
     numer = hb.tpoly_add(
         submodule_numerator(ring, _tensor_twists(f_i, n),
@@ -174,6 +187,24 @@ def length_at(side, cx, n, i):
     for a in tgt[::n.ngens]:
         numer = hb.tpoly_sub(numer, hb.tpoly_shift(copy, a - n.twists[0]))
     return hb.series_total_if_finite(ring.ambient, numer)
+
+
+@memoized
+def _diff_rank(n, cx, j, dual):
+    """F_p-rank of d_j (x) 1_N, or of d_j^T (x) 1_N when ``dual`` is set,
+    over an Artinian ring: the length at i and at i + 1 share it.
+
+    It is memoized on N with the complex in the key, so memos point from a
+    module to a complex and never back; no complex holds a module.
+    """
+    if dual:
+        target = tuple(-t for t in cx.twists_at(j))
+        cols = _dual_block_cols(cx.differential(j), len(cx.twists_at(j - 1)),
+                                n.ngens)
+    else:
+        target = cx.twists_at(j - 1)
+        cols = _tensor_block_cols(cx.differential(j), n.ngens)
+    return _module_blocks(n).rank(cols, _tensor_twists(target, n))
 
 
 def _strand_module(n, maps):

@@ -16,8 +16,11 @@ and minimal kernels degree by degree, shared by the resolution's strand
 step, the (co)homology modules of ``homalg`` and ``PresentedModule.length``.
 
 The column layout of M (x) N has one home here: ``tensor`` and the Tor maps
-of ``homalg`` both build on ``_tensor_block_cols`` and ``_free_tensor_rels``.
+of ``homalg`` both build on ``_tensor_block_cols`` and ``_free_tensor_rels``,
+and its Hom maps on ``_dual_block_cols``, the same layout of the transpose.
 """
+
+from collections import defaultdict
 
 from . import hilbert as hb
 from .freemod import matvec, row_insert, sum_rows, vec_component, vec_degree
@@ -111,7 +114,7 @@ class PresentedModule:
         """
         if self.ring.dim == 0:
             free = ring_blocks(self.ring)
-            return free.dim(self.ngens) - free.rank(self.rels)
+            return free.dim(self.ngens) - free.rank(self.rels, self.twists)
         return hb.series_total_if_finite(self.ring.ambient,
                                          self.hilbert_numerator())
 
@@ -354,33 +357,90 @@ class Blocks:
         g = len(self.std)
         return sum(len(self.flat[j % g]) for j in range(ncomps))
 
-    def rows(self, cols):
-        """x^m times each column c, m over the standard monomials of c's
-        component in the source: the images of the source's F_p-basis."""
+    def sizes(self, twists):
+        """dim_k of the sum with component twists ``twists``, by degree."""
         g = len(self.std)
-        mul_nf = self.mul_nf
-        for c, col in enumerate(cols):
-            for m in self.flat[c % g]:
-                yield mul_nf(col, m)
+        out = defaultdict(int)
+        for c, a in enumerate(twists):
+            for e, ms in enumerate(self.std[c % g]):
+                out[a + e] += len(ms)
+        return out
 
-    def rank(self, cols):
-        """F_p-rank of the map from a sum to a sum given by its columns."""
-        pivots = {}
-        for row in self.rows(cols):
-            row_insert(row, pivots, None, self.ring.p)
-        return len(pivots)
+    def rank(self, cols, twists):
+        """F_p-rank of the map from a sum into the sum with component twists
+        ``twists`` given by its columns.
+
+        The map is R-linear, so its image is the R-submodule the columns
+        span, built degree by degree: span_D is sum_x x * span_{D - w(x)}
+        plus the columns of degree D, in normal form.  Products and columns
+        in degree D stop once span_D fills the target's degree D.  Above the
+        target's top twist every standard monomial of positive degree is
+        x * (one of degree D - w(x)), so once span_D is full for max(w)
+        degrees in a row ending at or above that twist, every higher degree
+        is full too, and the rest of the rank is read from the target's
+        sizes.
+        """
+        amb = self.ring.ambient
+        p = self.ring.p
+        by_degree = defaultdict(list)
+        for col in cols:
+            if col:
+                j, m = next(iter(col))
+                by_degree[twists[j] + amb.mono_deg(m)].append(col)
+        sizes = self.sizes(twists)
+        if not by_degree or not sizes:
+            return 0
+        variables = [(tuple(int(i == k) for i in range(amb.nvars)), w)
+                     for k, w in enumerate(amb.weights)]
+        top_w = max(amb.weights)
+        top_twist = max(twists)
+        spans = {}
+        rank = run = 0
+        for d in range(min(by_degree), max(sizes) + 1):
+            full = sizes.get(d, 0)
+            span = {}
+            rows = [(row, x) for x, w in variables
+                    for row in spans.get(d - w, {}).values()]
+            rows += [(col, None) for col in by_degree.get(d, ())]
+            for row, x in rows:
+                if len(span) == full:
+                    break
+                row_insert(self.mul_nf(row, x), span, None, p)
+            rank += len(span)
+            run = run + 1 if len(span) == full else 0
+            if run >= top_w and d >= top_twist:
+                return rank + sum(s for e, s in sizes.items() if e > d)
+            spans[d] = span
+            spans.pop(d - top_w, None)  # no later degree reads it
+        return rank
 
     def image(self, cols, twists):
         """The image of such a map in the sum with component twists
-        ``twists``, degree by degree: ``{D: echelon pivots}``."""
+        ``twists``, degree by degree: ``{D: echelon pivots}``.
+
+        The rows are x^m times each column c, m over the standard monomials
+        of c's component in the source, in that order, so the pivots depend
+        only on it.  A row in a degree the pivots already fill reduces to
+        zero, as does every row above the target's top degree, so neither
+        is computed.
+        """
         mono_deg = self.ring.ambient.mono_deg
-        out = {}
-        for row in self.rows(cols):
-            if row:
-                j, m = next(iter(row))
-                row_insert(row, out.setdefault(twists[j] + mono_deg(m), {}),
-                           None, self.ring.p)
-        return out
+        p = self.ring.p
+        g = len(self.std)
+        sizes = self.sizes(twists)
+        out = defaultdict(dict)
+        for c, col in enumerate(cols):
+            if not col:
+                continue
+            j, t = next(iter(col))
+            d = twists[j] + mono_deg(t)
+            for e, ms in enumerate(self.std[c % g]):
+                pivots, full = out[d + e], sizes.get(d + e, 0)
+                for m in ms:
+                    if len(pivots) == full:
+                        break
+                    row_insert(self.mul_nf(col, m), pivots, None, p)
+        return {d: pivots for d, pivots in out.items() if pivots}
 
     def minimal_kernel(self, twists, cols, target, target_twists, *,
                        source_mod=None, target_mod=None):
@@ -527,6 +587,17 @@ def _tensor_block_cols(d_cols, g_n):
     for col in d_cols:
         for k in range(g_n):
             out.append({(j * g_n + k, m): coef for (j, m), coef in col.items()})
+    return out
+
+
+def _dual_block_cols(d_cols, nrows, g_n):
+    """Columns of d^T (x) 1_N for d with ``nrows`` rows, in one pass: item
+    for item ``_tensor_block_cols(transpose_cols(d_cols, nrows), g_n)``."""
+    out = [{} for _ in range(nrows * g_n)]
+    for j, col in enumerate(d_cols):
+        for (r, m), coef in col.items():
+            for k in range(g_n):
+                out[r * g_n + k][(j * g_n + k, m)] = coef
     return out
 
 

@@ -11,11 +11,22 @@ from .grammar import parse_polynomial
 from .groebner import groebner_basis, syzygy_generators
 from .homalg import dual, ext, grade, tensor, tor_length, torsion_submodule, transpose
 from .jobs import run_job
-from .modules import free_module, ideal_module, quotient_module, residue_field_module
+from .modules import (
+    PresentedModule,
+    free_module,
+    ideal_module,
+    quotient_module,
+    residue_field_module,
+)
 from .quotient import define_ring
 from .resolution import resolution_of
 from .tate import complete_resolution, tate_tor_length
 from .theta import random_short_exact_sequence, theta, theta_additivity_check
+
+# The ring of Gasharov and Peeva (1990): variables, weights, field, ideal.
+GASHAROV_PEEVA = (["x1", "x2", "x3", "x4"], [1, 1, 1, 1], 5,
+                  ["x1^2", "x2^2", "x3^2", "x3*x4", "x4^2",
+                   "x1*x4 + x2*x4", "2*x1*x3 + x2*x3"])
 
 
 class _Suite:
@@ -109,13 +120,31 @@ def run_selftest(quick=False, seed=0):
     def gp_residue_betti():
         # the Artinian strand path against Gasharov and Peeva: k over their
         # ring has Betti numbers (3^(i+1) - 1)/2, since P_k = 1/(1 - 4t + 3t^2)
-        gp = define_ring(["x1", "x2", "x3", "x4"], [1, 1, 1, 1], 5,
-                         ["x1^2", "x2^2", "x3^2", "x3*x4", "x4^2",
-                          "x1*x4 + x2*x4", "2*x1*x3 + x2*x3"])
+        gp = define_ring(*GASHAROV_PEEVA)
         res = resolution_of(residue_field_module(gp), 6)
         expected = [(3 ** (i + 1) - 1) // 2 for i in range(7)]
         return res.betti_numbers(6) == expected and res.verify(upto=3)
     s.run("Betti numbers of k over the Gasharov-Peeva ring", gp_residue_betti)
+
+    def gp_module_tor_lengths():
+        # the Artinian rank path against Gasharov and Peeva: their module
+        # N = coker [[x1, 2*x3 + x4], [0, x2]] has every Betti number 2, so
+        # len Tor_i(N, k) = 2, and so len Tor_i(k, N) = 2 by the balance of
+        # Tor, read from the resolution of k; N has period four, so
+        # Tor_i(N, N) repeats
+        gp = define_ring(*GASHAROV_PEEVA)
+        ga = gp.ambient
+        n = PresentedModule(gp, (0, 0), [
+            {(j, mm): c for j, text in enumerate(col)
+             for mm, c in parse_polynomial(ga, text).items()}
+            for col in (("x1", "0"), ("2*x3 + x4", "x2"))])
+        k = residue_field_module(gp)
+        tor_n = [tor_length(n, n, i) for i in range(1, 9)]
+        return all(tor_length(n, k, i) == 2 for i in range(1, 9)) and \
+            all(tor_length(k, n, i) == 2 for i in range(1, 5)) and \
+            tor_n[:4] == tor_n[4:]
+    s.run("Tor of the Gasharov-Peeva module: lengths 2 against k, period 4",
+          gp_module_tor_lengths)
 
     def ext_tor_betti():
         # both sides of the complex against k read the Betti numbers:

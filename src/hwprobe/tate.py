@@ -226,7 +226,7 @@ def tate_tor(cr: CompleteResolution, n_module, i):
 
 def tate_tor_length(cr, n_module, i):
     """Length of Tate homology at any integer index."""
-    return _periodic_length(cr, tensor_maps, (i - cr.base) % cr.q, n_module)
+    return _periodic_length(n_module, cr, tensor_maps, (i - cr.base) % cr.q)
 
 
 def tate_ext(cr: CompleteResolution, n_module, i):
@@ -236,12 +236,13 @@ def tate_ext(cr: CompleteResolution, n_module, i):
 
 def tate_ext_length(cr, n_module, i):
     """Length of Tate cohomology at any integer index."""
-    return _periodic_length(cr, hom_maps, (i - cr.base) % cr.q, n_module)
+    return _periodic_length(n_module, cr, hom_maps, (i - cr.base) % cr.q)
 
 
 @memoized
-def _periodic_length(cr, side, k, n_module):
+def _periodic_length(n_module, cr, side, k):
     # The length at i depends only on k = (i - base) mod q, so it is read at
-    # base + k.  The memo key holds the module itself, not its id(): the key
-    # keeps it alive, so its identity hash cannot pass to another module.
+    # base + k.  Like the ranks it reads, it is memoized on the module with
+    # the complex in the key: a memo on the complex keyed by the module would
+    # close a cycle with them, and keep the ring alive until the collector.
     return length_at(side, cr, n_module, cr.base + k)

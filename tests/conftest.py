@@ -21,6 +21,7 @@ from hwprobe.freemod import (
 )
 from hwprobe.freemod import schreyer_key
 from hwprobe.groebner import InhomogeneousError, poly_det, vec_nf_ideal
+from hwprobe.hilbert import minimalize_monomials, std_monomials_of_degree
 
 
 def poly(ring_q, text):
@@ -345,3 +346,49 @@ def reference_hom_maps(cx, n, i):
     return (f_i, cx.twists_at(i + 1),
             block_cols(cx.differential(i + 1), len(f_i)),
             block_cols(cx.differential(i), len(cx.twists_at(i - 1))), twists)
+
+
+def reference_rows(blocks, cols):
+    """x^m times each column c, m over every standard monomial of c's
+    component in the source: the package's earlier ``Blocks.rows``."""
+    g = len(blocks.std)
+    for c, col in enumerate(cols):
+        for m in blocks.flat[c % g]:
+            yield blocks.mul_nf(col, m)
+
+
+def reference_rank(blocks, cols):
+    """The package's earlier ``Blocks.rank``, kept as a reference for the
+    rank read from spans: the F_p-rank of the images of the whole source
+    basis, with no target twists and no stop."""
+    pivots = {}
+    for row in reference_rows(blocks, cols):
+        row_insert(row, pivots, None, blocks.ring.p)
+    return len(pivots)
+
+
+def reference_image(blocks, cols, twists):
+    """The package's earlier ``Blocks.image``: every row of the source
+    basis, in order, into ``{D: echelon pivots}``."""
+    mono_deg = blocks.ring.ambient.mono_deg
+    out = {}
+    for row in reference_rows(blocks, cols):
+        if row:
+            j, m = next(iter(row))
+            row_insert(row, out.setdefault(twists[j] + mono_deg(m), {}),
+                       None, blocks.ring.p)
+    return out
+
+
+def reference_std_monomials(ring, gens):
+    """The package's earlier ``hilbert.std_monomials``: every monomial of
+    each degree up to the pure-power bound, tested against the ideal."""
+    gens = minimalize_monomials(gens)
+    bound = 0
+    for k, w in enumerate(ring.weights):
+        e = min(g[k] for g in gens if sum(g) == g[k])
+        bound += (e - 1) * w
+    table = [std_monomials_of_degree(ring, gens, d) for d in range(bound + 1)]
+    while table and not table[-1]:
+        table.pop()
+    return table

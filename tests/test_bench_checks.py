@@ -4,8 +4,8 @@
 the workload's own check, on seed 0 and on seed 3, whose graded automorphism
 scales the Gasharov-Peeva inputs, so a change that breaks a benchmark output
 fails here as well as in the benchmark run.  Each pass takes well under a
-second.  The strand frame's work in one seed-0 resolve-deep pass is pinned
-as a count of ``Blocks.mul_nf`` calls.
+second.  The strand frame's work in one seed-0 pass of resolve-deep and of
+functors is pinned as a count of ``Blocks.mul_nf`` calls.
 """
 
 import importlib.util
@@ -53,10 +53,8 @@ def test_workload_pass_passes_its_checks(name, seed):
     assert [label for label, check in checks.items() if not check()] == []
 
 
-def test_resolve_deep_strand_work_is_pinned(monkeypatch):
-    # every product x^m * v of the strand frame is one mul_nf call: 890
-    # kernel rows, in degrees up to the target's top degree, and 538 products
-    # of the strand test's span, which stop once it fills Z_D
+def count_mul_nf(monkeypatch, name):
+    """``Blocks.mul_nf`` calls in one seed-0 pass of the named workload."""
     calls = []
     real = modules.Blocks.mul_nf
 
@@ -65,5 +63,20 @@ def test_resolve_deep_strand_work_is_pinned(monkeypatch):
         return real(blocks, v, m)
 
     monkeypatch.setattr(modules.Blocks, "mul_nf", counting)
-    WORKLOADS["resolve-deep"](0, REPO).run_pass(_Pass())
-    assert len(calls) == 1428
+    WORKLOADS[name](0, REPO).run_pass(_Pass())
+    return len(calls)
+
+
+def test_resolve_deep_strand_work_is_pinned(monkeypatch):
+    # every product x^m * v of the strand frame is one mul_nf call: 890
+    # kernel rows, in degrees up to the target's top degree, and 538 products
+    # of the strand test's span, which stop once it fills Z_D
+    assert count_mul_nf(monkeypatch, "resolve-deep") == 1428
+
+
+def test_functors_strand_work_is_pinned(monkeypatch):
+    # Tor, Ext and Tate lengths are ranks read from spans that stop once a
+    # degree fills, one rank per differential; the Ext modules' boundaries
+    # skip rows in full degrees, and their generators and relations come
+    # from the strand step
+    assert count_mul_nf(monkeypatch, "functors") == 1147

@@ -1,9 +1,17 @@
+from conftest import reference_std_monomials
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hwprobe import define_ring, free_module, parse_polynomial, quotient_module
+from hwprobe import (
+    PolyRing,
+    define_ring,
+    free_module,
+    parse_polynomial,
+    quotient_module,
+)
 from hwprobe.hilbert import (
     monomial_quotient_dim,
+    std_monomials,
     tpoly_divide_exact,
     tpoly_shift,
     tpoly_sub,
@@ -68,3 +76,21 @@ def test_exact_division_inverts_multiplication(num, w):
     num = {e: c for e, c in num.items() if c}
     prod = tpoly_sub(num, tpoly_shift(num, w))  # num * (1 - t^w)
     assert tpoly_divide_exact(prod, w) == num
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_std_monomial_tables_match_the_reference(data):
+    # random weighted Artinian monomial ideals: a pure power of each
+    # variable, a few other monomials, sometimes the unit ideal
+    nvars = data.draw(st.integers(1, 3))
+    weights = data.draw(st.lists(st.integers(1, 3), min_size=nvars,
+                                 max_size=nvars))
+    amb = PolyRing([f"x{k}" for k in range(nvars)], weights, 7)
+    powers = data.draw(st.lists(st.integers(1, 5), min_size=nvars,
+                                max_size=nvars))
+    gens = [tuple(e if i == k else 0 for i in range(nvars))
+            for k, e in enumerate(powers)]
+    gens += data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars),
+                               max_size=4))
+    assert std_monomials(amb, gens) == reference_std_monomials(amb, gens)

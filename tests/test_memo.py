@@ -10,6 +10,7 @@ import gc
 import weakref
 
 from conftest import GP_IDEAL, gp_matrix_cols, poly
+from test_bench_checks import REPO, WORKLOADS, _Pass
 
 from hwprobe import (
     PresentedModule,
@@ -120,9 +121,10 @@ def test_theta_checks_its_hypotheses_once_per_module(threefold, monkeypatch):
 
 
 def test_passes_leave_no_ring_alive_without_the_collector(monkeypatch):
-    # a resolve-deep pass (Betti numbers of k over the Gasharov-Peeva ring)
-    # and each catalog job, with gc disabled: every ring they build is gone
-    # as soon as the last outside reference is
+    # a resolve-deep pass (Betti numbers of k over the Gasharov-Peeva ring),
+    # a seed-0 pass of the benchmark's functors workload (Tor, Ext and Tate
+    # lengths over that ring) and each catalog job, with gc disabled: every
+    # ring they build is gone as soon as the last outside reference is
     rings = []
     init = QuotientRing.__init__
 
@@ -141,6 +143,9 @@ def test_passes_leave_no_ring_alive_without_the_collector(monkeypatch):
     gc.disable()
     try:
         resolve_deep()
+        assert rings and [r() for r in rings] == [None] * len(rings)
+        del rings[:]
+        WORKLOADS["functors"](0, REPO).run_pass(_Pass())
         assert rings and [r() for r in rings] == [None] * len(rings)
         for name in catalog_names():
             del rings[:]

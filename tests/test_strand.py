@@ -47,8 +47,10 @@ from conftest import (
     GP_IDEAL,
     gp_matrix_cols,
     reference_hom_maps,
+    reference_image,
     reference_minimal_generators,
     reference_minimal_kernel,
+    reference_rank,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,11 +93,13 @@ from hwprobe.groebner import (
 from hwprobe.hilbert import (
     hilbert_numerator,
     series_coefficients,
+    series_total_if_finite,
     tpoly_add,
     tpoly_sub,
 )
 from hwprobe.homalg import (
     KoszulComplex,
+    _module_blocks,
     ext_is_zero,
     hom_cycle_data,
     hom_maps,
@@ -104,7 +108,13 @@ from hwprobe.homalg import (
     tensor_cycle_data,
     tensor_maps,
 )
-from hwprobe.modules import _tensor_twists, homology_length, subquotient
+from hwprobe.modules import (
+    _dual_block_cols,
+    _tensor_block_cols,
+    _tensor_twists,
+    homology_length,
+    subquotient,
+)
 from hwprobe.resolution import Resolution, resolution_of
 from hwprobe.theta import random_short_exact_sequence
 
@@ -622,6 +632,67 @@ def test_minimal_kernel_matches_the_reference(data):
             module_at(hom_maps, res, n, i)
     assert set(kinds) == {("source_mod",), ("target_mod",)} | (
         {()} if m.rels else set())
+
+
+# -- ranks from spans -----------------------------------------------------------
+
+
+def pivot_items(image):
+    """An image's pivots with the order of their rows and entries."""
+    return {d: [(key, list(row.items())) for key, row in pivots.items()]
+            for d, pivots in image.items()}
+
+
+def assert_rank_and_image_match_reference(blocks, cols, twists):
+    assert blocks.rank(cols, twists) == reference_rank(blocks, cols)
+    assert pivot_items(blocks.image(cols, twists)) == \
+        pivot_items(reference_image(blocks, cols, twists))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ranks_and_images_match_the_reference(data):
+    # into free sums: random homogeneous columns and target twists, and the
+    # length of their cokernel; into sums of copies of N: every map of the
+    # Tor and Hom sides of a resolution
+    ring = data.draw(st.sampled_from(STRAND_RINGS))
+    amb = ring.ambient
+    top = max(amb.weights)
+    free = modules.ring_blocks(ring)
+    twists = tuple(data.draw(st.lists(st.integers(-top, top), min_size=1,
+                                      max_size=3)))
+    cols = [random_vector(data, amb, twists,
+                          min(twists) + data.draw(st.integers(0, 3 * top)))
+            for _ in range(data.draw(st.integers(0, 4)))]
+    assert_rank_and_image_match_reference(free, cols, twists)
+    m = PresentedModule(ring, twists, cols, normalize=False)
+    assert m.length() == free.dim(m.ngens) - reference_rank(free, m.rels) \
+        == series_total_if_finite(amb, m.hilbert_numerator())
+    n = random_module(data, ring)
+    blocks = _module_blocks(n)
+    res = resolution_of(random_module(data, ring, rels=(1, 3)), 3)
+    for i in range(3):
+        for side in (tensor_maps, hom_maps):
+            maps = side(res, n, i)
+            if maps is None:
+                continue
+            f_i, f_out, outgoing, incoming = maps
+            assert_rank_and_image_match_reference(
+                blocks, outgoing, _tensor_twists(f_out, n))
+            assert_rank_and_image_match_reference(
+                blocks, incoming, _tensor_twists(f_i, n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nrows=st.integers(0, 3), g_n=st.integers(1, 3), data=st.data())
+def test_dual_block_cols_match_the_two_pass_layout(nrows, g_n, data):
+    monos = [(0, 0), (1, 0), (0, 1), (2, 1)]
+    entry = st.tuples(st.integers(0, max(nrows - 1, 0)), st.sampled_from(monos))
+    d_cols = data.draw(st.lists(st.dictionaries(
+        entry, st.integers(1, 6), max_size=4 if nrows else 0), max_size=4))
+    two_pass = _tensor_block_cols(transpose_cols(d_cols, nrows), g_n)
+    assert [list(c.items()) for c in _dual_block_cols(d_cols, nrows, g_n)] \
+        == [list(c.items()) for c in two_pass]
 
 
 # -- one minimality test in every dimension ------------------------------------
