@@ -65,6 +65,3 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in a prime field")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p

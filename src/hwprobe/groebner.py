@@ -562,24 +562,25 @@ def express_in_terms(ring_q, targets, gens, aux, twists):
 def minimal_by_degree(ring, pieces, mul_nf, modulo=None):
     """The strand test of La Scala and Stillman (JSC 1998), in any dimension.
 
-    ``pieces`` gives ``(D, vectors of degree D, full)`` for consecutive D.
-    The span in degree D is sum_x x * span_{D - w(x)}, plus ``modulo[D]``
+    ``pieces`` gives ``(D, vectors of degree D, full)`` for consecutive D;
+    this yields ``(D, span_D, the vectors of degree D kept)`` for each.  The
+    span in degree D is sum_x x * span_{D - w(x)}, plus ``modulo[D]``
     (``{D: echelon pivots}``) if given, plus the earlier vectors of degree D;
     a vector is kept iff it is independent of that span.  ``mul_nf(v, m)``
     writes x^m * v in the coordinates of the vectors.
 
-    ``full`` is None or the dimension of the kernel Z_D, when the vectors
-    are an F_p-basis of Z_D and ``modulo[D]`` lies inside Z_D.  Then the
-    span lies in Z_D too, and once it reaches that dimension no vector of
-    degree D can be independent: the products stop and none is kept.  The
-    span is still a basis of Z_D, so later degrees keep the same vectors.
+    ``full`` is None or an upper bound on dim span_D, the dimension of a
+    space that holds the span: Z_D in the strand step, when the vectors are
+    an F_p-basis of Z_D and ``modulo[D]`` lies inside Z_D, or degree D of
+    the target for a rank.  Once the span reaches it, the span is that whole
+    space and no vector of degree D can be independent: products and
+    vectors stop there, and later degrees see the same span.
     """
     p = ring.p
     variables = [(tuple(int(i == k) for i in range(ring.nvars)), w)
                  for k, w in enumerate(ring.weights)]
     top = max(ring.weights)
     spans = {}
-    kept = []
     for d, vectors, full in pieces:
         span = dict(modulo.get(d, {})) if modulo else {}
         products = ((x, row) for x, w in variables
@@ -588,12 +589,15 @@ def minimal_by_degree(ring, pieces, mul_nf, modulo=None):
             if len(span) == full:
                 break
             row_insert(mul_nf(row, x), span, None, p)
-        if len(span) != full:
-            kept.extend(v for v in vectors
-                        if row_insert(dict(v), span, None, p))
+        kept = []
+        for v in vectors:
+            if len(span) == full:
+                break
+            if row_insert(dict(v), span, None, p):
+                kept.append(v)
         spans[d] = span
         spans.pop(d - top, None)  # no later degree reads it
-    return kept
+        yield d, span, kept
 
 
 def minimal_generators(ring_q, vectors, twists, modulo=None):
@@ -603,7 +607,8 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
     with coordinates in F/(I*F); when ``modulo`` (a Groebner basis of an
     auxiliary submodule B + I*F) is given, in F/B instead, yielding minimal
     generators of the image of <vectors> there.  They are no basis of a
-    known space, so ``full`` is None and every product is made.
+    known space, so ``full`` is None and every product is made; the result
+    is the kept vectors of every degree, in order.
     """
     ring = ring_q.ambient
     if modulo is None:
@@ -624,9 +629,10 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
         by_degree[d].append(v)
     if not by_degree:
         return []
-    return minimal_by_degree(ring, ((d, by_degree.get(d, ()), None) for d in
-                                    range(min(by_degree), max(by_degree) + 1)),
-                             mul_nf)
+    pieces = ((d, by_degree.get(d, ()), None)
+              for d in range(min(by_degree), max(by_degree) + 1))
+    return [v for _, _, kept in minimal_by_degree(ring, pieces, mul_nf)
+            for v in kept]
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ Over an Artinian ring the terms are dimensions less F_p-ranks in the frame
 of ``modules.Blocks``, whose ``mul_nf`` sums rows of N's table
 ``PresentedModule.term_nf``; otherwise they are Hilbert numerators, and
 only their sum goes to ``series_total_if_finite``.  A rank is the dimension
-of the submodule the block columns span, grown degree by degree; a degree
-stops once it fills the target, and once max(w) degrees in a row are full
-at or above the target's top twist, the rest comes from the target's sizes.
+of the submodule the block columns span, grown degree by degree by the
+strand test's loop, ``groebner.minimal_by_degree``; a degree stops once it
+fills the target, and once max(w) degrees in a row are full at or above the
+target's top twist, the rest comes from the target's sizes.
 The lengths at i and at i + 1 read the same differential, so each rank is
 computed once, by ``_diff_rank``, memoized on N with the complex in its key:
 memos point from a module to a complex, never back, so no cycle keeps a
@@ -45,9 +46,9 @@ Only ``module_at`` builds cycles, choosing the method from ``ring.dim``.
   lower cycles times the variables, its relations the minimal kernel of the
   free module on them into the middle modulo the boundaries.  This
   presentation is minimal by construction; no Groebner basis is built.
-* Over dim > 0, ``tensor_cycle_data`` and ``hom_cycle_data`` turn the maps
-  into cycle data ``(twists, Z, B)``, or None when C_i or N is zero, which
-  ``subquotient`` finishes with Groebner bases.
+* Over dim > 0, ``_cycle_data`` turns the maps into cycle data
+  ``(twists, Z, B)``, or None when C_i or N is zero, which ``subquotient``
+  finishes with Groebner bases.
 
 Hom is Ext^0 and takes the same route; ``biduality_map`` reads the
 generators of M* and M** that ``module_at`` returns with each module.
@@ -127,16 +128,6 @@ def _cycle_data(n, maps):
     z = kernel_into_quotient(n.ring, outgoing, _free_tensor_rels(len(f_out), n),
                              _tensor_twists(f_out, n))
     return _tensor_twists(f_i, n), z, incoming + _free_tensor_rels(len(f_i), n)
-
-
-def tensor_cycle_data(cx, n, i):
-    """Cycle data of H_i(C (x) N) inside C_i (x) N, or None if C_i or N is 0."""
-    return _cycle_data(n, tensor_maps(cx, n, i))
-
-
-def hom_cycle_data(cx, n, i):
-    """Cycle data of H^i(Hom(C, N)) in Hom(C_i, N), or None if C_i or N is 0."""
-    return _cycle_data(n, hom_maps(cx, n, i))
 
 
 def module_at(side, cx, n, i):

@@ -345,7 +345,6 @@ class Blocks:
     def __init__(self, ring, std, row):
         self.ring = ring
         self.std = std
-        self.flat = [[m for ms in table for m in ms] for table in std]
         self.row = row
 
     def mul_nf(self, v, m):
@@ -355,7 +354,7 @@ class Blocks:
     def dim(self, ncomps):
         """dim_k of the sum of ``ncomps`` components."""
         g = len(self.std)
-        return sum(len(self.flat[j % g]) for j in range(ncomps))
+        return sum(len(ms) for j in range(ncomps) for ms in self.std[j % g])
 
     def sizes(self, twists):
         """dim_k of the sum with component twists ``twists``, by degree."""
@@ -371,17 +370,16 @@ class Blocks:
         ``twists`` given by its columns.
 
         The map is R-linear, so its image is the R-submodule the columns
-        span, built degree by degree: span_D is sum_x x * span_{D - w(x)}
-        plus the columns of degree D, in normal form.  Products and columns
-        in degree D stop once span_D fills the target's degree D.  Above the
-        target's top twist every standard monomial of positive degree is
-        x * (one of degree D - w(x)), so once span_D is full for max(w)
+        span: the spans of ``groebner.minimal_by_degree``, fed the columns
+        of each degree D in normal form with dim target_D as ``full``, so
+        products and columns in degree D stop once span_D fills it.  Above
+        the target's top twist every standard monomial of positive degree
+        is x * (one of degree D - w(x)), so once span_D is full for max(w)
         degrees in a row ending at or above that twist, every higher degree
         is full too, and the rest of the rank is read from the target's
         sizes.
         """
         amb = self.ring.ambient
-        p = self.ring.p
         by_degree = defaultdict(list)
         for col in cols:
             if col:
@@ -390,28 +388,17 @@ class Blocks:
         sizes = self.sizes(twists)
         if not by_degree or not sizes:
             return 0
-        variables = [(tuple(int(i == k) for i in range(amb.nvars)), w)
-                     for k, w in enumerate(amb.weights)]
+        pieces = ((d, (self.mul_nf(col, None) for col in by_degree.get(d, ())),
+                   sizes.get(d, 0))
+                  for d in range(min(by_degree), max(sizes) + 1))
         top_w = max(amb.weights)
         top_twist = max(twists)
-        spans = {}
         rank = run = 0
-        for d in range(min(by_degree), max(sizes) + 1):
-            full = sizes.get(d, 0)
-            span = {}
-            rows = [(row, x) for x, w in variables
-                    for row in spans.get(d - w, {}).values()]
-            rows += [(col, None) for col in by_degree.get(d, ())]
-            for row, x in rows:
-                if len(span) == full:
-                    break
-                row_insert(self.mul_nf(row, x), span, None, p)
+        for d, span, _ in minimal_by_degree(amb, pieces, self.mul_nf):
             rank += len(span)
-            run = run + 1 if len(span) == full else 0
+            run = run + 1 if len(span) == sizes.get(d, 0) else 0
             if run >= top_w and d >= top_twist:
                 return rank + sum(s for e, s in sizes.items() if e > d)
-            spans[d] = span
-            spans.pop(d - top_w, None)  # no later degree reads it
         return rank
 
     def image(self, cols, twists):
@@ -490,8 +477,8 @@ class Blocks:
                      for (comp, _), row in pivots.items() if comp < 0]
                 yield d, z, len(z)
 
-        return minimal_by_degree(self.ring.ambient, kernels(), self.mul_nf,
-                                 source_mod)
+        return [v for _, _, kept in minimal_by_degree(
+            self.ring.ambient, kernels(), self.mul_nf, source_mod) for v in kept]
 
 
 def ring_blocks(ring):

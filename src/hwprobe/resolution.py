@@ -18,8 +18,9 @@ Both cut down to minimal generators with one test, the strand test of La
 Scala and Stillman (JSC 1998) in ``groebner.minimal_by_degree``: a vector of
 degree D is kept iff it is independent of sum_x x * span_{D - w(x)} and of
 the earlier vectors of degree D.  The strand step hands it a basis of each
-Z_D, so it stops once that span fills Z_D.  Both fill the same ``diffs`` and
-``level_twists``.  Each module has one
+Z_D, so it stops once that span fills Z_D; the ranks behind Tor, Ext and
+Tate lengths are read from the same spans (``modules.Blocks.rank``).  Both
+paths fill the same ``diffs`` and ``level_twists``.  Each module has one
 resolution, memoized on it and extended on demand; it always holds a fully
 computed prefix.
 """

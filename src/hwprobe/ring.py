@@ -190,10 +190,6 @@ class PolyRing:
     def mono_mul(self, a: Mono, b: Mono) -> Mono:
         return tuple(x + y for x, y in zip(a, b))
 
-    def mono_divides(self, a: Mono, b: Mono) -> bool:
-        """a | b componentwise."""
-        return all(x <= y for x, y in zip(a, b))
-
     @memoized
     def monomials_of_degree(self, d: int):
         """All exponent tuples of weighted degree exactly d."""

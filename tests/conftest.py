@@ -22,6 +22,7 @@ from hwprobe.freemod import (
 from hwprobe.freemod import schreyer_key
 from hwprobe.groebner import InhomogeneousError, poly_det, vec_nf_ideal
 from hwprobe.hilbert import minimalize_monomials, std_monomials_of_degree
+from hwprobe.homalg import _cycle_data, hom_maps, tensor_maps
 
 
 def poly(ring_q, text):
@@ -106,6 +107,22 @@ def fermat_dim1():
 @pytest.fixture(scope="session")
 def torus_dim1():
     return define_ring(["x", "y"], [5, 2], 101, ["x^2 - y^5"], domain=True)
+
+
+def mono_divides(a, b):
+    """a | b componentwise."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def tensor_cycle_data(cx, n, i):
+    """Cycle data ``(twists, Z, B)`` of H_i(C (x) N) inside C_i (x) N, or
+    None if C_i or N is 0: what ``subquotient`` finishes over dim > 0."""
+    return _cycle_data(n, tensor_maps(cx, n, i))
+
+
+def hom_cycle_data(cx, n, i):
+    """Cycle data of H^i(Hom(C, N)) in Hom(C_i, N), or None if C_i or N is 0."""
+    return _cycle_data(n, hom_maps(cx, n, i))
 
 
 def reference_minimal_generators(ring_q, vectors, twists, modulo=None):
@@ -353,8 +370,9 @@ def reference_rows(blocks, cols):
     component in the source: the package's earlier ``Blocks.rows``."""
     g = len(blocks.std)
     for c, col in enumerate(cols):
-        for m in blocks.flat[c % g]:
-            yield blocks.mul_nf(col, m)
+        for ms in blocks.std[c % g]:
+            for m in ms:
+                yield blocks.mul_nf(col, m)
 
 
 def reference_rank(blocks, cols):

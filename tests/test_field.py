@@ -19,7 +19,6 @@ def test_accepts_primes():
 def test_inverse_examples():
     f7 = PrimeField(7)
     assert f7.inv(3) == 5
-    assert f7.div(3, 2) == 5  # 3 * 4 = 12 = 5
     f5 = PrimeField(5)
     assert f5.inv(2) == 3
     with pytest.raises(ZeroDivisionError):

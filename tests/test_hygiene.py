@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -52,11 +53,12 @@ def _public_defs(tree):
             and not d.name.startswith("_")]
 
 
-def _unreferenced_public_defs(def_sources, ref_sources):
+def _unreferenced_public_defs(def_sources, ref_sources, ref_names):
     """Public functions and methods that nothing mentions outside their def.
 
     A mention is a name, an attribute or an imported name anywhere in
-    ``ref_sources`` (path -> source).  Returns ``(path, line, name)``.
+    ``ref_sources`` (path -> source), or a name in ``ref_names``.  Returns
+    ``(path, line, name)``.
     """
     mentions = defaultdict(list)
     for path, source in ref_sources.items():
@@ -70,31 +72,46 @@ def _unreferenced_public_defs(def_sources, ref_sources):
     found = []
     for path, source in def_sources.items():
         for d in _public_defs(ast.parse(source)):
-            if all(p == path and d.lineno <= line <= d.end_lineno
-                   for p, line in mentions[d.name]):
+            if d.name not in ref_names and all(
+                    p == path and d.lineno <= line <= d.end_lineno
+                    for p, line in mentions[d.name]):
                 found.append((path, d.lineno, d.name))
     return sorted(found)
+
+
+def _code_names(markdown):
+    """The identifiers inside the code spans and blocks of a markdown text."""
+    return {name for spans in re.findall(r"```(.*?)```|`([^`]+)`", markdown,
+                                         re.S)
+            for span in spans for name in re.findall(r"[A-Za-z_]\w*", span)}
 
 
 def test_unreferenced_public_defs_are_detected():
     lib = ("def used():\n    return 1\n\n\n"
            "def unused(n):\n    return unused(n - 1) if n else 0\n\n\n"
-           "class C:\n    def method(self):\n        return used()\n")
+           "class C:\n    def method(self):\n        return used()\n\n\n"
+           "def documented():\n    return 2\n")
     caller = "from lib import C\n\nC().method()\n"
+    doc = "Call `lib.documented()`; the unused helper is not in code.\n"
     assert _unreferenced_public_defs(
-        {"lib.py": lib}, {"lib.py": lib, "main.py": caller}) == [
-            ("lib.py", 5, "unused")]
+        {"lib.py": lib}, {"lib.py": lib, "main.py": caller},
+        _code_names(doc)) == [("lib.py", 5, "unused")]
 
 
 def test_every_public_def_is_referenced():
-    # references may come from the package, the tests, the demos or the
-    # benchmark harness
+    # a public def needs a caller in the package, the demos or the benchmark
+    # harness (a name, or a string target the harness traces), or a mention
+    # in the README or docs; the tests alone do not keep it
     defs = {str(p): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    refs = dict(defs)
-    for sub in ("tests", "demos", "bench"):
-        for p in sorted((REPO / sub).rglob("*.py")):
-            refs[str(p)] = p.read_text()
-    assert _unreferenced_public_defs(defs, refs) == []
+    demos, bench = ({str(p): p.read_text()
+                     for p in sorted((REPO / sub).rglob("*.py"))}
+                    for sub in ("demos", "bench"))
+    names = {part for _, attr in _bench_references(bench)
+             for part in attr.split(".")}
+    for p in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        names |= _code_names(p.read_text())
+    assert _unreferenced_public_defs(defs, {**defs, **demos, **bench},
+                                     names) == []
 
 
 def _unset_defaults(def_sources, call_sources):

@@ -46,11 +46,13 @@ from unittest.mock import patch
 from conftest import (
     GP_IDEAL,
     gp_matrix_cols,
+    hom_cycle_data,
     reference_hom_maps,
     reference_image,
     reference_minimal_generators,
     reference_minimal_kernel,
     reference_rank,
+    tensor_cycle_data,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,11 +103,9 @@ from hwprobe.homalg import (
     KoszulComplex,
     _module_blocks,
     ext_is_zero,
-    hom_cycle_data,
     hom_maps,
     length_at,
     module_at,
-    tensor_cycle_data,
     tensor_maps,
 )
 from hwprobe.modules import (
