@@ -1,10 +1,12 @@
 """Buchberger machinery for homogeneous submodules of graded free modules.
 
 Everything here computes over the ambient polynomial ring S.  Quotient-ring
-computations R = S/I pass the ideal's Groebner basis as extra generators in
-every component (the "augmentation") and project results back; the helpers
-taking a ``ring_q`` argument only use its ``ambient``, ``gb``, ``nf`` and
-``term_nf`` attributes.
+computations R = S/I add the ideal's Groebner basis in every component, the
+"ideal blocks" h*e_c of I*F (the "augmentation"), and project results back.
+``groebner_basis`` and ``syzygy_generators`` take S or R: for R the blocks
+come after the run's own generators, packed once per ring and rank by
+``_ideal_blocks``.  The helpers taking a ``ring_q`` argument only use its
+``ambient``, ``gb``, ``nf`` and ``term_nf`` attributes.
 
 Syzygies come from Schreyer's construction: the basis is accumulated without
 discarding, S-pairs are reduced with tracked division quotients, and each
@@ -22,7 +24,14 @@ skip those that cannot add anything (Gebauer and Moeller, JSC 1988):
 * product, in untracked runs only: (i, j) is skipped when both vectors lie
   in one component and their leading monomials are coprime.  Over several
   components coprime leading monomials prove nothing, and in a tracked run
-  the skipped pair's Koszul syzygy would be missing.
+  the skipped pair's Koszul syzygy would be missing;
+* closed blocks, in untracked runs only: two ideal blocks never form a
+  pair.  Their S-vector is S(h, h')*e_c, and the h are a Groebner basis of
+  I, so it reduces to zero by blocks alone, which stay in the basis: the
+  pair has a standard representation, as a treated pair would, and the
+  chain criterion may count it as treated.  The reduced basis is unique,
+  so it does not change; a tracked run keeps these pairs, whose syzygies
+  and lifts feed minimal presentations.
 
 Lifts are batched: ``express_in_terms``, the one lift through a
 presentation, reduces a whole list of targets against one tracked run.
@@ -51,8 +60,9 @@ The packing bound.  A field holds a weighted exponent below
 homogeneous vector at one degree, so every monomial fits as long as each
 term's degree, counted from the lowest twist (for a Schreyer order, from the
 lowest twist less the degree of its component's lift), stays below the
-limit.  The entry points check this for every input term and every S-pair
-and raise ValueError past it; a packed key never mis-orders.
+limit.  The entry points check this for every input term, every ideal block
+and every S-pair and raise ValueError past it; a packed key never
+mis-orders.
 """
 
 import heapq
@@ -71,7 +81,7 @@ from .freemod import (
     vec_isub_term_mul,
     vec_mul_term,
 )
-from .ring import DEGREE_LIMIT, memoized
+from .ring import DEGREE_LIMIT, PolyRing, memoized
 
 
 class InhomogeneousError(ValueError):
@@ -227,21 +237,40 @@ def reduce_poly(ring, f, gb_polys):
     return {m: c for (_, m), c in _unpack(order, rem).items()}
 
 
+def first_divisor(ring, f, candidates):
+    """The first of the homogeneous ``candidates`` that divides f, or None.
+
+    g alone is a Groebner basis of (g), so g | f iff f reduces to zero
+    modulo g; f is packed once for all candidates.
+    """
+    order = term_key(ring, 1)
+    slots, _ = _slots(order, (0,))
+    packed, _ = _pack(order, slots, {(0, m): c for m, c in f.items()})
+    for g in candidates:
+        pg, heights = _pack(order, slots, {(0, m): c for m, c in g.items()})
+        if len(heights) > 1:
+            raise InhomogeneousError("divisors must be homogeneous")
+        if not _reduce(order, packed, _prepare(order, [pg]))[0]:
+            return g
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Buchberger
 
 
-def _buchberger_core(order, gens, twists, track=False):
+def _buchberger_core(order, gens, twists, track=False, blocks=()):
     """Accumulating Buchberger run under a packed term order.
 
-    Returns ``(basis, reps, syzygies, rep_order)``, all packed: a (non-reduced)
-    Groebner basis containing all nonzero input generators, the
-    representation of each basis element in terms of the inputs and the
-    syzygies of the inputs certified by reductions to zero (tracked runs
-    only), and the Schreyer order of the inputs that packs those two (None
-    in untracked runs).  Pairs are skipped by the chain and product
-    criteria of the module docstring; the packing bound is checked for
-    every pair as it is formed, before either criterion.
+    The inputs are ``gens`` followed by ``blocks``, the packed ideal blocks
+    of ``_order_blocks``, which are never modified.  Returns ``(basis, reps,
+    syzygies, rep_order)``, all packed: a (non-reduced) Groebner basis
+    containing all nonzero inputs, the representation of each basis element
+    in terms of the inputs and the syzygies of the inputs certified by
+    reductions to zero (tracked runs only), and the Schreyer order of the
+    inputs that packs those two (None in untracked runs).  Pairs are skipped
+    by the criteria of the module docstring; the packing bound is checked
+    for every pair as it is formed, before any criterion.
     """
     ring = order.ring
     p = ring.p
@@ -257,6 +286,10 @@ def _buchberger_core(order, gens, twists, track=False):
             raise InhomogeneousError(
                 "generators must be homogeneous for the ring's grading")
         packed.append(v)
+    # untracked runs: the basis indices of the blocks, which form no pair
+    first = sum(map(bool, packed))
+    closed = range(0) if track else range(first, first + len(blocks))
+    packed += blocks
     rep_order = rsh = None
     if track:
         zero = order((0, ring.zero_mono))
@@ -295,6 +328,8 @@ def _buchberger_core(order, gens, twists, track=False):
                                  f"{DEGREE_LIMIT - 1}")
             if one and solo[i] and -k & fmask == fields[i] + f:
                 continue  # product criterion
+            if idx in closed and i in closed:
+                continue  # two ideal blocks
             heapq.heappush(heap, (height, seq, i, idx, (k << bits) | code))
             pending.add((i, idx))
             seq += 1
@@ -432,22 +467,25 @@ class GroebnerBasis:
 
 
 def groebner_basis(ring, gens, twists):
-    """Reduced Groebner basis of the submodule generated by ``gens`` over S."""
-    order = term_key(ring, len(twists))
-    basis = _buchberger_core(order, gens, twists)[0]
+    """Reduced Groebner basis over S of the submodule generated by ``gens``;
+    of ``<gens> + I*F`` when ``ring`` is a quotient R = S/I, not S."""
+    order, blocks = _order_blocks(ring, twists)
+    basis = _buchberger_core(order, gens, twists, blocks=blocks)[0]
     return GroebnerBasis(order, _interreduce(order, basis), twists)
 
 
 def syzygy_generators(ring, gens, twists):
-    """Generators of the syzygy module of ``gens`` over S.
+    """Generators of the syzygy module of ``gens`` over S; of
+    ``[gens | I-blocks]`` when ``ring`` is a quotient R = S/I, not S.
 
     The returned vectors live in the free module with one component per
     generator; applying the generators to each syzygy gives zero.  They form
     a Groebner basis with respect to the Schreyer order induced by the run,
     and come sorted by leading term in that order.
     """
-    order = term_key(ring, len(twists))
-    _, _, syz, rep_order = _buchberger_core(order, gens, twists, track=True)
+    order, blocks = _order_blocks(ring, twists)
+    _, _, syz, rep_order = _buchberger_core(order, gens, twists, track=True,
+                                            blocks=blocks)
     return [_unpack(rep_order, s) for s in sorted((s for s in syz if s), key=max)]
 
 
@@ -455,13 +493,33 @@ def syzygy_generators(ring, gens, twists):
 # quotient-ring plumbing
 
 
-def ideal_block_gens(ring_q, ncomp):
-    """Generators of I*F inside a free module with ``ncomp`` components."""
-    out = []
-    for h in ring_q.gb:
-        for c in range(ncomp):
-            out.append({(c, m): coef for m, coef in h.items()})
-    return out
+def _order_blocks(ring, twists):
+    """``(term-over-position order, packed ideal blocks)`` of a run over S,
+    with no blocks, or over R = S/I; ValueError when a block is past the
+    packing bound in a free module with these twists."""
+    if isinstance(ring, PolyRing):
+        return term_key(ring, len(twists)), ()
+    order, blocks, top = _ideal_blocks(ring, len(twists))
+    if blocks and top + max(twists) - min(twists) >= DEGREE_LIMIT:
+        raise ValueError(f"an ideal block of degree {top + max(twists)} is "
+                         f"past the packing bound {DEGREE_LIMIT - 1} over "
+                         f"the lowest twist {min(twists)}")
+    return order, blocks
+
+
+@memoized
+def _ideal_blocks(ring_q, ncomp):
+    """``(order, blocks, top)``: the term-over-position order of rank
+    ``ncomp``, the blocks h*e_c of I*F packed under it (h over the ideal's
+    reduced basis, and for each h, c over the components) and the largest
+    degree of an h.  Every run shares them, so no run may modify them.
+    """
+    order = term_key(ring_q.ambient, ncomp)
+    slots, _ = _slots(order, (0,) * ncomp)
+    blocks = tuple(_pack(order, slots, {(c, m): coef for m, coef in h.items()})[0]
+                   for h in ring_q.gb for c in range(ncomp))
+    top = max((ring_q.ambient.homogeneous_degree(h) for h in ring_q.gb), default=0)
+    return order, blocks, top
 
 
 def vec_nf_ideal(ring_q, v, m=None):
@@ -481,9 +539,7 @@ def composes_to_zero(ring_q, outer, inner):
 
 def module_groebner(ring_q, gens, twists):
     """Groebner basis of <gens> + I*F, for membership over R = S/I."""
-    ncomp = len(twists)
-    return groebner_basis(ring_q.ambient, list(gens) + ideal_block_gens(ring_q, ncomp),
-                          twists)
+    return groebner_basis(ring_q, gens, twists)
 
 
 def syzygies_over_quotient(ring_q, cols, twists):
@@ -501,11 +557,9 @@ def kernel_into_quotient(ring_q, map_cols, target_rels, target_twists):
     ``map_cols`` are the columns of a map of free modules over R; the result
     consists of vectors with one component per column.
     """
-    ring = ring_q.ambient
     n = len(map_cols)
-    combined = list(map_cols) + list(target_rels) + \
-        ideal_block_gens(ring_q, len(target_twists))
-    syz = syzygy_generators(ring, combined, target_twists)
+    syz = syzygy_generators(ring_q, list(map_cols) + list(target_rels),
+                            target_twists)
     seen = set()
     out = []
     for s in syz:
@@ -529,12 +583,10 @@ def express_in_terms(ring_q, targets, gens, aux, twists):
     the vector c with ``target = sum(c_i * gens_i)`` modulo <aux> + I*F:
     component i is the coefficient of ``gens_i``, reduced mod I.
     """
-    ring = ring_q.ambient
-    p = ring.p
-    order = term_key(ring, len(twists))
-    combined = list(gens) + list(aux) + ideal_block_gens(ring_q, len(twists))
-    basis, reps, _, rep_order = _buchberger_core(order, combined, twists,
-                                                 track=True)
+    p = ring_q.p
+    order, blocks = _order_blocks(ring_q, twists)
+    basis, reps, _, rep_order = _buchberger_core(
+        order, list(gens) + list(aux), twists, track=True, blocks=blocks)
     slots = _slots(order, twists)[0]
     # the run's basis is monic and nonzero, so _prepare keeps its indices
     prepared = _prepare(order, basis)

@@ -33,10 +33,11 @@ of the submodule the block columns span, grown degree by degree by the
 strand test's loop, ``groebner.minimal_by_degree``; a degree stops once it
 fills the target, and once max(w) degrees in a row are full at or above the
 target's top twist, the rest comes from the target's sizes.
-The lengths at i and at i + 1 read the same differential, so each rank is
-computed once, by ``_diff_rank``, memoized on N with the complex in its key:
-memos point from a module to a complex, never back, so no cycle keeps a
-ring alive.
+The lengths at i and at i + 1 read the same differential, so each rank,
+and in positive dimension each numerator, is computed once per
+differential, by ``_diff_rank`` and ``_diff_numerator``, memoized on N with
+the complex in its key: memos point from a module to a complex, never back,
+so no cycle keeps a ring alive.
 
 Only ``module_at`` builds cycles, choosing the method from ``ring.dim``.
 
@@ -155,7 +156,9 @@ def length_at(side, cx, n, i):
     len(Mid/B) + len(Tgt/im out) - len(Tgt), where Mid and Tgt are one copy
     of N per generator of C there.  Over an Artinian ring that is
     dim(C_i (x) N) - R(i) - R(i + 1) on either side, R(j) the rank of d_j
-    (x) 1_N, or of its transpose on the Hom side, from ``_diff_rank``.
+    (x) 1_N, or of its transpose on the Hom side, from ``_diff_rank``;
+    otherwise the two quotients are the numerators of d_i and d_{i + 1}
+    from ``_diff_numerator``.
     """
     if cx.ring != n.ring:
         raise HypothesisError("(co)homology over different rings")
@@ -163,21 +166,30 @@ def length_at(side, cx, n, i):
     if not f_i or n.is_zero():
         return 0
     ring = n.ring
+    dual = side is hom_maps
     if ring.dim == 0:
-        dual = side is hom_maps
         return (_module_blocks(n).dim(len(f_i) * n.ngens)
                 - _diff_rank(n, cx, i, dual) - _diff_rank(n, cx, i + 1, dual))
-    f_i, f_out, outgoing, incoming = side(cx, n, i)
-    tgt = _tensor_twists(f_out, n)
-    numer = hb.tpoly_add(
-        submodule_numerator(ring, _tensor_twists(f_i, n),
-                            incoming + _free_tensor_rels(len(f_i), n)),
-        submodule_numerator(ring, tgt,
-                            outgoing + _free_tensor_rels(len(f_out), n)))
+    # d_{i+1} maps into Mid on the tensor side, d_i^T on the Hom side
+    into_mid, out = (i, i + 1) if dual else (i + 1, i)
+    numer = hb.tpoly_add(_diff_numerator(n, cx, into_mid, dual),
+                         _diff_numerator(n, cx, out, dual))
     copy = n.hilbert_numerator()
-    for a in tgt[::n.ngens]:
-        numer = hb.tpoly_sub(numer, hb.tpoly_shift(copy, a - n.twists[0]))
+    for a in (tuple(-t for t in cx.twists_at(i + 1)) if dual
+              else cx.twists_at(i - 1)):
+        numer = hb.tpoly_sub(numer, hb.tpoly_shift(copy, a))
     return hb.series_total_if_finite(ring.ambient, numer)
+
+
+def _diff_map(n, cx, j, dual):
+    """``(target, cols)``: the generator degrees of C_{j-1}, or of C_j^*
+    when ``dual`` is set, and the block columns of d_j (x) 1_N, or of
+    d_j^T (x) 1_N."""
+    if dual:
+        return (tuple(-t for t in cx.twists_at(j)),
+                _dual_block_cols(cx.differential(j), len(cx.twists_at(j - 1)),
+                                 n.ngens))
+    return cx.twists_at(j - 1), _tensor_block_cols(cx.differential(j), n.ngens)
 
 
 @memoized
@@ -188,14 +200,18 @@ def _diff_rank(n, cx, j, dual):
     It is memoized on N with the complex in the key, so memos point from a
     module to a complex and never back; no complex holds a module.
     """
-    if dual:
-        target = tuple(-t for t in cx.twists_at(j))
-        cols = _dual_block_cols(cx.differential(j), len(cx.twists_at(j - 1)),
-                                n.ngens)
-    else:
-        target = cx.twists_at(j - 1)
-        cols = _tensor_block_cols(cx.differential(j), n.ngens)
+    target, cols = _diff_map(n, cx, j, dual)
     return _module_blocks(n).rank(cols, _tensor_twists(target, n))
+
+
+@memoized
+def _diff_numerator(n, cx, j, dual):
+    """Hilbert numerator of Tgt/(im(d_j (x) 1_N) + relations), Tgt the
+    target's copies of N, or of the same for d_j^T when ``dual`` is set:
+    the length at i and at i + 1 share it, memoized like ``_diff_rank``."""
+    target, cols = _diff_map(n, cx, j, dual)
+    return submodule_numerator(n.ring, _tensor_twists(target, n),
+                               cols + _free_tensor_rels(len(target), n))
 
 
 def _strand_module(n, maps):

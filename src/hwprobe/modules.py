@@ -148,12 +148,15 @@ class PresentedModule:
         """Split off generators untouched by every relation.
 
         Returns ``(trimmed, free_twists)``: zero rows of the minimal relation
-        matrix are split off as free summands.
+        matrix are split off as free summands.  With none, ``trimmed`` is the
+        module itself, so its memos (dual, resolution) carry over.
         """
         used = set()
         for c in self.rels:
             for (j, _m) in c:
                 used.add(j)
+        if len(used) == self.ngens:
+            return self, ()
         keep = [j for j in range(self.ngens) if j in used]
         free = [self.twists[j] for j in range(self.ngens) if j not in used]
         index = {j: i for i, j in enumerate(keep)}

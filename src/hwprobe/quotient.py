@@ -5,11 +5,12 @@ equations like x^2 - y^3 (weights 3, 2) are honestly homogeneous.  Module
 arithmetic over R happens in S carrying the reduced Groebner basis of I.
 """
 
+from itertools import product
 from operator import neg
 
 from .freemod import row_insert
 from .grammar import parse_polynomial
-from .groebner import groebner_basis, reduce_poly, vec_nf_ideal
+from .groebner import first_divisor, groebner_basis, vec_nf_ideal
 from .hilbert import monomial_quotient_dim
 from .ring import PolyRing, memoized
 
@@ -157,17 +158,21 @@ def principal_irreducible_scan(ring: PolyRing, f):
         count = p ** (len(monos) - 1)
         if count > _SCAN_BUDGET:
             return None
-        from itertools import product
-        for lead in range(len(monos)):
-            for rest in product(range(p), repeat=len(monos) - lead - 1):
-                g = {monos[lead]: 1}
-                for m, c in zip(monos[lead + 1:], rest):
-                    if c:
-                        g[m] = c
-                # g alone is a Groebner basis of (g): g | f iff f reduces to 0
-                if not reduce_poly(ring, f, [g]):
-                    return False
+        if first_divisor(ring, f, _monic_candidates(monos, p)) is not None:
+            return False
     return True
+
+
+def _monic_candidates(monos, p):
+    """Every polynomial on these monomials whose first nonzero coefficient,
+    in the order given, is 1."""
+    for lead in range(len(monos)):
+        for rest in product(range(p), repeat=len(monos) - lead - 1):
+            g = {monos[lead]: 1}
+            for m, c in zip(monos[lead + 1:], rest):
+                if c:
+                    g[m] = c
+            yield g
 
 
 def define_ring(variables, weights, p, ideal_gens, *, order="grevlex",

@@ -255,13 +255,15 @@ def reference_invert_graded_matrix(ring_q, cols, row_twists):
     return [vec_from_polys(cofactor(i, j) for i in range(n)) for j in range(n)]
 
 
-def reference_buchberger_core(order, gens, twists, track=False):
+def reference_buchberger_core(order, gens, twists, track=False, blocks=()):
     """The package's earlier ``_buchberger_core``, kept as a reference.
 
     Same inputs and outputs, but every pair of leading terms in a component
-    is reduced: no criterion skips a pair.  It does not check the packing
-    bound of S-pairs, so keep its inputs small.  Reductions go through
-    ``groebner._reduce`` looked up at call time, so a test can count them.
+    is reduced: no criterion skips a pair, and the packed ideal ``blocks``
+    are inputs like any other, their pairs among themselves included.  It
+    does not check the packing bound of S-pairs, so keep its inputs small.
+    Reductions go through ``groebner._reduce`` looked up at call time, so a
+    test can count them.
     """
     ring = order.ring
     p = ring.p
@@ -273,6 +275,7 @@ def reference_buchberger_core(order, gens, twists, track=False):
         if len(heights) > 1:
             raise InhomogeneousError("generators must be homogeneous")
         packed.append(v)
+    packed += blocks
     rep_order = rsh = None
     if track:
         zero = order((0, ring.zero_mono))

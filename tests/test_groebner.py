@@ -422,6 +422,14 @@ def test_packing_bound_is_applied():
     rq = define_ring(["x", "y"], [1, 1], 7, ["x*y"])
     with pytest.raises(ValueError, match="packing bound"):
         rq.nf({(DEGREE_LIMIT, 0): 1})
+    # an ideal block x*y*e_1, packed once per ring, is checked in every run
+    assert set(module_groebner(rq, [], (0, top - 2)).leading_terms()) == {
+        (0, (1, 1)), (1, (1, 1))}
+    for twists in [(0, top - 1), (top - 1, 0)]:
+        with pytest.raises(ValueError, match="packing bound"):
+            module_groebner(rq, [], twists)
+        with pytest.raises(ValueError, match="packing bound"):
+            syzygy_generators(rq, [], twists)
     with pytest.raises(ValueError, match="packing bound"):
         gb.normal_form({(0, (0, DEGREE_LIMIT)): 1})
     # a component outside the free module does not pack either
@@ -536,5 +544,43 @@ def test_pair_criteria_reduce_fewer_pairs_on_cusp_hw(monkeypatch):
 
     got, out = reduced_pairs(groebner._buchberger_core)
     want, ref_out = reduced_pairs(reference_buchberger_core)
+    assert out == ref_out
+    assert 0 < got < want
+
+
+def test_ideal_blocks_form_no_pairs_in_untracked_runs(monkeypatch):
+    # two ideal blocks never form a pair in an untracked run, since their
+    # S-vector reduces to zero by blocks alone: over the gasharov-peeva job
+    # untracked runs reduce fewer S-pairs than with the blocks handed to the
+    # core as plain generators, and the report is the same
+    real_core, real_reduce = groebner._buchberger_core, groebner._reduce
+
+    def as_generators(order, gens, twists, track=False, blocks=()):
+        plain = [_unpack(order, b) for b in blocks]
+        return real_core(order, list(gens) + plain, twists, track)
+
+    def untracked_reductions(core):
+        inside = [False]
+        count = [0]
+
+        def counting_core(order, gens, twists, track=False, blocks=()):
+            inside[0] = not track
+            try:
+                return core(order, gens, twists, track, blocks)
+            finally:
+                inside[0] = False
+
+        def counting_reduce(*args, **kwargs):
+            count[0] += inside[0]
+            return real_reduce(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(groebner, "_buchberger_core", counting_core)
+            mp.setattr(groebner, "_reduce", counting_reduce)
+            report = jobs.run_job(catalog("gasharov-peeva"), 0)
+        return count[0], jobs.emit(report, "structured")
+
+    got, out = untracked_reductions(real_core)
+    want, ref_out = untracked_reductions(as_generators)
     assert out == ref_out
     assert 0 < got < want

@@ -94,6 +94,9 @@ def test_trim_free_summands(cusp, cusp_m):
     trimmed, free = s.trim_free_summands()
     assert free == (1,)
     assert trimmed.ngens == cusp_m.ngens
+    # with no free generator the module itself comes back, memos and all
+    trimmed, free = cusp_m.trim_free_summands()
+    assert trimmed is cusp_m and free == ()
 
 
 def test_rank_examples(cusp, cusp_m, threefold):
