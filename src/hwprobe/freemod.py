@@ -18,18 +18,21 @@ This module is the one home of sparse F_p arithmetic on tuple-keyed dicts:
 * ``vec_isub_term_mul`` is the only loop that adds c*x^m*v into an
   accumulator; ``matvec`` (and so ``compose_cols``) calls it once per term.
   Its packed twin, where x^m is one added int, is ``groebner._isub_shifted``;
-* ``sum_rows`` is the only loop that sums rows of a memoized NF table;
+* ``sum_rows`` is the only loop that sums rows of a memoized NF table on
+  tuple keys; ``modules.Blocks.mul_nf`` is its twin on the strand frame's
+  ints, ``pack_term``.  ``vec_nf_ideal`` and ``isomorphism`` stay on tuples:
+  packing at their boundary costs more than the loop saves;
 * ``transpose_cols`` is the only transpose of a column list;
-* ``row_reduce`` / ``row_insert`` are the only sparse echelon routine: rows
-  are dicts of any hashable key, the pivot of a row is its ``key``-maximal
-  entry;
+* ``row_insert`` is the only sparse echelon routine: rows are dicts of any
+  hashable key, the pivot of a row is its ``key``-maximal entry;
 * ``PolyRing.add``, ``sub`` and ``scale`` never look at keys, so they serve
   vectors as well as polynomials.
 """
 
+import struct
 from operator import add
 
-from .ring import DEGREE_LIMIT
+from .ring import DEGREE_LIMIT, FIELD_BITS
 
 Vec = dict  # (component, Mono) -> coefficient
 
@@ -160,6 +163,38 @@ def sum_rows(ring, row, g, v: Vec, m=None) -> Vec:
     return out
 
 
+def pack_mono(m) -> int:
+    """m_1 << (n - 1) W | ... | m_n, W = ``ring.FIELD_BITS``, which x^m adds
+    to a packed term; ValueError once an exponent reaches DEGREE_LIMIT."""
+    f = 0
+    for e in m:
+        if e >= DEGREE_LIMIT:
+            raise ValueError(f"monomial {m} is past the packing bound")
+        f = f << FIELD_BITS | e
+    return f
+
+
+def unpack_mono(f, nvars):
+    return struct.unpack(f">{nvars}H", f.to_bytes(2 * nvars, "big"))
+
+
+def pack_term(t) -> int:
+    """The strand frame's int for a term (c, m), (c + 1) << n W over
+    ``pack_mono(m)``, or i for an identity coordinate (-1, i); integer
+    order is tuple order."""
+    c, m = t
+    return m if c < 0 else (c + 1) << FIELD_BITS * len(m) | pack_mono(m)
+
+
+def unpack_term(t, nvars):
+    c, f = divmod(t, 1 << FIELD_BITS * nvars)
+    return (-1, t) if c == 0 else (c - 1, unpack_mono(f, nvars))
+
+
+def pack_vec(v: Vec) -> dict:
+    return {pack_term(t): c for t, c in v.items()}
+
+
 def vec_degree(ring, v: Vec, twists):
     """Common degree of the terms of a homogeneous vector.
 
@@ -202,39 +237,29 @@ def compose_cols(ring, outer_cols, inner_cols):
     return [matvec(ring, outer_cols, col) for col in inner_cols]
 
 
-def row_reduce(row: dict, pivots: dict, key, p: int) -> dict:
-    """Reduce a row against monic echelon pivots, in place.
+def row_insert(row: dict, pivots: dict, key, p: int):
+    """Reduce a row against monic echelon pivots, in place, and add it, made
+    monic, as a new pivot.
 
     ``pivots`` maps a pivot key to its row; a row's pivot is its
-    ``key``-maximal entry.  Stops at the first leading entry without a pivot.
+    ``key``-maximal entry.  Returns the new pivot row, or None when the row
+    reduces to zero.
     """
     while row:
-        t = max(row, key=key)
+        # max parses a key argument slowly, so it is passed only when set
+        t = max(row) if key is None else max(row, key=key)
+        c = row[t]
         piv = pivots.get(t)
         if piv is None:
+            if c != 1:
+                inv = pow(c, p - 2, p)
+                row = {tt: cc * inv % p for tt, cc in row.items()}
+            pivots[t] = row
             return row
-        c = row[t]
         for tt, cc in piv.items():
             v = (row.get(tt, 0) - c * cc) % p
             if v:
                 row[tt] = v
             else:
                 row.pop(tt, None)
-    return row
-
-
-def row_insert(row: dict, pivots: dict, key, p: int):
-    """Reduce a row and add it, made monic, as a new pivot.
-
-    Returns the new pivot row, or None when the row reduces to zero.
-    """
-    row = row_reduce(row, pivots, key, p)
-    if not row:
-        return None
-    t = max(row, key=key)
-    c = row[t]
-    if c != 1:
-        inv = pow(c, p - 2, p)
-        row = {tt: cc * inv % p for tt, cc in row.items()}
-    pivots[t] = row
-    return row
+    return None

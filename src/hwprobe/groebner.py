@@ -611,15 +611,16 @@ def express_in_terms(ring_q, targets, gens, aux, twists):
 # minimal generators degree by degree
 
 
-def minimal_by_degree(ring, pieces, mul_nf, modulo=None):
+def minimal_by_degree(ring, shifts, pieces, mul_nf, modulo=None):
     """The strand test of La Scala and Stillman (JSC 1998), in any dimension.
 
     ``pieces`` gives ``(D, vectors of degree D, full)`` for consecutive D;
     this yields ``(D, span_D, the vectors of degree D kept)`` for each.  The
     span in degree D is sum_x x * span_{D - w(x)}, plus ``modulo[D]``
     (``{D: echelon pivots}``) if given, plus the earlier vectors of degree D;
-    a vector is kept iff it is independent of that span.  ``mul_nf(v, m)``
-    writes x^m * v in the coordinates of the vectors.
+    a vector is kept iff it is independent of that span.  ``mul_nf(v, x)``
+    writes x * v in the coordinates of the vectors, x from ``shifts``, one
+    per variable: exponent tuples, or the strand frame's packed ints.
 
     ``full`` is None or an upper bound on dim span_D, the dimension of a
     space that holds the span: Z_D in the strand step, when the vectors are
@@ -629,8 +630,7 @@ def minimal_by_degree(ring, pieces, mul_nf, modulo=None):
     vectors stop there, and later degrees see the same span.
     """
     p = ring.p
-    variables = [(tuple(int(i == k) for i in range(ring.nvars)), w)
-                 for k, w in enumerate(ring.weights)]
+    variables = list(zip(shifts, ring.weights))
     top = max(ring.weights)
     spans = {}
     for d, vectors, full in pieces:
@@ -683,7 +683,9 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
         return []
     pieces = ((d, by_degree.get(d, ()), None)
               for d in range(min(by_degree), max(by_degree) + 1))
-    return [v for _, _, kept in minimal_by_degree(ring, pieces, mul_nf)
+    units = [tuple(int(i == k) for i in range(ring.nvars))
+             for k in range(ring.nvars)]
+    return [v for _, _, kept in minimal_by_degree(ring, units, pieces, mul_nf)
             for v in kept]
 
 
@@ -804,14 +806,16 @@ def colon_by_elements(ring_q, u_cols, twists, elems):
     return kernel_into_quotient(ring_q, map_cols, target_rels, tuple(target_twists))
 
 
-def saturate(ring_q, u_cols, twists, ideal_elems):
-    """``U : J^infinity`` by iterating colon until stabilization."""
+def saturate(ring_q, u_cols, twists, ideal_elems, basis=None):
+    """``U : J^infinity`` by iterating colon until stabilization; ``basis``,
+    the Groebner basis of <u_cols> + I*F when known, serves the first step."""
     cur = [vec_nf_ideal(ring_q, c) for c in u_cols]
     cur = [c for c in cur if c]
     steps = 0
     while True:
         nxt = colon_by_elements(ring_q, cur, twists, ideal_elems)
-        gb = module_groebner(ring_q, cur, twists)
+        gb = basis or module_groebner(ring_q, cur, twists)
+        basis = None
         if all(gb.contains(v) for v in nxt):
             return cur, steps
         cur = minimal_generators(ring_q, cur + nxt, twists)

@@ -58,7 +58,7 @@ generators of M* and M** that ``module_at`` returns with each module.
 from itertools import combinations
 
 from . import hilbert as hb
-from .freemod import transpose_cols, vec_degree
+from .freemod import pack_mono, transpose_cols
 from .groebner import express_in_terms, kernel_into_quotient, saturate
 from .hilbert import std_monomials
 from .modules import (
@@ -229,24 +229,25 @@ def _strand_module(n, maps):
     middle = _tensor_twists(f_i, n)
     blocks = _module_blocks(n)
     b = blocks.image(incoming, middle)
-    gens = blocks.minimal_kernel(middle, outgoing, blocks,
-                                 _tensor_twists(f_out, n), source_mod=b)
-    gen_twists = tuple(vec_degree(ring.ambient, v, middle) for v in gens)
-    rels = ring_blocks(ring).minimal_kernel(gen_twists, gens, blocks, middle,
-                                            target_mod=b)
+    gens, gen_twists = blocks.minimal_kernel(middle, outgoing, blocks,
+                                             _tensor_twists(f_out, n),
+                                             source_mod=b)
+    rels, _ = ring_blocks(ring).minimal_kernel(gen_twists, gens, blocks,
+                                               middle, target_mod=b)
     return PresentedModule(ring, gen_twists, rels, normalize=False), gens
 
 
 def _module_blocks(n):
     """Sums of copies of N: per component k, the standard monomials of its
-    initial module; the rows of N's table ``n.term_nf``."""
-    return Blocks(n.ring, _module_std(n), n.term_nf)
+    initial module; the rows of N's table ``n.term_nf``, packed."""
+    return Blocks(n.ring, n, _module_std(n))
 
 
 @memoized
 def _module_std(n):
     init = n.rel_gb().initial_module()
-    return [std_monomials(n.ring.ambient, init.get(k, ()))
+    return [[tuple(map(pack_mono, ms))
+             for ms in std_monomials(n.ring.ambient, init.get(k, ()))]
             for k in range(n.ngens)]
 
 
@@ -430,8 +431,9 @@ def torsion_submodule(m, method="auto"):
         if ring.dim != 1:
             raise HypothesisError("saturation torsion is the dimension-one path")
         x = next(v for v in ring.variables() if ring.nf(v))
-        sat_cols, _ = saturate(ring, list(m.rels), m.twists, [x])
-        t, kept = subquotient(ring, m.twists, sat_cols, list(m.rels))
+        sat_cols, _ = saturate(ring, list(m.rels), m.twists, [x], m.rel_gb())
+        t, kept = subquotient(ring, m.twists, sat_cols, list(m.rels),
+                              m.rel_gb())
         return t, GradedMap(t, m, kept)
     if method == "biduality":
         eta = biduality_map(m)

@@ -21,9 +21,18 @@ and its Hom maps on ``_dual_block_cols``, the same layout of the transpose.
 """
 
 from collections import defaultdict
+from functools import partial
 
 from . import hilbert as hb
-from .freemod import matvec, row_insert, sum_rows, vec_component, vec_degree
+from .freemod import (
+    matvec,
+    pack_mono,
+    pack_vec,
+    row_insert,
+    unpack_mono,
+    vec_component,
+    vec_degree,
+)
 from .groebner import (
     InhomogeneousError,
     kernel_into_quotient,
@@ -34,7 +43,7 @@ from .groebner import (
     poly_det,
     vec_nf_ideal,
 )
-from .ring import memoized
+from .ring import FIELD_BITS, memoized
 
 
 class HypothesisError(ValueError):
@@ -290,14 +299,15 @@ def residue_field_module(ring):
     return quotient_module(ring, ring.variables())
 
 
-def subquotient(ring, free_twists, z_gens, b_gens):
+def subquotient(ring, free_twists, z_gens, b_gens, basis=None):
     """(<Z> + <B>)/<B> inside the free module, as a presented module.
 
     Returns ``(module, kept)`` where kept are the representative vectors of
-    the module's generators inside the free module.
+    the module's generators inside the free module.  ``basis`` is the
+    Groebner basis of <B> + I*F when known, as a module's ``rel_gb`` is.
     """
     amb = ring.ambient
-    gbB = module_groebner(ring, b_gens, free_twists)
+    gbB = module_groebner(ring, b_gens, free_twists) if basis is None else basis
     kept = minimal_generators(ring, z_gens, free_twists, modulo=gbB)
     if not kept:
         return PresentedModule(ring, (), ()), []
@@ -337,22 +347,59 @@ class Blocks:
     N's initial module by degree, so a sum whose components have twists a_j
     has the F_p-basis (j, m), m in ``std[j % g][D - a_j]``, in degree D;
     ``mul_nf(v, m)`` writes x^m * v in that basis as a sum of rows of N's
-    memoized table, ``row(k, t)`` = NF(x^t * e_k).  ``ring_blocks`` serves
-    free modules (N = R); ``homalg`` builds the blocks of other modules.
+    table, ``row(k, m)`` = NF(x^m * e_k).  ``ring_blocks`` serves free
+    modules (N = R); ``homalg`` builds the blocks of other modules.
 
     This is the strand frame of La Scala and Stillman (JSC 1998): ranks,
     images and minimal kernels come from sparse F_p elimination degree by
-    degree, with no Buchberger run.
+    degree, with no Buchberger run, on ``freemod.pack_term``'s ints: their
+    order is the tuple order, so each pivot is the one tuples give, and x^m
+    adds ``pack_mono(m)``.  Packing a column or a table row raises
+    ValueError once an exponent reaches ``ring.DEGREE_LIMIT``, so fields
+    never carry.  Columns are packed where they enter; ``std``, the rows
+    (memoized on N) and image pivots stay packed; ``minimal_kernel``
+    unpacks the vectors it returns.
     """
 
-    def __init__(self, ring, std, row):
+    def __init__(self, ring, owner, std):
         self.ring = ring
         self.std = std
-        self.row = row
+        self.p = ring.p
+        self.g = len(std)
+        n = ring.ambient.nvars
+        self.row = partial(_frame_row, owner, n)
+        self.shift = FIELD_BITS * n
+        self.low = (1 << self.shift) - 1
+        # pack_mono of each variable, x_1 first
+        self.variables = [1 << FIELD_BITS * k for k in reversed(range(n))]
 
     def mul_nf(self, v, m):
-        """x^m * v in normal form, summed from the rows of the table."""
-        return sum_rows(self.ring.ambient, self.row, len(self.std), v, m)
+        """x^m * v for packed v and m = ``pack_mono(x^m)``: the packed twin
+        of ``freemod.sum_rows``, entry for entry."""
+        p, g, s, low, row = self.p, self.g, self.shift, self.low, self.row
+        out = {}
+        rank = {}  # copy, by its first component -> place of first appearance
+        for t, coef in v.items():
+            c = (t >> s) - 1
+            k = c % g
+            base = c - k  # component 0 of the copy
+            rank.setdefault(base, len(rank))
+            base <<= s
+            for u, a in row(k, (t & low) + m).items():
+                u += base
+                val = (out.get(u, 0) + a * coef) % p
+                if val:
+                    out[u] = val
+                else:
+                    out.pop(u, None)
+        if len(rank) < len(v) and len(out) > 1:
+            key = partial(_frame_mono, self.ring)
+
+            def order(u):
+                c = (u >> s) - 1
+                return rank[c - c % g], -key(u & low)[1], c
+            return {u: out[u] for u in sorted(out, key=order)}
+        return out
 
     def dim(self, ncomps):
         """dim_k of the sum of ``ncomps`` components."""
@@ -391,13 +438,14 @@ class Blocks:
         sizes = self.sizes(twists)
         if not by_degree or not sizes:
             return 0
-        pieces = ((d, (self.mul_nf(col, None) for col in by_degree.get(d, ())),
-                   sizes.get(d, 0))
+        pieces = ((d, (self.mul_nf(pack_vec(col), 0)
+                       for col in by_degree.get(d, ())), sizes.get(d, 0))
                   for d in range(min(by_degree), max(sizes) + 1))
         top_w = max(amb.weights)
         top_twist = max(twists)
         rank = run = 0
-        for d, span, _ in minimal_by_degree(amb, pieces, self.mul_nf):
+        for d, span, _ in minimal_by_degree(amb, self.variables, pieces,
+                                            self.mul_nf):
             rank += len(span)
             run = run + 1 if len(span) == sizes.get(d, 0) else 0
             if run >= top_w and d >= top_twist:
@@ -406,7 +454,7 @@ class Blocks:
 
     def image(self, cols, twists):
         """The image of such a map in the sum with component twists
-        ``twists``, degree by degree: ``{D: echelon pivots}``.
+        ``twists``, degree by degree: ``{D: echelon pivots}``, packed.
 
         The rows are x^m times each column c, m over the standard monomials
         of c's component in the source, in that order, so the pivots depend
@@ -415,8 +463,8 @@ class Blocks:
         is computed.
         """
         mono_deg = self.ring.ambient.mono_deg
-        p = self.ring.p
-        g = len(self.std)
+        p = self.p
+        g = self.g
         sizes = self.sizes(twists)
         out = defaultdict(dict)
         for c, col in enumerate(cols):
@@ -424,6 +472,7 @@ class Blocks:
                 continue
             j, t = next(iter(col))
             d = twists[j] + mono_deg(t)
+            col = pack_vec(col)
             for e, ms in enumerate(self.std[c % g]):
                 pivots, full = out[d + e], sizes.get(d + e, 0)
                 for m in ms:
@@ -436,27 +485,30 @@ class Blocks:
                        source_mod=None, target_mod=None):
         """Minimal generators of the kernel of the map from the sum with
         component twists ``twists`` into the sum of ``target``'s copies with
-        component twists ``target_twists``.
+        component twists ``target_twists``, with their degrees:
+        ``(vectors, twists)``.
 
         In degree D the rows are the images of the basis vectors x^m * e_j,
-        each followed by an identity coordinate (key (-1, n), below every
-        image key (component, monomial), so image entries pivot first); the
-        rows left with identity pivots span the kernel Z_D.  Above the
-        target's top degree, max_c (target_twists[c] + top degree of its
-        component), the target is zero, so Z_D is the whole source there
-        and no image is computed.  Each Z_D goes to
-        ``groebner.minimal_by_degree`` with its dimension, which keeps the
-        vectors independent of sum_x x * Z_{D - w(x)} and stops once that
-        span fills Z_D.  ``target_mod`` (``{D: pivots}`` in the target)
-        takes the kernel into the target modulo that subspace;
+        each followed by an identity coordinate (packed below every image
+        term, so image entries pivot first); the rows left with identity
+        pivots span the kernel Z_D.  Above the target's top degree,
+        max_c (target_twists[c] + top degree of its component), the target
+        is zero, so Z_D is the whole source there and no image is computed.
+        Each Z_D goes to ``groebner.minimal_by_degree`` with its dimension,
+        which keeps the vectors independent of sum_x x * Z_{D - w(x)} and
+        stops once that span fills Z_D; a vector's degree is the D it is
+        kept in.  ``target_mod`` (``{D: pivots}`` in the target, from
+        ``image``) takes the kernel into the target modulo that subspace;
         ``source_mod`` (in the source) gives generators of the kernel modulo
         it instead, and must lie inside the kernel, as boundaries lie in the
         cycles, for the stop to be right.
         """
         if not twists:
-            return []
-        p = self.ring.p
-        g = len(self.std)
+            return [], ()
+        p = self.p
+        g = self.g
+        s = self.shift
+        cols = [pack_vec(c) for c in cols]
         tables = [self.std[j % g] for j in range(len(twists))]
         tg = len(target.std)
         top = max((a + len(target.std[c % tg]) - 1
@@ -466,32 +518,54 @@ class Blocks:
         def kernels():
             for d in range(min(twists),
                            max(a + len(t) for a, t in zip(twists, tables))):
-                basis = [(j, m) for j, a in enumerate(twists)
+                basis = [(j + 1) << s | m for j, a in enumerate(twists)
                          if 0 <= d - a < len(tables[j]) for m in tables[j][d - a]]
                 if d > top:
                     yield d, [{b: 1} for b in basis], len(basis)
                     continue
                 pivots = dict(target_mod.get(d, {})) if target_mod else {}
-                for n, (j, m) in enumerate(basis):
-                    row = target.mul_nf(cols[j], m)
-                    row[(-1, n)] = 1
+                for n, b in enumerate(basis):
+                    row = target.mul_nf(cols[(b >> s) - 1], b & self.low)
+                    row[n] = 1
                     row_insert(row, pivots, None, p)
-                z = [{basis[n]: c for (_, n), c in row.items()}
-                     for (comp, _), row in pivots.items() if comp < 0]
+                z = [{basis[n]: c for n, c in row.items()}
+                     for t, row in pivots.items() if t >> s == 0]
                 yield d, z, len(z)
 
-        return [v for _, _, kept in minimal_by_degree(
-            self.ring.ambient, kernels(), self.mul_nf, source_mod) for v in kept]
+        # unpack_term on the kept vectors, each standard monomial read once
+        monos = {f: _frame_mono(self.ring, f)[0]
+                 for table in self.std for ms in table for f in ms}
+        gens, degrees = [], []
+        for d, _, kept in minimal_by_degree(self.ring.ambient, self.variables,
+                                            kernels(), self.mul_nf, source_mod):
+            gens += ({((t >> s) - 1, monos[t & self.low]): c
+                      for t, c in v.items()} for v in kept)
+            degrees += [d] * len(kept)
+        return gens, tuple(degrees)
 
 
 def ring_blocks(ring):
     """Free modules over an Artinian R as sums of copies of R."""
-    return Blocks(ring, _ring_std(ring), ring.term_nf)
+    return Blocks(ring, ring, _ring_std(ring))
 
 
 @memoized
 def _ring_std(ring):
-    return [hb.std_monomials(ring.ambient, ring._initial_ideal)]
+    return [[tuple(map(pack_mono, ms)) for ms in
+             hb.std_monomials(ring.ambient, ring._initial_ideal)]]
+
+
+@memoized
+def _frame_row(owner, nvars, k, f):
+    """Row (k, f) of the table of owner (R or N), ``owner.term_nf`` packed."""
+    return pack_vec(owner.term_nf(k, unpack_mono(f, nvars)))
+
+
+@memoized
+def _frame_mono(ring, f):
+    """``(m, mono_key(m))`` for the monomial m packed as f."""
+    m = unpack_mono(f, ring.ambient.nvars)
+    return m, ring.ambient.mono_key(m)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +623,7 @@ class GradedMap:
         vs = kernel_into_quotient(self.ring, list(self.cols),
                                   list(self.target.rels), self.target.twists)
         k, kept = subquotient(self.ring, self.source.twists, vs,
-                              list(self.source.rels))
+                              list(self.source.rels), self.source.rel_gb())
         return k, GradedMap(k, self.source, kept)
 
     def is_injective(self) -> bool:

@@ -43,11 +43,8 @@ class Resolution:
 
     def __init__(self, module):
         self.ring = module.ring
-        amb = module.ring.ambient
-        first = list(module.rels)
-        self.diffs = [first]
-        self.level_twists = [module.twists,
-                             tuple(vec_degree(amb, c, module.twists) for c in first)]
+        self.diffs = [list(module.rels)]
+        self.level_twists = [module.twists, module.rel_degrees()]
 
     @property
     def length(self):
@@ -65,14 +62,14 @@ class Resolution:
                 continue
             if self.ring.dim == 0:
                 free = ring_blocks(self.ring)
-                nxt = free.minimal_kernel(src_twists, cols, free,
-                                          ambient_twists)
+                nxt, twists = free.minimal_kernel(src_twists, cols, free,
+                                                  ambient_twists)
             else:
                 syz = syzygies_over_quotient(self.ring, cols, ambient_twists)
                 nxt = minimal_generators(self.ring, syz, src_twists)
+                twists = tuple(vec_degree(amb, c, src_twists) for c in nxt)
             self.diffs.append(nxt)
-            self.level_twists.append(
-                tuple(vec_degree(amb, c, src_twists) for c in nxt))
+            self.level_twists.append(twists)
         return self
 
     def betti(self, i):

@@ -206,7 +206,7 @@ def random_short_exact_sequence(y: PresentedModule, rng: random.Random):
             gens.append(v)
     if not gens:
         gens = [y.element_nf(unit_vector(amb, 0))]
-    x, kept = subquotient(ring, y.twists, gens, list(y.rels))
+    x, kept = subquotient(ring, y.twists, gens, list(y.rels), y.rel_gb())
     f = GradedMap(x, y, kept)
     z, g = cokernel_with_projection(f)
     return f, g

@@ -13,7 +13,12 @@ from hwprobe import (
     quotient_module,
 )
 from hwprobe.freemod import (
+    pack_mono,
+    pack_term,
+    pack_vec,
     row_insert,
+    unpack_mono,
+    unpack_term,
     vec_component,
     vec_degree,
     vec_from_polys,
@@ -206,7 +211,13 @@ def reference_minimal_kernel(blocks, twists, cols, target, *, source_mod=None,
         return []
     p = blocks.ring.p
     g = len(blocks.std)
-    tables = [blocks.std[j % g] for j in range(len(twists))]
+    nvars = blocks.ring.ambient.nvars
+    tables = [[[unpack_mono(m, nvars) for m in ms] for ms in blocks.std[j % g]]
+              for j in range(len(twists))]
+    cols = [pack_vec(c) for c in cols]
+
+    def unpacked(packed):
+        return [(unpack_term(t, nvars), v) for t, v in packed.items()]
 
     def kernels():
         for d in range(min(twists),
@@ -215,14 +226,15 @@ def reference_minimal_kernel(blocks, twists, cols, target, *, source_mod=None,
                      if 0 <= d - a < len(tables[j]) for m in tables[j][d - a]]
             pivots = dict(target_mod.get(d, {})) if target_mod else {}
             for n, (j, m) in enumerate(basis):
-                row = target.mul_nf(cols[j], m)
-                row[(-1, n)] = 1
+                row = target.mul_nf(cols[j], pack_mono(m))
+                row[pack_term((-1, n))] = 1
                 row_insert(row, pivots, None, p)
-            yield d, [{basis[n]: c for (_, n), c in row.items()}
-                      for (comp, _), row in pivots.items() if comp < 0]
+            yield d, [{pack_term(basis[n]): c for (_, n), c in unpacked(row)}
+                      for (comp, _), row in unpacked(pivots) if comp < 0]
 
-    return reference_minimal_by_degree(blocks.ring.ambient, kernels(),
-                                       blocks.mul_nf, source_mod)
+    return [dict(unpacked(v)) for v in reference_minimal_by_degree(
+        blocks.ring.ambient, kernels(),
+        lambda v, x: blocks.mul_nf(v, pack_mono(x)), source_mod)]
 
 
 def reference_invert_graded_matrix(ring_q, cols, row_twists):
@@ -375,7 +387,7 @@ def reference_rows(blocks, cols):
     for c, col in enumerate(cols):
         for ms in blocks.std[c % g]:
             for m in ms:
-                yield blocks.mul_nf(col, m)
+                yield blocks.mul_nf(pack_vec(col), m)
 
 
 def reference_rank(blocks, cols):
@@ -395,7 +407,7 @@ def reference_image(blocks, cols, twists):
     out = {}
     for row in reference_rows(blocks, cols):
         if row:
-            j, m = next(iter(row))
+            j, m = unpack_term(next(iter(row)), blocks.ring.ambient.nvars)
             row_insert(row, out.setdefault(twists[j] + mono_deg(m), {}),
                        None, blocks.ring.p)
     return out

@@ -15,11 +15,14 @@ from test_bench_checks import REPO, WORKLOADS, _Pass
 from hwprobe import (
     PresentedModule,
     define_ring,
+    dual,
     quotient_module,
+    tensor,
     theta,
     tor_length,
+    torsion_submodule,
 )
-from hwprobe import homalg, jobs, modules
+from hwprobe import groebner, homalg, jobs, modules
 from hwprobe.catalog import catalog, catalog_names
 from hwprobe.quotient import QuotientRing
 from hwprobe.resolution import betti_numbers
@@ -66,6 +69,26 @@ def test_rel_gb_and_its_initial_module_are_computed_once(cusp, monkeypatch):
     assert m.krull_dim() == 0 and m.length() == 3
     assert len(calls) == 1
     assert gb.initial_module() is gb.initial_module()
+
+
+def test_saturation_torsion_reuses_the_relation_basis(cusp, cusp_m,
+                                                      monkeypatch):
+    # saturate's first membership test and subquotient's basis of B are the
+    # basis of <rels> + I*F that m.rel_gb() memoizes; neither is rebuilt
+    m = tensor(cusp_m, dual(cusp_m))
+    gb = m.rel_gb()
+    calls = []
+    module_groebner = groebner.module_groebner
+
+    def counting(ring, gens, twists):
+        calls.append((list(gens), twists))
+        return module_groebner(ring, gens, twists)
+
+    for owner in (groebner, modules):
+        monkeypatch.setattr(owner, "module_groebner", counting)
+    t, _ = torsion_submodule(m, "saturation")
+    assert t.length() == 2 and m.rel_gb() is gb
+    assert calls and (list(m.rels), m.twists) not in calls
 
 
 def test_equal_owners_built_apart_share_nothing(cusp, monkeypatch):

@@ -84,7 +84,7 @@ from hwprobe import (
     verify_short_exact,
 )
 from hwprobe.freemod import transpose_cols, vec_component, vec_degree
-from hwprobe import modules
+from hwprobe import freemod, groebner, homalg, modules, resolution
 from hwprobe.groebner import (
     GroebnerBasis,
     kernel_into_quotient,
@@ -619,11 +619,13 @@ def test_minimal_kernel_matches_the_reference(data):
     kinds = Counter()
 
     def checked(blocks, twists, cols, target, target_twists, **mods):
-        got = real(blocks, twists, cols, target, target_twists, **mods)
+        got, degrees = real(blocks, twists, cols, target, target_twists, **mods)
         ref = reference_minimal_kernel(blocks, twists, cols, target, **mods)
         assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+        # each vector's degree is the one the step kept it in
+        assert degrees == tuple(vec_degree(ring.ambient, v, twists) for v in got)
         kinds[tuple(sorted(mods))] += 1
-        return got
+        return got, degrees
 
     with patch.object(modules.Blocks, "minimal_kernel", checked):
         res = resolution_of(m, 4)
@@ -632,6 +634,30 @@ def test_minimal_kernel_matches_the_reference(data):
             module_at(hom_maps, res, n, i)
     assert set(kinds) == {("source_mod",), ("target_mod",)} | (
         {()} if m.rels else set())
+
+
+def test_strand_steps_read_degrees_from_the_step(gp_ring, monkeypatch):
+    # an Artinian resolution and a strand module take each generator's
+    # degree from the step that kept it; the only vectors scanned for a
+    # degree are the relations a presentation checks for homogeneity
+    k = residue_field_module(gp_ring)
+    res, res_n = Resolution(k), resolution_of(gp_n(gp_ring), 4)
+    calls = []
+    real = freemod.vec_degree
+
+    def counting(ring, v, twists):
+        calls.append(v)
+        return real(ring, v, twists)
+
+    for owner in (freemod, groebner, modules, resolution, homalg):
+        if hasattr(owner, "vec_degree"):
+            monkeypatch.setattr(owner, "vec_degree", counting)
+    assert res.extend(6).betti_numbers(6) == [1, 4, 13, 40, 121, 364, 1093]
+    assert calls == []
+    for side in (tensor_maps, hom_maps):
+        mod, _ = module_at(side, res_n, k, 2)
+        assert mod.ngens and calls == list(mod.rels)
+        calls.clear()
 
 
 # -- ranks from spans -----------------------------------------------------------
