@@ -13,15 +13,19 @@ the ring's ``mono_key``).  ``term_key`` gives term-over-position and
 computes on dicts keyed by these ints ("packed" vectors); everything else,
 and every public result, keeps the tuple keys above.
 
-This module is the one home of sparse F_p arithmetic on tuple-keyed dicts:
+This module is the one home of sparse F_p arithmetic on vectors.  No
+result depends on the order of a vector's dict entries:
 
 * ``vec_isub_term_mul`` is the only loop that adds c*x^m*v into an
-  accumulator; ``matvec`` (and so ``compose_cols``) calls it once per term.
-  Its packed twin, where x^m is one added int, is ``groebner._isub_shifted``;
+  accumulator on tuple keys; ``matvec`` (and so ``compose_cols``) calls it
+  once per term;
+* ``isub_shifted`` is its twin on packed int keys, where x^m is one added
+  int: the Groebner core's division and ``modules.Blocks.mul_nf``, on the
+  strand frame's ints (``pack_term``), both run on it;
 * ``sum_rows`` is the only loop that sums rows of a memoized NF table on
-  tuple keys; ``modules.Blocks.mul_nf`` is its twin on the strand frame's
-  ints, ``pack_term``.  ``vec_nf_ideal`` and ``isomorphism`` stay on tuples:
-  packing at their boundary costs more than the loop saves;
+  tuple keys; ``Blocks.mul_nf`` is its twin on packed ints.
+  ``vec_nf_ideal`` and ``isomorphism`` stay on tuples: packing at their
+  boundary costs more than the loop saves;
 * ``transpose_cols`` is the only transpose of a column list;
 * ``row_insert`` is the only sparse echelon routine: rows are dicts of any
   hashable key, the pivot of a row is its ``key``-maximal entry;
@@ -134,22 +138,30 @@ def vec_isub_term_mul(acc: Vec, v: Vec, m, c: int, p: int) -> None:
             acc.pop(t, None)
 
 
-def sum_rows(ring, row, g, v: Vec, m=None) -> Vec:
+def isub_shifted(acc, v, d, c, p):
+    """In place: acc -= c * v moved by d, for packed vectors: the entry of v
+    at t lands at t + d.  With d the packed x^u that is acc -= c * x^u * v."""
+    for t, cc in v.items():
+        t += d
+        val = (acc.get(t, 0) - c * cc) % p
+        if val:
+            acc[t] = val
+        else:
+            acc.pop(t, None)
+
+
+def sum_rows(p, row, g, v: Vec, m=None) -> Vec:
     """Normal form of v, or of x^m * v, as a sum of table rows.
 
     Component j of v is generator j % g of copy j // g of a module whose
     table ``row(k, t)`` is the normal form of x^t * e_k.  Normal form is
     linear, so this sums c * row(j % g, t + m), moved to copy j // g, over
-    the terms c * x^t * e_j of v.  Copies come in order of first appearance,
-    each in decreasing term-over-position order, as dividing gives them.
+    the terms c * x^t * e_j of v.
     """
-    p = ring.p
     out = {}
-    rank = {}  # copy, by its first component -> place of first appearance
     for (j, t), coef in v.items():
         k = j % g
         base = j - k  # component 0 of the copy
-        rank.setdefault(base, len(rank))
         for (i, u), a in row(k, t if m is None else tuple(map(add, t, m))).items():
             key = (base + i, u)
             val = (out.get(key, 0) + a * coef) % p
@@ -157,9 +169,6 @@ def sum_rows(ring, row, g, v: Vec, m=None) -> Vec:
                 out[key] = val
             else:
                 out.pop(key, None)
-    if len(rank) < len(v) and len(out) > 1:
-        return {key: out[key] for key in sorted(out, key=lambda key: (
-            rank[key[0] - key[0] % g], -ring.mono_key(key[1]), key[0]))}
     return out
 
 

@@ -71,6 +71,7 @@ from functools import partial
 
 from .freemod import (
     compose_cols,
+    isub_shifted,
     row_insert,
     schreyer_key,
     sum_rows,
@@ -148,17 +149,6 @@ def _unpack(order, pv):
 # division
 
 
-def _isub_shifted(acc, v, d, c, p):
-    """In place: acc -= c * x^u * v, for packed vectors with d the shift of x^u."""
-    for t, cc in v.items():
-        t += d
-        val = (acc.get(t, 0) - c * cc) % p
-        if val:
-            acc[t] = val
-        else:
-            acc.pop(t, None)
-
-
 def _prepare(order, vectors):
     """Monic-normalize packed vectors; return ``(basis, lts, fields, by_code)``.
 
@@ -209,7 +199,7 @@ def _reduce(order, v, prepared, track=False):
             del work[t]
             continue
         d = t - lts[idx]
-        _isub_shifted(work, basis[idx], d, c, p)
+        isub_shifted(work, basis[idx], d, c, p)
         if track:
             qd = quot.setdefault(idx, {})
             qc = (qd.get(d, 0) + c) % p
@@ -368,12 +358,12 @@ def _buchberger_core(order, gens, twists, track=False, blocks=()):
         di = lcm - lts[i]
         dj = lcm - lts[j]
         s = {t + di: c for t, c in basis[i].items()}
-        _isub_shifted(s, basis[j], dj, 1, p)
+        isub_shifted(s, basis[j], dj, 1, p)
         rep = None
         if track:
             ri = di << rsh
             rep = {t + ri: c for t, c in reps[i].items()}
-            _isub_shifted(rep, reps[j], dj << rsh, 1, p)
+            isub_shifted(rep, reps[j], dj << rsh, 1, p)
         if not s:
             if track and rep:
                 syzygies.append(rep)
@@ -382,7 +372,7 @@ def _buchberger_core(order, gens, twists, track=False, blocks=()):
         if track:
             for idx, qd in quot.items():
                 for d, q in qd.items():
-                    _isub_shifted(rep, reps[idx], d << rsh, q, p)
+                    isub_shifted(rep, reps[idx], d << rsh, q, p)
         if r:
             add(r, rep)
         elif track and rep:
@@ -527,7 +517,7 @@ def vec_nf_ideal(ring_q, v, m=None):
     rank-one case of ``freemod.sum_rows``, on the rows ``ring_q.term_nf``."""
     if not ring_q.gb:
         return dict(v) if m is None else vec_mul_term(v, m, 1, ring_q.p)
-    return sum_rows(ring_q.ambient, ring_q.term_nf, 1, v, m)
+    return sum_rows(ring_q.p, ring_q.term_nf, 1, v, m)
 
 
 def composes_to_zero(ring_q, outer, inner):
@@ -600,7 +590,7 @@ def express_in_terms(ring_q, targets, gens, aux, twists):
         coeff = {}
         for idx, qd in quot.items():
             for d, q in qd.items():
-                _isub_shifted(coeff, reps[idx], d << rsh, (-q) % p, p)
+                isub_shifted(coeff, reps[idx], d << rsh, (-q) % p, p)
         coeff = _unpack(rep_order, coeff)
         out.append(vec_from_polys(ring_q.nf(vec_component(coeff, i))
                                   for i in range(len(gens))))
@@ -696,10 +686,12 @@ def minimal_generators(ring_q, vectors, twists, modulo=None):
 def minimalize_presentation(ring_q, cols, twists):
     """Cancel degree-zero unit entries of a homogeneous presentation matrix.
 
-    Repeatedly pivots on unit entries, deleting their row (generator) and
-    column (relation); the cokernel is preserved up to isomorphism.  Returns
-    ``(cols, twists, kept_rows)`` with kept_rows the surviving generator
-    indices of the input.
+    Repeatedly pivots on a unit entry, deleting its row (generator) and
+    column (relation); the cokernel is preserved up to isomorphism.  The
+    pivot is the unit of smallest row index in the first column that has
+    one, so the result does not depend on the order of a column's entries.
+    Returns ``(cols, twists, kept_rows)`` with kept_rows the surviving
+    generator indices of the input.
     """
     ring = ring_q.ambient
     p = ring.p
@@ -709,17 +701,13 @@ def minimalize_presentation(ring_q, cols, twists):
     twists = list(twists)
     kept_rows = list(range(len(twists)))
     while True:
-        pivot = None
         for ci, col in enumerate(cols):
-            for (r, m), coef in col.items():
-                if m == zero:
-                    pivot = (r, ci, coef)
-                    break
-            if pivot:
+            units = [(r, coef) for (r, m), coef in col.items() if m == zero]
+            if units:
                 break
-        if pivot is None:
+        else:
             break
-        r, ci, u = pivot
+        r, u = min(units)
         uinv = ring.field.inv(u)
         pcol = cols[ci]
         new_cols = []

@@ -181,7 +181,7 @@ def std_monomials(ring, gens):
     for k, w in enumerate(ring.weights):
         e = min(g[k] for g in gens if sum(g) == g[k])
         bound += (e - 1) * w
-    top = max(ring.weights, default=1)
+    top = max(ring.weights)
     table = []
     for d in range(bound + 1):
         if d == 0:

@@ -87,7 +87,7 @@ def degree_zero_homs(m: PresentedModule, n: PresentedModule):
             # the unknown sends generator j to x^mono e_k: the image of rel
             # is x^mono * rel_j * e_k, summed from N's table
             rel_jk = {(k, t): c for (jj, t), c in rel.items() if jj == j}
-            img = sum_rows(amb, n.term_nf, n.ngens, rel_jk, mono)
+            img = sum_rows(p, n.term_nf, n.ngens, rel_jk, mono)
             for t, c in img.items():
                 row_acc.setdefault(t, {})[u_idx] = c
         rows.extend(row_acc.values())

@@ -25,6 +25,7 @@ from functools import partial
 
 from . import hilbert as hb
 from .freemod import (
+    isub_shifted,
     matvec,
     pack_mono,
     pack_vec,
@@ -347,8 +348,9 @@ class Blocks:
     N's initial module by degree, so a sum whose components have twists a_j
     has the F_p-basis (j, m), m in ``std[j % g][D - a_j]``, in degree D;
     ``mul_nf(v, m)`` writes x^m * v in that basis as a sum of rows of N's
-    table, ``row(k, m)`` = NF(x^m * e_k).  ``ring_blocks`` serves free
-    modules (N = R); ``homalg`` builds the blocks of other modules.
+    table, ``row(k, m)`` = NF(x^m * e_k), in no particular entry order.
+    ``ring_blocks`` serves free modules (N = R); ``homalg`` builds the
+    blocks of other modules.
 
     This is the strand frame of La Scala and Stillman (JSC 1998): ranks,
     images and minimal kernels come from sparse F_p elimination degree by
@@ -375,30 +377,13 @@ class Blocks:
 
     def mul_nf(self, v, m):
         """x^m * v for packed v and m = ``pack_mono(x^m)``: the packed twin
-        of ``freemod.sum_rows``, entry for entry."""
+        of ``freemod.sum_rows``, each row moved to its copy by one shift."""
         p, g, s, low, row = self.p, self.g, self.shift, self.low, self.row
         out = {}
-        rank = {}  # copy, by its first component -> place of first appearance
         for t, coef in v.items():
             c = (t >> s) - 1
             k = c % g
-            base = c - k  # component 0 of the copy
-            rank.setdefault(base, len(rank))
-            base <<= s
-            for u, a in row(k, (t & low) + m).items():
-                u += base
-                val = (out.get(u, 0) + a * coef) % p
-                if val:
-                    out[u] = val
-                else:
-                    out.pop(u, None)
-        if len(rank) < len(v) and len(out) > 1:
-            key = partial(_frame_mono, self.ring)
-
-            def order(u):
-                c = (u >> s) - 1
-                return rank[c - c % g], -key(u & low)[1], c
-            return {u: out[u] for u in sorted(out, key=order)}
+            isub_shifted(out, row(k, (t & low) + m), (c - k) << s, -coef, p)
         return out
 
     def dim(self, ncomps):
@@ -533,7 +518,8 @@ class Blocks:
                 yield d, z, len(z)
 
         # unpack_term on the kept vectors, each standard monomial read once
-        monos = {f: _frame_mono(self.ring, f)[0]
+        nvars = self.ring.ambient.nvars
+        monos = {f: unpack_mono(f, nvars)
                  for table in self.std for ms in table for f in ms}
         gens, degrees = [], []
         for d, _, kept in minimal_by_degree(self.ring.ambient, self.variables,
@@ -559,13 +545,6 @@ def _ring_std(ring):
 def _frame_row(owner, nvars, k, f):
     """Row (k, f) of the table of owner (R or N), ``owner.term_nf`` packed."""
     return pack_vec(owner.term_nf(k, unpack_mono(f, nvars)))
-
-
-@memoized
-def _frame_mono(ring, f):
-    """``(m, mono_key(m))`` for the monomial m packed as f."""
-    m = unpack_mono(f, ring.ambient.nvars)
-    return m, ring.ambient.mono_key(m)
 
 
 # ---------------------------------------------------------------------------

@@ -78,15 +78,15 @@ class QuotientRing:
 
     @memoized
     def term_nf(self, k, t):
-        """NF(x^t * e_k) modulo I*F, a row of the ring's table, in decreasing
-        term order; ValueError past the packing bound."""
+        """NF(x^t * e_k) modulo I*F, a row of the ring's table; ValueError
+        past the packing bound."""
         if not self.gb:
             return {(k, t): 1}
         rem = self._ideal_basis.normal_form({(0, t): 1})
         return {(k, u): c for (_, u), c in rem.items()}
 
     def nf(self, f):
-        """Normal form of a polynomial modulo I, in decreasing term order.
+        """Normal form of a polynomial modulo I, in no particular term order.
 
         The one-component case of ``groebner.vec_nf_ideal``: a sum of the
         rows ``term_nf(0, m)`` over the terms x^m of f.

@@ -83,12 +83,17 @@ ORDERS = {"grevlex": _grevlex, "lex": _lex}
 class PolyRing:
     """Ambient polynomial ring: named variables, positive weights, F_p.
 
-    ``order`` names the monomial order, a key of ``ORDERS``.
+    ``order`` names the monomial order, a key of ``ORDERS``.  There is at
+    least one variable: with none, the strand frame's packed terms
+    (``freemod.pack_term``) would share their ints with identity
+    coordinates.
     """
 
     def __init__(self, names, weights, p, order="grevlex"):
         names = tuple(names)
         weights = tuple(int(w) for w in weights)
+        if not names:
+            raise ValueError("a ring needs at least one variable")
         if len(names) != len(weights):
             raise ValueError("one weight per variable required")
         if len(set(names)) != len(names):
@@ -117,7 +122,7 @@ class PolyRing:
         # the field sum F * ones lands in field n - 1 without carries while
         # every partial sum stays below 2^W, which a degree < 2^W ensures
         self._ones = sum(1 << FIELD_BITS * i for i in range(n))
-        self._sum_shift = FIELD_BITS * max(n - 1, 0)
+        self._sum_shift = FIELD_BITS * (n - 1)
         self.zero_mono = (0,) * n
 
     def __eq__(self, other):
@@ -205,10 +210,7 @@ class PolyRing:
                 rec(i + 1, rem - e * w[i], acc + [e])
 
         if d >= 0:
-            if n:
-                rec(0, d, [])
-            elif d == 0:
-                out.append(())
+            rec(0, d, [])
         return tuple(out)
 
     # -- polynomial arithmetic ---------------------------------------------

@@ -13,6 +13,7 @@ from hwprobe import (
     quotient_module,
 )
 from hwprobe.freemod import (
+    isub_shifted,
     pack_mono,
     pack_term,
     pack_vec,
@@ -328,17 +329,17 @@ def reference_buchberger_core(order, gens, twists, track=False, blocks=()):
         _, _, i, j, lcm = heapq.heappop(heap)
         di, dj = lcm - lts[i], lcm - lts[j]
         s = {t + di: c for t, c in basis[i].items()}
-        groebner._isub_shifted(s, basis[j], dj, 1, p)
+        isub_shifted(s, basis[j], dj, 1, p)
         rep = None
         if track:
             rep = {t + (di << rsh): c for t, c in reps[i].items()}
-            groebner._isub_shifted(rep, reps[j], dj << rsh, 1, p)
+            isub_shifted(rep, reps[j], dj << rsh, 1, p)
         r, quot = (groebner._reduce(order, s, prepared, track) if s
                    else ({}, {}))
         if track:
             for idx, qd in quot.items():
                 for d, q in qd.items():
-                    groebner._isub_shifted(rep, reps[idx], d << rsh, q, p)
+                    isub_shifted(rep, reps[idx], d << rsh, q, p)
         if r:
             add(r, rep)
         elif track and rep:

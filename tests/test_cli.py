@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hwprobe
 from hwprobe.catalog import catalog
 from hwprobe.jobs import canonical_text
@@ -12,6 +14,7 @@ from hwprobe.jobs import canonical_text
 # child gets it as an absolute PYTHONPATH entry, so it runs the same code from
 # any working directory (a relative PYTHONPATH=src only resolves at the root).
 HWPROBE_ROOT = str(Path(hwprobe.__file__).resolve().parent.parent)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def child_env():
@@ -53,6 +56,20 @@ def test_run_jobfile_structured(tmp_path):
     doc = json.loads(out.stdout)
     assert doc["anomaly_detected"] is False
     assert doc["tasks"][0]["result"]["verdict"] == "CONJECTURE_HOLDS"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+@pytest.mark.parametrize("name", ["gasharov-peeva", "cusp-hw"])
+def test_catalog_report_is_its_golden_under_any_hash_seed(name, hash_seed):
+    # str hashes, and with them the order of sets of strings, change with
+    # PYTHONHASHSEED from one process to the next; the report must not
+    env = child_env()
+    env["PYTHONHASHSEED"] = hash_seed
+    out = subprocess.run([sys.executable, "-m", "hwprobe.cli", "catalog", name,
+                          "--run", "--format", "structured"],
+                         capture_output=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_catalog_run_text():

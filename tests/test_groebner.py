@@ -199,6 +199,10 @@ def test_colon_of_free_by_irrelevant_ideal():
     assert gb.contains({(0, (0, 0)): 1})
 
 
+MINIMALIZE_RINGS = [define_ring(["x", "y"], [1, 1], 7, []),
+                    define_ring(["x", "y", "z"], [1, 1, 1], 5, ["x*y", "z^2"])]
+
+
 def test_minimalize_presentation_examples():
     r = define_ring(["x", "y"], [1, 1], 7, [])
     amb = r.ambient
@@ -210,6 +214,36 @@ def test_minimalize_presentation_examples():
     cols2, twists2, kept2 = minimalize_presentation(r, cols, (0, 0))
     assert len(twists2) == 1 and kept2 == [0]
     assert cols2 == [{(0, (1, 0)): 1}]
+    # [1, 1]: of the two units, the one in the smaller row is the pivot
+    cols = [{(1, (0, 0)): 1, (0, (0, 0)): 1}]
+    assert minimalize_presentation(r, cols, (0, 0)) == ([], (0,), [1])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_minimalize_presentation_ignores_entry_order(data):
+    # the pivot is read from the entries' rows, never from their dict order,
+    # so shuffling the entries of every column changes no column, twist or
+    # kept row of the result
+    r = data.draw(st.sampled_from(MINIMALIZE_RINGS))
+    amb = r.ambient
+    twists = tuple(data.draw(st.lists(st.integers(0, 2), min_size=1,
+                                      max_size=4)))
+    cols = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        d = data.draw(st.integers(0, 3))
+        col = {}
+        for j, a in enumerate(twists):
+            if d >= a:
+                monos = amb.monomials_of_degree(d - a)
+                for m in data.draw(st.lists(st.sampled_from(monos),
+                                            max_size=2, unique=True)):
+                    col[(j, m)] = data.draw(st.integers(1, amb.p - 1))
+        cols.append(col)
+    shuffled = [dict(data.draw(st.permutations(list(c.items()))))
+                for c in cols]
+    assert minimalize_presentation(r, shuffled, twists) == \
+        minimalize_presentation(r, cols, twists)
 
 
 def test_minimalize_preserves_hilbert_function():

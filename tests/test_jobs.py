@@ -74,6 +74,18 @@ def test_unparseable_polynomial_names_position():
     assert "column" in str(e.value)
 
 
+def test_ring_without_variables_is_a_job_error():
+    # the ring is rejected before any module over it (here a dual, which
+    # runs the strand frame) is built
+    spec = minimal_spec(variables=[], weights=[], ideal=[], domain=False,
+                        modules={"f": {"type": "free", "twists": [0]},
+                                 "d": {"type": "dual", "of": "f"}},
+                        tasks=[{"op": "betti", "module": "d", "window": 1}])
+    with pytest.raises(JobError, match="invalid ring data: a ring needs at "
+                                       "least one variable"):
+        run_job(load_jobspec(json.dumps(spec)))
+
+
 def test_undefined_module_name():
     spec = minimal_spec(tasks=[{"op": "hw_check", "module": "nope"}])
     with pytest.raises(JobError):
