@@ -29,6 +29,7 @@ from .homalg import (
     tensor,
     tor,
     tor_length,
+    torsion_length,
     torsion_submodule,
     transpose,
 )

@@ -5,7 +5,8 @@ Hom(resolution, N); both land in subquotients of free modules over R that
 the syzygy engine presents.  Depth comes from Koszul homology on all ambient
 variables, grade from the first nonvanishing Ext against the ring, torsion
 from saturation by one variable (dimension one) or from the kernel of the
-biduality map.
+biduality map.  Its length in dimension one also comes from Hilbert
+numerators alone, by ``torsion_length``'s powers of that variable.
 
 Every (co)homology here, Tate (co)homology and the acyclicity check of a
 complete resolution included, goes through one path.  A complex of free
@@ -78,6 +79,9 @@ from .modules import (
 )
 from .resolution import resolution_of
 from .ring import memoized
+
+# The largest power x^k of the variable that ``torsion_length`` tries.
+_X_POWER_LIMIT = 64
 
 # ---------------------------------------------------------------------------
 # (co)homology of a free complex against a module
@@ -295,8 +299,9 @@ def hom(m, n):
     return ext(m, n, 0)
 
 
+@memoized
 def dual(m):
-    """M* = Hom(M, R)."""
+    """M* = Hom(M, R), memoized on M."""
     return hom(m, free_module(m.ring, (0,)))
 
 
@@ -430,7 +435,7 @@ def torsion_submodule(m, method="auto"):
     if method == "saturation":
         if ring.dim != 1:
             raise HypothesisError("saturation torsion is the dimension-one path")
-        x = next(v for v in ring.variables() if ring.nf(v))
+        x = ring.ambient.var(_regular_variable(ring))
         sat_cols, _ = saturate(ring, list(m.rels), m.twists, [x], m.rel_gb())
         t, kept = subquotient(ring, m.twists, sat_cols, list(m.rels),
                               m.rel_gb())
@@ -439,3 +444,50 @@ def torsion_submodule(m, method="auto"):
         eta = biduality_map(m)
         return eta.kernel()
     raise ValueError(f"unknown torsion method {method!r}")
+
+
+def _regular_variable(ring):
+    """Index of the first variable nonzero in R: over a domain it is regular,
+    and both dimension-one torsion paths take it as x."""
+    return next(i for i, v in enumerate(ring.variables()) if ring.nf(v))
+
+
+def torsion_length(m):
+    """Length of the torsion submodule T of M over a one-dimensional
+    asserted domain, from Hilbert numerators alone: no kernel, colon or lift.
+
+    For x the variable of the saturation path, of degree w, the sequence
+    0 -> (0 :_M x^k)(-kw) -> M(-kw) -> M -> M/x^kM -> 0 gives
+
+        t^(kw) HS(0 :_M x^k) = HS(M/x^kM) - (1 - t^(kw)) HS(M),
+
+    and M/x^kM = F/(rels + x^k F) takes one untracked Groebner run.  The
+    submodules 0 :_M x^k grow with k from 0 :_M 1 = 0 and stay put once two
+    consecutive lengths agree; then they are T, since x is regular on M/T
+    and T, of finite length, is killed by a power of x.  Raises
+    ArithmeticError on an infinite length, or with no agreement by
+    k = ``_X_POWER_LIMIT``.
+    """
+    ring = m.ring
+    if not ring.domain:
+        raise HypothesisError("torsion needs the ring asserted to be a domain")
+    if ring.dim != 1:
+        raise HypothesisError("the x-power torsion length is the "
+                              "dimension-one path")
+    amb = ring.ambient
+    i = _regular_variable(ring)
+    hs = m.hilbert_numerator()
+    last = 0
+    for k in range(1, _X_POWER_LIMIT + 1):
+        xk = tuple(k if v == i else 0 for v in range(amb.nvars))
+        quot = submodule_numerator(ring, m.twists, list(m.rels) + [
+            {(j, xk): 1} for j in range(m.ngens)])
+        length = hb.series_total_if_finite(amb, hb.tpoly_add(
+            hb.tpoly_sub(quot, hs), hb.tpoly_shift(hs, k * amb.weights[i])))
+        if length is None:
+            raise ArithmeticError(f"0 :_M x^{k} has infinite length")
+        if length == last:
+            return length
+        last = length
+    raise ArithmeticError("0 :_M x^k did not stabilize by "
+                          f"k = {_X_POWER_LIMIT}")

@@ -606,11 +606,20 @@ class GradedMap:
         return k, GradedMap(k, self.source, kept)
 
     def is_injective(self) -> bool:
-        """The image has the source's Hilbert series, shifted by the map's
-        degree: t^shift * HS(source) = HS(target) - HS(coker)."""
-        return hb.tpoly_shift(self.source.hilbert_numerator(), self.shift) == \
-            hb.tpoly_sub(self.target.hilbert_numerator(),
-                         self.cokernel().hilbert_numerator())
+        return self.kernel_length() == 0
+
+    def kernel_length(self):
+        """Length of the kernel, or None when infinite, with no kernel built:
+        the image has Hilbert series HS(target) - HS(coker), so
+        t^shift * HS(ker) = t^shift * HS(source) - HS(target) + HS(coker),
+        the cokernel's numerator from one untracked Groebner run."""
+        target = self.target
+        coker = submodule_numerator(self.ring, target.twists,
+                                    list(target.rels) + list(self.cols))
+        return hb.series_total_if_finite(self.ring.ambient, hb.tpoly_add(
+            hb.tpoly_sub(hb.tpoly_shift(self.source.hilbert_numerator(),
+                                        self.shift),
+                         target.hilbert_numerator()), coker))
 
     def cokernel(self):
         return PresentedModule(self.ring, self.target.twists,

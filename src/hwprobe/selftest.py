@@ -9,7 +9,17 @@ import random
 from .catalog import catalog, catalog_names
 from .grammar import parse_polynomial
 from .groebner import groebner_basis, syzygy_generators
-from .homalg import dual, ext, grade, tensor, tor_length, torsion_submodule, transpose
+from .homalg import (
+    biduality_map,
+    dual,
+    ext,
+    grade,
+    tensor,
+    tor_length,
+    torsion_length,
+    torsion_submodule,
+    transpose,
+)
 from .jobs import run_job
 from .modules import (
     PresentedModule,
@@ -156,12 +166,14 @@ def run_selftest(quick=False, seed=0):
     s.run("Ext and Tor against k both give the Betti numbers", ext_tor_betti)
 
     def torsion_agreement():
+        # the saturation module, the x-power path and the biduality kernel
+        # share no computation
         prod = tensor(m, dual(m))
-        t1, _ = torsion_submodule(prod, "saturation")
-        t2, _ = torsion_submodule(prod, "biduality")
-        return t1.length() == t2.length() != 0
-    s.run("torsion via saturation and biduality agree (and detect torsion)",
-          torsion_agreement)
+        t_sat, _ = torsion_submodule(prod, "saturation")
+        return t_sat.length() == torsion_length(prod) == \
+            biduality_map(prod).kernel_length() != 0
+    s.run("torsion via saturation, powers of x and biduality agree "
+          "(and detect torsion)", torsion_agreement)
 
     def tate_vs_tor():
         cr = complete_resolution(m, 2, window=3)

@@ -115,6 +115,13 @@ def torus_dim1():
     return define_ring(["x", "y"], [5, 2], 101, ["x^2 - y^5"], domain=True)
 
 
+@pytest.fixture(scope="session")
+def t345():
+    """k[t^3, t^4, t^5]: a one-dimensional domain, not Gorenstein."""
+    return define_ring(["x", "y", "z"], [3, 4, 5], 101,
+                       ["x^3 - y*z", "y^2 - x*z", "z^2 - x^2*y"], domain=True)
+
+
 def mono_divides(a, b):
     """a | b componentwise."""
     return all(x <= y for x, y in zip(a, b))

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hwprobe import (
     HypothesisError,
@@ -22,10 +26,11 @@ from hwprobe import (
     tensor,
     tor,
     tor_length,
+    torsion_length,
     torsion_submodule,
     transpose,
 )
-from hwprobe import homalg
+from hwprobe import hilbert, homalg
 from hwprobe.homalg import (
     KoszulComplex,
     ext_is_zero,
@@ -292,6 +297,100 @@ def test_torsion_saturates_by_a_variable_nonzero_in_r():
     t1, _ = torsion_submodule(prod, "saturation")
     t2, _ = torsion_submodule(prod, "biduality")
     assert t1.length() == t2.length() == 2
+    assert three_torsion_lengths(prod) == (2, 2, 2)
+
+
+def three_torsion_lengths(n):
+    """len T(N) from the saturation module, by the powers of x and as the
+    kernel length of the biduality map: three paths that share nothing."""
+    t, _ = torsion_submodule(n, "saturation")
+    return t.length(), torsion_length(n), biduality_map(n).kernel_length()
+
+
+@pytest.mark.parametrize("ring_name", ["cusp", "fermat_dim1", "torus_dim1"])
+def test_torsion_paths_agree_on_the_maximal_ideal(ring_name, request):
+    # 2 is the length in the catalog goldens of these three rings
+    r = request.getfixturevalue(ring_name)
+    m = ideal_module(r, [P(r, "x"), P(r, "y")])
+    assert three_torsion_lengths(tensor(m, dual(m))) == (2, 2, 2)
+
+
+@pytest.mark.parametrize("gens", [("x", "y"), ("x", "z"), ("y", "z")])
+def test_torsion_paths_agree_on_two_variable_ideals(t345, gens):
+    m = ideal_module(t345, [P(t345, v) for v in gens])
+    lengths = three_torsion_lengths(tensor(m, dual(m)))
+    assert lengths[0] > 0 and len(set(lengths)) == 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_torsion_paths_agree_on_drawn_ideals(cusp, t345, data):
+    # I = (f, g) for homogeneous f, g of distinct degrees is torsion-free,
+    # and I (x) I* has torsion unless I is principal
+    r = data.draw(st.sampled_from([cusp, t345]))
+    amb = r.ambient
+    a = data.draw(st.integers(3, 8))
+    gens = []
+    for d in (a, a + data.draw(st.integers(1, 4))):
+        draw = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        gens.append({m: draw.randrange(1, amb.p)
+                     for m in amb.monomials_of_degree(d)})
+    m = ideal_module(r, gens)
+    assume(not m.is_zero())
+    assert len(set(three_torsion_lengths(tensor(m, dual(m))))) == 1
+
+
+def test_x_power_path_on_torsion_modules(cusp):
+    # over R/(x^2) the whole module is torsion, of length 6, but 0 :_M x is
+    # (x)/(x^2), of length 3: the lengths grow at k = 2 and agree at k = 3
+    for text, length in (("x", 3), ("x^2", 6), ("y^2", 4)):
+        q = quotient_module(cusp, [P(cusp, text)])
+        assert three_torsion_lengths(q) == (length,) * 3
+    assert torsion_length(free_module(cusp, (0, 1))) == 0
+    assert torsion_length(PresentedModule(cusp, (), ())) == 0
+
+
+def test_x_power_path_raises_past_its_bound(cusp, monkeypatch):
+    rx2 = quotient_module(cusp, [P(cusp, "x^2")])
+    for limit in (1, 2):
+        monkeypatch.setattr(homalg, "_X_POWER_LIMIT", limit)
+        with pytest.raises(ArithmeticError, match="did not stabilize"):
+            torsion_length(rx2)
+    monkeypatch.setattr(homalg, "_X_POWER_LIMIT", 3)
+    assert torsion_length(rx2) == 6
+
+
+def test_x_power_path_never_returns_an_infinite_length(cusp, cusp_m,
+                                                       monkeypatch):
+    # two infinite lengths in a row must not pass for stabilization
+    monkeypatch.setattr(hilbert, "series_total_if_finite", lambda *a: None)
+    with pytest.raises(ArithmeticError, match="infinite length"):
+        torsion_length(tensor(cusp_m, dual(cusp_m)))
+
+
+def test_x_power_path_needs_a_one_dimensional_domain(threefold, gp_module_t):
+    with pytest.raises(HypothesisError):
+        torsion_length(gp_module_t)
+    with pytest.raises(HypothesisError):
+        torsion_length(quotient_module(threefold, [P(threefold, "x")]))
+
+
+def test_kernel_length_reads_the_kernel_module(cusp, t345, surface,
+                                               surface_mcm):
+    # finite kernels of biduality maps in dimensions one and two, and the
+    # infinite one of R/(x) -> its double dual, which is 0
+    cases = [tensor(m, dual(m)) for m in (
+        ideal_module(cusp, [P(cusp, "x"), P(cusp, "y")]),
+        ideal_module(t345, [P(t345, "x"), P(t345, "z")]),
+        surface_mcm)]
+    cases += [quotient_module(cusp, [P(cusp, "x^2")]),
+              quotient_module(surface, [P(surface, "x")])]
+    got = []
+    for n in cases:
+        eta = biduality_map(n)
+        got.append(eta.kernel_length())
+        assert got[-1] == eta.kernel()[0].length()
+    assert got[0] == 2 and got[-1] is None
 
 
 def test_torsion_needs_domain(gp_ring_t, gp_module_t):

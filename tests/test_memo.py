@@ -16,6 +16,8 @@ from hwprobe import (
     PresentedModule,
     define_ring,
     dual,
+    hw_check,
+    ideal_module,
     quotient_module,
     tensor,
     theta,
@@ -89,6 +91,23 @@ def test_saturation_torsion_reuses_the_relation_basis(cusp, cusp_m,
     t, _ = torsion_submodule(m, "saturation")
     assert t.length() == 2 and m.rel_gb() is gb
     assert calls and (list(m.rels), m.twists) not in calls
+
+
+def test_hw_check_builds_m_star_once(cusp, monkeypatch):
+    # M (x) M* and the Tate cross-check share the memoized dual
+    m = ideal_module(cusp, [poly(cusp, "x"), poly(cusp, "y")])
+    built = []
+    hom = homalg.hom
+
+    def counting(a, b):
+        built.append(a)
+        return hom(a, b)
+
+    monkeypatch.setattr(homalg, "hom", counting)
+    assert "tate_tor0_length" in hw_check(m)
+    assert built == [m]
+    assert dual(m) is dual(m)
+    assert built == [m]
 
 
 def test_equal_owners_built_apart_share_nothing(cusp, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from hwprobe import (
     CONJECTURE_HOLDS,
+    COUNTEREXAMPLE_CANDIDATE,
     GradedMap,
     HypothesisError,
     define_ring,
@@ -20,6 +21,7 @@ from hwprobe import (
     theta_additivity_check,
     verify_short_exact,
 )
+from hwprobe import homalg
 from hwprobe.freemod import unit_vector
 from hwprobe.theta import cokernel_with_projection, random_short_exact_sequence
 
@@ -253,6 +255,42 @@ def test_hw_check_recheck_runs_under_the_other_order(monkeypatch):
     assert orders == ["grevlex", "lex"]
     assert out["recheck_torsion_length"] == out["torsion_length"] == 6
     assert out["verdict"] == CONJECTURE_HOLDS
+
+
+def test_hw_check_candidate_certificate_names_both_paths(t345, monkeypatch):
+    # no catalog job reaches a candidate: both orders report a torsion of 0
+    theta_module = importlib.import_module("hwprobe.theta")
+    orders = []
+
+    def says_zero(m):
+        orders.append(m.ring.ambient.order)
+        return 0
+
+    monkeypatch.setattr(theta_module, "_torsion_both_ways", says_zero)
+    out = hw_check(ideal_module(t345, [P(t345, v) for v in "xyz"]))
+    assert orders == ["grevlex", "lex"]
+    assert out["verdict"] == COUNTEREXAMPLE_CANDIDATE
+    assert out["torsion_length"] == out["recheck_torsion_length"] == 0
+    cert = out["certificate"]
+    assert cert["torsion_by_x_power"] == cert["torsion_by_biduality"] == 0
+    assert "torsion_by_saturation" not in cert
+
+
+def test_hw_check_saturates_only_for_the_precheck(cusp, monkeypatch):
+    # the torsion of M (x) M* comes from Hilbert numerators: saturation runs
+    # once, on M, and no kernel module is built
+    saturated, kernels = [], []
+    saturate = homalg.saturate
+
+    def counting(ring, u_cols, twists, *rest):
+        saturated.append(twists)
+        return saturate(ring, u_cols, twists, *rest)
+
+    monkeypatch.setattr(homalg, "saturate", counting)
+    monkeypatch.setattr(GradedMap, "kernel", lambda f: kernels.append(f))
+    m = ideal_module(cusp, [P(cusp, "x"), P(cusp, "y")])
+    assert hw_check(m)["torsion_length"] == 2
+    assert saturated == [m.twists] and kernels == []
 
 
 def test_short_exact_check_finds_a_kernel_of_f():
