@@ -16,16 +16,18 @@ and every public result, keeps the tuple keys above.
 This module is the one home of sparse F_p arithmetic on vectors.  No
 result depends on the order of a vector's dict entries:
 
-* ``vec_isub_term_mul`` is the only loop that adds c*x^m*v into an
-  accumulator on tuple keys; ``matvec`` (and so ``compose_cols``) calls it
-  once per term;
+* ``ring.isub`` (acc -= c*v, in place) is the only accumulate loop on
+  tuple keys: ``sum_rows``, ``row_insert`` and ``PolyRing.add``, ``sub``
+  and ``mul`` all run on it;
 * ``isub_shifted`` is its twin on packed int keys, where x^m is one added
   int: the Groebner core's division and ``modules.Blocks.mul_nf``, on the
   strand frame's ints (``pack_term``), both run on it;
-* ``sum_rows`` is the only loop that sums rows of a memoized NF table on
-  tuple keys; ``Blocks.mul_nf`` is its twin on packed ints.
-  ``vec_nf_ideal`` and ``isomorphism`` stay on tuples: packing at their
-  boundary costs more than the loop saves;
+* ``sum_rows`` is the only sum of rows of a table on tuple keys:
+  ``vec_nf_ideal`` and ``isomorphism`` read a memoized NF table through it,
+  and ``matvec`` (and so ``compose_cols``) the shifted columns of a matrix;
+  ``Blocks.mul_nf`` is its twin on packed ints.  ``vec_nf_ideal`` and
+  ``isomorphism`` stay on tuples: packing at their boundary costs more than
+  the loop saves;
 * ``transpose_cols`` is the only transpose of a column list;
 * ``row_insert`` is the only sparse echelon routine: rows are dicts of any
   hashable key, the pivot of a row is its ``key``-maximal entry;
@@ -36,7 +38,7 @@ result depends on the order of a vector's dict entries:
 import struct
 from operator import add
 
-from .ring import DEGREE_LIMIT, FIELD_BITS
+from .ring import DEGREE_LIMIT, FIELD_BITS, isub
 
 Vec = dict  # (component, Mono) -> coefficient
 
@@ -127,17 +129,6 @@ def vec_mul_term(v: Vec, m, c: int, p: int) -> Vec:
     return out
 
 
-def vec_isub_term_mul(acc: Vec, v: Vec, m, c: int, p: int) -> None:
-    """In place: acc -= c * x^m * v."""
-    for (comp, mm), cc in v.items():
-        t = (comp, tuple(x + y for x, y in zip(mm, m)))
-        val = (acc.get(t, 0) - c * cc) % p
-        if val:
-            acc[t] = val
-        else:
-            acc.pop(t, None)
-
-
 def isub_shifted(acc, v, d, c, p):
     """In place: acc -= c * v moved by d, for packed vectors: the entry of v
     at t lands at t + d.  With d the packed x^u that is acc -= c * x^u * v."""
@@ -150,25 +141,16 @@ def isub_shifted(acc, v, d, c, p):
             acc.pop(t, None)
 
 
-def sum_rows(p, row, g, v: Vec, m=None) -> Vec:
-    """Normal form of v, or of x^m * v, as a sum of table rows.
+def sum_rows(p, row, v: Vec, m=None) -> Vec:
+    """The image of v, or of x^m * v, under a linear map given by its table.
 
-    Component j of v is generator j % g of copy j // g of a module whose
-    table ``row(k, t)`` is the normal form of x^t * e_k.  Normal form is
-    linear, so this sums c * row(j % g, t + m), moved to copy j // g, over
-    the terms c * x^t * e_j of v.
+    ``row(j, t)`` is the image of x^t * e_j (for a normal form table, the
+    normal form of x^t * e_j); this sums c * row(j, t + m) over the terms
+    c * x^t * e_j of v.
     """
     out = {}
     for (j, t), coef in v.items():
-        k = j % g
-        base = j - k  # component 0 of the copy
-        for (i, u), a in row(k, t if m is None else tuple(map(add, t, m))).items():
-            key = (base + i, u)
-            val = (out.get(key, 0) + a * coef) % p
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+        isub(out, row(j, t if m is None else tuple(map(add, t, m))), -coef, p)
     return out
 
 
@@ -235,10 +217,7 @@ def transpose_cols(cols, nrows):
 def matvec(ring, cols, v: Vec) -> Vec:
     """Apply the matrix with the given columns to v (components index cols)."""
     p = ring.p
-    out = {}
-    for (c, m), coef in v.items():
-        vec_isub_term_mul(out, cols[c], m, -coef, p)
-    return out
+    return sum_rows(p, lambda c, m: vec_mul_term(cols[c], m, 1, p), v)
 
 
 def compose_cols(ring, outer_cols, inner_cols):
@@ -265,10 +244,5 @@ def row_insert(row: dict, pivots: dict, key, p: int):
                 row = {tt: cc * inv % p for tt, cc in row.items()}
             pivots[t] = row
             return row
-        for tt, cc in piv.items():
-            v = (row.get(tt, 0) - c * cc) % p
-            if v:
-                row[tt] = v
-            else:
-                row.pop(tt, None)
+        isub(row, piv, c, p)
     return None

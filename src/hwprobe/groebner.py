@@ -79,10 +79,9 @@ from .freemod import (
     vec_component,
     vec_degree,
     vec_from_polys,
-    vec_isub_term_mul,
     vec_mul_term,
 )
-from .ring import DEGREE_LIMIT, PolyRing, memoized
+from .ring import DEGREE_LIMIT, PolyRing, isub, memoized
 
 
 class InhomogeneousError(ValueError):
@@ -513,11 +512,11 @@ def _ideal_blocks(ring_q, ncomp):
 
 
 def vec_nf_ideal(ring_q, v, m=None):
-    """Componentwise normal form of v, or of x^m * v, modulo the ideal: the
-    rank-one case of ``freemod.sum_rows``, on the rows ``ring_q.term_nf``."""
+    """Componentwise normal form of v, or of x^m * v, modulo the ideal:
+    ``freemod.sum_rows`` on the rows ``ring_q.term_nf``."""
     if not ring_q.gb:
         return dict(v) if m is None else vec_mul_term(v, m, 1, ring_q.p)
-    return sum_rows(ring_q.p, ring_q.term_nf, 1, v, m)
+    return sum_rows(ring_q.p, ring_q.term_nf, v, m)
 
 
 def composes_to_zero(ring_q, outer, inner):
@@ -718,7 +717,7 @@ def minimalize_presentation(ring_q, cols, twists):
             if entry:
                 col = dict(col)
                 for m, c in entry.items():
-                    vec_isub_term_mul(col, pcol, m, c * uinv, p)
+                    isub(col, vec_mul_term(pcol, m, 1, p), c * uinv, p)
                 col = vec_nf_ideal(ring_q, col)
             if col:
                 new_cols.append(col)

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from operator import neg
 
-from .freemod import row_insert, sum_rows, vec_isub_term_mul
+from .freemod import row_insert, sum_rows
 from .hilbert import std_monomials_of_degree
 from .modules import GradedMap, PresentedModule
+from .ring import isub
 
 ISO = "ISO"
 NOT_ISO = "NOT_ISO"
@@ -87,7 +88,7 @@ def degree_zero_homs(m: PresentedModule, n: PresentedModule):
             # the unknown sends generator j to x^mono e_k: the image of rel
             # is x^mono * rel_j * e_k, summed from N's table
             rel_jk = {(k, t): c for (jj, t), c in rel.items() if jj == j}
-            img = sum_rows(p, n.term_nf, n.ngens, rel_jk, mono)
+            img = sum_rows(p, n.term_nf, rel_jk, mono)
             for t, c in img.items():
                 row_acc.setdefault(t, {})[u_idx] = c
         rows.extend(row_acc.values())
@@ -161,15 +162,13 @@ def is_isomorphic(m: PresentedModule, n: PresentedModule, allow_twist=False,
                          invariant="no degree-zero map hits the generators",
                          detail={"hom0_dim": len(homs)})
 
-    zero = m.ring.ambient.zero_mono
-
     def combo_cols(coeffs):
         cols = [dict() for _ in range(g)]
         for c, (_bar, hcols) in zip(coeffs, indep):
             if not c:
                 continue
             for j in range(g):
-                vec_isub_term_mul(cols[j], hcols[j], zero, -c, p)
+                isub(cols[j], hcols[j], -c, p)
         return cols
 
     def invertible(coeffs):

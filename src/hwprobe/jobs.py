@@ -118,6 +118,16 @@ def _job_bounds(spec: dict) -> dict:
     return bounds
 
 
+def _integer(where, key, value, least):
+    """A task or module field as an int, at least ``least`` unless that is
+    None.  A float, a string or a bool is an error, never truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise JobError(f"{where}: {key} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise JobError(f"{where}: {key} must be >= {least}, got {value}")
+    return value
+
+
 def _parse(ring_amb, text, where):
     try:
         return parse_polynomial(ring_amb, text)
@@ -164,7 +174,8 @@ MODULE_TYPES = {
              ("twists",)),
     "presentation": (_presentation, ("twists", "matrix")),
     "syzygy": (lambda r, d, get, w: syzygy_module(
-        get(d["of"]), int(d["n"]), trim=bool(d.get("trim", False))),
+        get(d["of"]), _integer(w, "n", d["n"], None),
+        trim=bool(d.get("trim", False))),
         ("of", "n", "trim")),
     "dual": (lambda r, d, get, w: dual(get(d["of"])), ("of",)),
     "transpose": (lambda r, d, get, w: transpose(get(d["of"])), ("of",)),
@@ -172,8 +183,8 @@ MODULE_TYPES = {
                ("left", "right")),
     "direct_sum": (lambda r, d, get, w: get(d["left"]).direct_sum(
         get(d["right"])), ("left", "right")),
-    "twist": (lambda r, d, get, w: get(d["of"]).twist(int(d["s"])),
-              ("of", "s")),
+    "twist": (lambda r, d, get, w: get(d["of"]).twist(
+        _integer(w, "s", d["s"], None)), ("of", "s")),
 }
 
 
@@ -241,7 +252,8 @@ class TaskContext:
 
 def _index_range(t, lo, hi):
     """The task's ``lo`` and ``hi``; a swapped range would report nothing."""
-    lo, hi = int(t.get("lo", lo)), int(t.get("hi", hi))
+    lo = _integer(t["op"], "lo", t.get("lo", lo), None)
+    hi = _integer(t["op"], "hi", t.get("hi", hi), None)
     if lo > hi:
         raise JobError(f"{t['op']}: lo must be <= hi, got lo {lo} and hi {hi}")
     return lo, hi
@@ -251,8 +263,7 @@ def _task_tor_lengths(ctx, t):
     m = ctx.module(t["module"])
     n = ctx.module(t["against"])
     lo, hi = _index_range(t, 0, ctx.bounds["window"])
-    if lo < 0:
-        raise JobError(f"tor_lengths: lo must be >= 0, got {lo}")
+    _integer("tor_lengths", "lo", lo, 0)
     cap = lo + ctx.bounds["window"] * 4
     out = {"lengths": {str(i): _fmt_len(tor_length(m, n, i))
                        for i in range(lo, min(hi, cap) + 1)}}
@@ -272,7 +283,8 @@ def _task_theta(ctx, t):
 def _task_theta_additivity(ctx, t):
     m = ctx.module(t["module"])
     y = ctx.module(t["on"])
-    count = int(t.get("count", 5))
+    # no runs would make all_additive a verdict drawn from nothing
+    count = _integer("theta_additivity", "count", t.get("count", 5), 1)
     rng = random.Random(t.get("seed", ctx.seed))
     runs = []
     for _ in range(count):
@@ -295,25 +307,28 @@ def _task_depth_zero(ctx, t):
                             window=min(ctx.bounds["window"], 8))
 
 
-def _window(t, default):
-    """The task's ``window``; a negative one would check nothing."""
-    window = int(t.get("window", default))
-    if window < 0:
-        raise JobError(f"{t['op']}: window must be >= 0, got {window}")
-    return window
-
-
 def _task_rigidity(ctx, t):
     m = ctx.module(t["module"])
     n = ctx.module(t["against"])
-    return rigidity_probe(m, n, window=_window(t, ctx.bounds["window"]))
+    window = _integer("rigidity_probe", "window",
+                      t.get("window", ctx.bounds["window"]), 0)
+    return rigidity_probe(m, n, window=window)
+
+
+def _period_and_window(ctx, t):
+    """The task's ``q`` and ``window`` for ``complete_resolution``: an absent
+    (or null) q is chosen there, and a negative window would check nothing."""
+    q = t.get("q")
+    if q is not None:
+        _integer(t["op"], "q", q, None)
+    return q, _integer(t["op"], "window",
+                       t.get("window", min(ctx.bounds["window"], 6)), 0)
 
 
 def _task_tate(ctx, t, kind):
     m = ctx.module(t["module"])
     n = ctx.module(t["against"])
-    q = t.get("q")
-    window = _window(t, min(ctx.bounds["window"], 6))
+    q, window = _period_and_window(ctx, t)
     lo, hi = _index_range(t, -window, window)
     cr = complete_resolution(m, q, window=window)
     fn = tate_tor_length if kind == "tor" else tate_ext_length
@@ -325,8 +340,7 @@ def _task_tate(ctx, t, kind):
 
 def _task_periodicity(ctx, t):
     m = ctx.module(t["module"])
-    q = t.get("q")
-    window = _window(t, min(ctx.bounds["window"], 6))
+    q, window = _period_and_window(ctx, t)
     cr = complete_resolution(m, q, window=window)
     return {"period": cr.q, "base_index": cr.base, "twist_per_period": cr.shift,
             "provenance": cr.provenance, "verified_window": window,
@@ -344,7 +358,8 @@ def _task_is_isomorphic(ctx, t):
 
 def _task_betti(ctx, t):
     m = ctx.module(t["module"])
-    window = int(t.get("window", ctx.bounds["window"]))
+    window = _integer("betti", "window", t.get("window", ctx.bounds["window"]),
+                      None)
     return complexity_estimate(m, max(window, 4))
 
 

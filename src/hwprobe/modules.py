@@ -44,7 +44,7 @@ from .groebner import (
     poly_det,
     vec_nf_ideal,
 )
-from .ring import FIELD_BITS, memoized
+from .ring import FIELD_BITS, int_tuple, memoized
 
 
 class HypothesisError(ValueError):
@@ -56,7 +56,7 @@ class PresentedModule:
 
     def __init__(self, ring, twists, rel_cols, *, normalize=True):
         self.ring = ring
-        twists = tuple(int(t) for t in twists)
+        twists = int_tuple(twists, "twists")
         cols = [vec_nf_ideal(ring, c) for c in rel_cols]
         cols = [c for c in cols if c]
         for c in cols:
@@ -377,7 +377,8 @@ class Blocks:
 
     def mul_nf(self, v, m):
         """x^m * v for packed v and m = ``pack_mono(x^m)``: the packed twin
-        of ``freemod.sum_rows``, each row moved to its copy by one shift."""
+        of ``freemod.sum_rows``, over copies of the table, each row moved to
+        its copy by one shift."""
         p, g, s, low, row = self.p, self.g, self.shift, self.low, self.row
         out = {}
         for t, coef in v.items():

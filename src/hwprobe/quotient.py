@@ -79,10 +79,11 @@ class QuotientRing:
     @memoized
     def term_nf(self, k, t):
         """NF(x^t * e_k) modulo I*F, a row of the ring's table; ValueError
-        past the packing bound."""
+        past the packing bound.  Row (k, t) is row (0, t) moved to e_k."""
         if not self.gb:
             return {(k, t): 1}
-        rem = self._ideal_basis.normal_form({(0, t): 1})
+        rem = (self.term_nf(0, t) if k else
+               self._ideal_basis.normal_form({(0, t): 1}))
         return {(k, u): c for (_, u), c in rem.items()}
 
     def nf(self, f):

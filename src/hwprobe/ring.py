@@ -14,7 +14,7 @@ these ints; a monomial has one while its weighted degree is below
 """
 
 from functools import wraps
-from operator import floordiv, mul
+from operator import add, floordiv, mul
 from struct import Struct
 
 from .field import PrimeField
@@ -43,6 +43,28 @@ def memoized(fn):
             value = store[key] = fn(owner, *args)
             return value
     return memo
+
+
+def isub(acc, v, c, p):
+    """In place: acc -= c * v over F_p, on dicts with keys of any kind; an
+    entry that reaches zero is removed.  The one such loop on unpacked keys
+    (``freemod.isub_shifted`` is its twin on packed ones)."""
+    for t, cc in v.items():
+        val = (acc.get(t, 0) - c * cc) % p
+        if val:
+            acc[t] = val
+        else:
+            acc.pop(t, None)
+
+
+def int_tuple(values, what):
+    """The values as a tuple; ValueError unless each is an int and not a
+    bool, as ``PrimeField`` asks of p, so that no float is truncated."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return values
 
 
 # Bits of one field of a packed monomial.  A field holds a weighted exponent
@@ -91,7 +113,7 @@ class PolyRing:
 
     def __init__(self, names, weights, p, order="grevlex"):
         names = tuple(names)
-        weights = tuple(int(w) for w in weights)
+        weights = int_tuple(weights, "weights")
         if not names:
             raise ValueError("a ring needs at least one variable")
         if len(names) != len(weights):
@@ -234,25 +256,13 @@ class PolyRing:
         return {tuple(m): 1}
 
     def add(self, f: Poly, g: Poly) -> Poly:
-        p = self.p
         out = dict(f)
-        for m, c in g.items():
-            v = (out.get(m, 0) + c) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+        isub(out, g, -1, self.p)
         return out
 
     def sub(self, f: Poly, g: Poly) -> Poly:
-        p = self.p
         out = dict(f)
-        for m, c in g.items():
-            v = (out.get(m, 0) - c) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
+        isub(out, g, 1, self.p)
         return out
 
     def neg(self, f: Poly) -> Poly:
@@ -272,13 +282,8 @@ class PolyRing:
         if len(f) > len(g):
             f, g = g, f
         for m1, c1 in f.items():
-            for m2, c2 in g.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                v = (out.get(m, 0) + c1 * c2) % p
-                if v:
-                    out[m] = v
-                else:
-                    del out[m]
+            isub(out, {tuple(map(add, m1, m2)): c2 for m2, c2 in g.items()},
+                 -c1, p)
         return out
 
     def pow(self, f: Poly, e: int) -> Poly:

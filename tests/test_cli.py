@@ -136,6 +136,29 @@ def test_negative_window_is_input_error(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("module, task, message", [
+    (None, {"op": "periodicity", "module": "m", "q": "2"},
+     "periodicity: q must be an integer, got '2'"),
+    ({"type": "syzygy", "of": "m", "n": [1]}, None,
+     "module 's': n must be an integer, got [1]"),
+    (None, {"op": "hilbert", "module": "m", "lo": [0]},
+     "hilbert: lo must be an integer, got [0]")])
+def test_non_integer_field_is_input_error(tmp_path, module, task, message):
+    # these crashed with a TypeError and exit code 1, the anomaly code
+    modules = {"m": {"type": "ideal", "gens": ["x", "y"]}}
+    if module:
+        modules["s"] = module
+    jobfile = tmp_path / "bad.json"
+    jobfile.write_text(json.dumps({
+        "field": 7, "variables": ["x", "y"], "weights": [3, 2],
+        "ideal": ["x^2 - y^3"], "modules": modules,
+        "tasks": [task] if task else []}))
+    out = run_cli("run", str(jobfile))
+    assert out.returncode == 2, out.stderr
+    assert message in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_selftest_quick():
     out = run_cli("selftest", "--quick")
     assert out.returncode == 0, out.stdout + out.stderr

@@ -249,6 +249,82 @@ def test_one_memo_mechanism():
     assert _memo_breaches(sources) == []
 
 
+def _accumulate_loops(sources, allowed=("isub", "isub_shifted")):
+    """Sparse F_p accumulate loops written outside the allowed functions.
+
+    Flags a ``d.get(k, 0)`` read inside an expression reduced ``%`` something,
+    within a ``for`` loop over ``.items()``, unless the innermost function
+    around it is allowed.  Returns ``(path, line, function)``, the function
+    None at module level.
+    """
+    found = set()
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        defs = [d for d in ast.walk(tree) if isinstance(d, ast.FunctionDef)]
+        for loop in ast.walk(tree):
+            if not (isinstance(loop, ast.For) and isinstance(loop.iter, ast.Call)
+                    and getattr(loop.iter.func, "attr", None) == "items"):
+                continue
+            for mod in ast.walk(loop):
+                if not (isinstance(mod, ast.BinOp)
+                        and isinstance(mod.op, ast.Mod)):
+                    continue
+                for get in ast.walk(mod.left):
+                    if (isinstance(get, ast.Call)
+                            and getattr(get.func, "attr", None) == "get"
+                            and len(get.args) == 2
+                            and isinstance(get.args[1], ast.Constant)
+                            and get.args[1].value == 0):
+                        around = [d for d in defs
+                                  if d.lineno <= get.lineno <= d.end_lineno]
+                        name = max(around, key=lambda d: d.lineno).name \
+                            if around else None
+                        if name not in allowed:
+                            found.add((path, get.lineno, name))
+    return sorted(found, key=lambda f: (f[0], f[1]))
+
+
+def test_accumulate_loops_are_detected():
+    lib = ("def isub(acc, v, c, p):\n"
+           "    for t, cc in v.items():\n"
+           "        val = (acc.get(t, 0) - c * cc) % p\n"
+           "        acc[t] = val\n\n\n"
+           "def add(f, g, p):\n"
+           "    out = dict(f)\n"
+           "    for m, c in g.items():\n"
+           "        v = (out.get(m, 0) + c) % p\n"
+           "        out[m] = v\n"
+           "    return out\n\n\n"
+           "def sum_rows(row, v, p):\n"
+           "    out = {}\n"
+           "    for j, coef in v.items():\n"
+           "        for k, a in row(j).items():\n"
+           "            out[k] = (out.get(k, 0) + a * coef) % self.p\n"
+           "    return out\n\n\n"
+           "def tpoly_add(a, b):\n"
+           "    out = dict(a)\n"
+           "    for e, c in b.items():\n"
+           "        out[e] = out.get(e, 0) + c\n"
+           "    return out\n\n\n"
+           "def reduce(work, quot, d, c, p):\n"
+           "    while work:\n"
+           "        qc = (quot.get(d, 0) + c) % p\n"
+           "        work.popitem()\n\n\n"
+           "for k, c in TABLE.items():\n"
+           "    TOTAL[k] = (TOTAL.get(k, 0) + c) % 7\n")
+    assert _accumulate_loops({"lib.py": lib}) == [
+        ("lib.py", 10, "add"), ("lib.py", 19, "sum_rows"),
+        ("lib.py", 37, None)]
+
+
+def test_one_accumulate_loop():
+    # acc -= c*v mod p is written out once on keys of any kind (ring.isub)
+    # and once on packed ones (freemod.isub_shifted); every other sparse
+    # F_p sum calls one of the two
+    sources = {str(p): p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _accumulate_loops(sources) == []
+
+
 def _bench_references(sources):
     """The hwprobe names a benchmark harness relies on.
 

@@ -278,6 +278,56 @@ def test_negative_window_is_rejected(op):
         run_job(minimal_spec(tasks=[task]))
 
 
+@pytest.mark.parametrize("weights", [[3.7, 2], [3, True], [3, "2"]])
+def test_non_integral_weights_are_rejected(weights):
+    # int() would build a ring of weight 3 while input_hash covers 3.7
+    with pytest.raises(JobError, match="invalid ring data: weights must be "
+                                       "integers"):
+        run_job(minimal_spec(weights=weights))
+
+
+@pytest.mark.parametrize("twists", [[0.9], [False], ["1"]])
+def test_non_integral_twists_are_rejected(twists):
+    spec = minimal_spec(modules={"f": {"type": "free", "twists": twists}})
+    with pytest.raises(JobError, match="module 'f': twists must be integers"):
+        run_job(spec)
+
+
+@pytest.mark.parametrize("task, field", [
+    ({"op": "periodicity", "module": "m", "q": "2"}, "q"),
+    ({"op": "tate_ext", "module": "m", "against": "m", "q": 2.0}, "q"),
+    ({"op": "hilbert", "module": "m", "lo": [0]}, "lo"),
+    ({"op": "tor_lengths", "module": "m", "against": "m", "hi": 4.5}, "hi"),
+    ({"op": "betti", "module": "m", "window": "3"}, "window"),
+    ({"op": "rigidity_probe", "module": "m", "against": "m", "window": True},
+     "window"),
+    ({"op": "theta_additivity", "module": "m", "on": "m", "count": 2.0},
+     "count")])
+def test_non_integer_task_fields_are_rejected(task, field):
+    with pytest.raises(JobError, match=f"{task['op']}: {field} must be an "
+                                       "integer"):
+        run_job(minimal_spec(tasks=[task]))
+
+
+@pytest.mark.parametrize("definition, field", [
+    ({"type": "syzygy", "of": "m", "n": [1]}, "n"),
+    ({"type": "twist", "of": "m", "s": 1.5}, "s")])
+def test_non_integer_module_fields_are_rejected(definition, field):
+    spec = minimal_spec(modules={"m": {"type": "ideal", "gens": ["x", "y"]},
+                                 "d": definition})
+    with pytest.raises(JobError, match=f"module 'd': {field} must be an "
+                                       "integer"):
+        run_job(spec)
+
+
+def test_theta_additivity_needs_a_run():
+    # all_additive over no runs would be a verdict drawn from nothing
+    task = {"op": "theta_additivity", "module": "m", "on": "m", "count": 0}
+    with pytest.raises(JobError, match="theta_additivity: count must be >= 1, "
+                                       "got 0"):
+        run_job(minimal_spec(tasks=[task]))
+
+
 def test_emit_rejects_unknown_format():
     report = run_job(minimal_spec())
     with pytest.raises(ValueError):

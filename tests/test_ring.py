@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,3 +137,30 @@ def test_product_of_homogeneous_is_homogeneous(data):
     assert deg is not None
     if prod:
         assert deg == d1 + d2
+
+
+def _residues(sums, p):
+    """The nonzero residues mod p of exact integer sums."""
+    return {k: c % p for k, c in sums.items() if c % p}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_add_sub_mul_match_exact_integer_sums(data):
+    # the reference sums over Z in a Counter and reduces mod p once at the
+    # end, so it shares no code with ring.isub, on which add, sub and mul
+    # all run; nine monomials and p = 7 make overlaps and cancellations common
+    r = PolyRing(["x", "y"], [3, 2], 7)
+    polys = st.dictionaries(monomials(max_exp=2), st.integers(1, r.p - 1),
+                            max_size=6)
+    f, g = data.draw(polys), data.draw(polys)
+    total, diff, prod = Counter(f), Counter(f), Counter()
+    for m, c in g.items():
+        total[m] += c
+        diff[m] -= c
+    for (m1, c1), (m2, c2) in product(f.items(), g.items()):
+        prod[(m1[0] + m2[0], m1[1] + m2[1])] += c1 * c2
+    assert r.add(f, g) == _residues(total, r.p)
+    assert r.sub(f, g) == _residues(diff, r.p)
+    assert r.mul(f, g) == _residues(prod, r.p)
+    assert r.sub(f, f) == {}
