@@ -12,12 +12,13 @@ Every (co)homology here, Tate (co)homology and the acyclicity check of a
 complete resolution included, goes through one path.  A complex of free
 modules is any object with ``ring``, ``twists_at(i)`` (the generator degrees
 of C_i) and ``differential(i)`` (the columns of C_i -> C_{i-1}):
-``Resolution``, ``CompleteResolution`` and ``KoszulComplex``.  Two sides,
-``tensor_maps`` for H_i(C (x) N) and ``hom_maps`` for H^i(Hom(C, N)), give
-the maps into and out of position i as block matrices over N, both as
-four entries in one layout.  Hom(F, N) = F* (x) N for F free, so Hom(C, N)
-is the tensor side of the dual complex C*, with negated twists and the
-differentials transposed by ``freemod.transpose_cols``.
+``Resolution``, ``CompleteResolution``, ``KoszulComplex`` and
+``DualComplex``.  Only homology H_i(C (x) N) is computed: ``tensor_maps``
+gives the maps into and out of position i as block matrices over N.
+Hom(F, N) = F* (x) N for F free, so H^i(Hom(C, N)) is H_{-i} of the dual
+complex ``DualComplex(C)``, with negated twists and the differentials
+transposed by ``freemod.transpose_cols``; Ext, Hom, biduality, Tate
+cohomology and the dual half of total acyclicity all read it there.
 
 Lengths and vanishing here, like exactness in ``modules`` and ``theta``,
 come from sizes alone: B (the incoming image plus the middle's relations)
@@ -67,7 +68,6 @@ from .modules import (
     GradedMap,
     HypothesisError,
     PresentedModule,
-    _dual_block_cols,
     _free_tensor_rels,
     _tensor_block_cols,
     _tensor_twists,
@@ -85,6 +85,34 @@ _X_POWER_LIMIT = 64
 
 # ---------------------------------------------------------------------------
 # (co)homology of a free complex against a module
+
+
+class DualComplex:
+    """The dual C* = Hom(C, R) of a complex C of free modules.
+
+    (C*)_j = (C_{-j})* with negated twists, and d_j: (C*)_j -> (C*)_{j-1}
+    is the transpose of d_{1-j}: C_{1-j} -> C_{-j}.  Hom(F, N) = F* (x) N
+    for F free, so H^i(Hom(C, N)) is H_{-i}(C* (x) N).  Equality and hash
+    come from the identity of C, so the duals built for one C share the
+    memo entries keyed by the complex.
+    """
+
+    def __init__(self, cx):
+        self.cx = cx
+        self.ring = cx.ring
+
+    def __eq__(self, other):
+        return isinstance(other, DualComplex) and other.cx is self.cx
+
+    def __hash__(self):
+        return id(self.cx)
+
+    def twists_at(self, j):
+        return tuple(-t for t in self.cx.twists_at(-j))
+
+    def differential(self, j):
+        return transpose_cols(self.cx.differential(1 - j),
+                              len(self.cx.twists_at(-j)))
 
 
 def tensor_maps(cx, n, i):
@@ -105,24 +133,6 @@ def tensor_maps(cx, n, i):
             _tensor_block_cols(cx.differential(i + 1), g_n))
 
 
-def hom_maps(cx, n, i):
-    """Hom(C, N) around position i, or None if C_i or N is zero.
-
-    Hom(F, N) = F* (x) N for F free, so this is the tensor side of the dual
-    complex C*: ``(-F_i, -F_{i+1}, d_{i+1}^T (x) 1, d_i^T (x) 1)``.
-    """
-    if cx.ring != n.ring:
-        raise HypothesisError("cohomology over different rings")
-    f_i = cx.twists_at(i)
-    if not f_i or n.is_zero():
-        return None
-    g_n = n.ngens
-    return (tuple(-t for t in f_i), tuple(-t for t in cx.twists_at(i + 1)),
-            _dual_block_cols(cx.differential(i + 1), len(f_i), g_n),
-            _dual_block_cols(cx.differential(i), len(cx.twists_at(i - 1)),
-                             g_n))
-
-
 def _cycle_data(n, maps):
     """``(twists, Z, B)``: Z is the kernel of the outgoing map modulo the
     relations of its target, B the image of the incoming map plus the
@@ -135,16 +145,16 @@ def _cycle_data(n, maps):
     return _tensor_twists(f_i, n), z, incoming + _free_tensor_rels(len(f_i), n)
 
 
-def module_at(side, cx, n, i):
-    """The (co)homology module at i of ``side`` (``tensor_maps`` or
-    ``hom_maps``) applied to C and N, with its generators.
+def module_at(cx, n, i):
+    """H_i(C (x) N) with its generators; H^i(Hom(C, N)) is
+    ``module_at(DualComplex(C), N, -i)``.
 
     Returns ``(module, vectors)``: vector j lies in the middle module
-    (C_i (x) N or Hom(C_i, N), in the block layout of ``side``) and
-    represents generator j.  Over an Artinian ring, F_p linear algebra
-    degree by degree; otherwise cycle data finished with Groebner bases.
+    C_i (x) N, in the block layout of ``tensor_maps``, and represents
+    generator j.  Over an Artinian ring, F_p linear algebra degree by
+    degree; otherwise cycle data finished with Groebner bases.
     """
-    maps = side(cx, n, i)
+    maps = tensor_maps(cx, n, i)
     if cx.ring.dim == 0:
         return _strand_module(n, maps)
     data = _cycle_data(n, maps)
@@ -153,69 +163,52 @@ def module_at(side, cx, n, i):
     return subquotient(cx.ring, *data)
 
 
-def length_at(side, cx, n, i):
-    """Length of the (co)homology at i of ``side`` applied to C and N; None
-    when infinite, so it vanishes iff ``length_at(...) == 0``.
+def length_at(cx, n, i):
+    """Length of H_i(C (x) N); None when infinite, so it vanishes iff
+    ``length_at(...) == 0``.
 
     len(Mid/B) + len(Tgt/im out) - len(Tgt), where Mid and Tgt are one copy
-    of N per generator of C there.  Over an Artinian ring that is
-    dim(C_i (x) N) - R(i) - R(i + 1) on either side, R(j) the rank of d_j
-    (x) 1_N, or of its transpose on the Hom side, from ``_diff_rank``;
-    otherwise the two quotients are the numerators of d_i and d_{i + 1}
-    from ``_diff_numerator``.
+    of N per generator of C_i and of C_{i-1}.  Over an Artinian ring that is
+    dim(C_i (x) N) - R(i) - R(i + 1), R(j) the rank of d_j (x) 1_N from
+    ``_diff_rank``; otherwise the two quotients are the numerators of
+    d_{i + 1} and d_i from ``_diff_numerator``.
     """
     if cx.ring != n.ring:
-        raise HypothesisError("(co)homology over different rings")
+        raise HypothesisError("homology over different rings")
     f_i = cx.twists_at(i)
     if not f_i or n.is_zero():
         return 0
     ring = n.ring
-    dual = side is hom_maps
     if ring.dim == 0:
         return (_module_blocks(n).dim(len(f_i) * n.ngens)
-                - _diff_rank(n, cx, i, dual) - _diff_rank(n, cx, i + 1, dual))
-    # d_{i+1} maps into Mid on the tensor side, d_i^T on the Hom side
-    into_mid, out = (i, i + 1) if dual else (i + 1, i)
-    numer = hb.tpoly_add(_diff_numerator(n, cx, into_mid, dual),
-                         _diff_numerator(n, cx, out, dual))
+                - _diff_rank(n, cx, i) - _diff_rank(n, cx, i + 1))
+    numer = hb.tpoly_add(_diff_numerator(n, cx, i + 1),
+                         _diff_numerator(n, cx, i))
     copy = n.hilbert_numerator()
-    for a in (tuple(-t for t in cx.twists_at(i + 1)) if dual
-              else cx.twists_at(i - 1)):
+    for a in cx.twists_at(i - 1):
         numer = hb.tpoly_sub(numer, hb.tpoly_shift(copy, a))
     return hb.series_total_if_finite(ring.ambient, numer)
 
 
-def _diff_map(n, cx, j, dual):
-    """``(target, cols)``: the generator degrees of C_{j-1}, or of C_j^*
-    when ``dual`` is set, and the block columns of d_j (x) 1_N, or of
-    d_j^T (x) 1_N."""
-    if dual:
-        return (tuple(-t for t in cx.twists_at(j)),
-                _dual_block_cols(cx.differential(j), len(cx.twists_at(j - 1)),
-                                 n.ngens))
-    return cx.twists_at(j - 1), _tensor_block_cols(cx.differential(j), n.ngens)
+@memoized
+def _diff_rank(n, cx, j):
+    """F_p-rank of d_j (x) 1_N over an Artinian ring: the length at i and at
+    i + 1 share it."""
+    return _module_blocks(n).rank(
+        _tensor_block_cols(cx.differential(j), n.ngens),
+        _tensor_twists(cx.twists_at(j - 1), n))
 
 
 @memoized
-def _diff_rank(n, cx, j, dual):
-    """F_p-rank of d_j (x) 1_N, or of d_j^T (x) 1_N when ``dual`` is set,
-    over an Artinian ring: the length at i and at i + 1 share it.
-
-    It is memoized on N with the complex in the key, so memos point from a
-    module to a complex and never back; no complex holds a module.
-    """
-    target, cols = _diff_map(n, cx, j, dual)
-    return _module_blocks(n).rank(cols, _tensor_twists(target, n))
-
-
-@memoized
-def _diff_numerator(n, cx, j, dual):
+def _diff_numerator(n, cx, j):
     """Hilbert numerator of Tgt/(im(d_j (x) 1_N) + relations), Tgt the
-    target's copies of N, or of the same for d_j^T when ``dual`` is set:
-    the length at i and at i + 1 share it, memoized like ``_diff_rank``."""
-    target, cols = _diff_map(n, cx, j, dual)
-    return submodule_numerator(n.ring, _tensor_twists(target, n),
-                               cols + _free_tensor_rels(len(target), n))
+    copies of N on C_{j-1}: the length at i and at i + 1 share it, memoized
+    like ``_diff_rank``."""
+    target = cx.twists_at(j - 1)
+    return submodule_numerator(
+        n.ring, _tensor_twists(target, n),
+        _tensor_block_cols(cx.differential(j), n.ngens)
+        + _free_tensor_rels(len(target), n))
 
 
 def _strand_module(n, maps):
@@ -269,7 +262,7 @@ def tor(m, n, i):
     _check_index("Tor", i)
     if i == 0:
         return tensor(m, n)
-    return module_at(tensor_maps, resolution_of(m, i + 1), n, i)[0]
+    return module_at(resolution_of(m, i + 1), n, i)[0]
 
 
 def tor_length(m, n, i):
@@ -277,7 +270,7 @@ def tor_length(m, n, i):
     _check_index("Tor", i)
     if i == 0:
         return tensor(m, n).length()
-    return length_at(tensor_maps, resolution_of(m, i + 1), n, i)
+    return length_at(resolution_of(m, i + 1), n, i)
 
 
 def tor_is_zero(m, n, i):
@@ -291,7 +284,7 @@ def tor_is_zero(m, n, i):
 def ext(m, n, i):
     """Ext^i(M, N) as a presented module; Ext^0 is Hom."""
     _check_index("Ext", i)
-    return module_at(hom_maps, resolution_of(m, i + 1), n, i)[0]
+    return module_at(DualComplex(resolution_of(m, i + 1)), n, -i)[0]
 
 
 def hom(m, n):
@@ -307,7 +300,7 @@ def dual(m):
 
 def ext_is_zero(m, n, i):
     _check_index("Ext", i)
-    return length_at(hom_maps, resolution_of(m, i + 1), n, i) == 0
+    return length_at(DualComplex(resolution_of(m, i + 1)), n, -i) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +366,7 @@ def depth(m):
     n = m.ring.ambient.nvars
     koszul = KoszulComplex(m.ring)
     for i in range(n, 0, -1):
-        if length_at(tensor_maps, koszul, m, i) != 0:
+        if length_at(koszul, m, i) != 0:
             return n - i
     return n
 
@@ -406,8 +399,8 @@ def biduality_map(m) -> GradedMap:
     """
     ring = m.ring
     r1 = free_module(ring, (0,))
-    md, phis = module_at(hom_maps, resolution_of(m, 1), r1, 0)
-    mdd, evs = module_at(hom_maps, resolution_of(md, 1), r1, 0)
+    md, phis = module_at(DualComplex(resolution_of(m, 1)), r1, 0)
+    mdd, evs = module_at(DualComplex(resolution_of(md, 1)), r1, 0)
     cols = express_in_terms(ring, transpose_cols(phis, m.ngens), evs, [],
                             tuple(-t for t in md.twists))
     if None in cols:

@@ -43,6 +43,19 @@ from .theta import (
 DEFAULT_BOUNDS = {"degree": 20, "window": 10, "iso_budget": 500}
 JOB_KEYS = {"field", "variables", "weights", "ideal", "domain", "modules",
             "tasks", "bounds", "name", "expected"}
+# field -> (what it must be, its kind), checked by ``_job_bounds``: a kind is
+# a type (an int is no bool), [kind] a list of it, a tuple of choices, a value
+_FIELD_KINDS = {key: (text, kind) for text, kind, keys in (
+    ("a string", str, "name module against on other of left right"),
+    ("an integer", int, "field n s lo hi count seed window"),
+    ("an integer", (int, None), "q"),  # or null: the period is chosen
+    ("a boolean", bool, "domain trim allow_twist"),
+    ("an object", dict, "expected"),
+    ("a list", list, "weights twists"),
+    ("a list of strings", [str], "variables ideal gens"),
+    ("a list of lists of strings", [[str]], "matrix"),
+    ("'auto', 'saturation' or 'biduality'",
+     ("auto", "saturation", "biduality"), "method")) for key in keys.split()}
 
 
 class JobError(Exception):
@@ -83,7 +96,8 @@ def _job_bounds(spec: dict) -> dict:
     """The defaults overridden by the spec's bounds.
 
     A key that nothing reads is an error: at the top level, in the bounds,
-    in a module definition (per type) and in a task (per op).
+    in a module definition (per type) and in a task (per op).  So is a field
+    whose JSON value is not of its kind in ``_FIELD_KINDS``.
     """
     _check_keys("job", spec, JOB_KEYS)
     modules = spec.get("modules", {})
@@ -104,6 +118,13 @@ def _job_bounds(spec: dict) -> dict:
             raise JobError(f"unknown task op {op!r}; available: "
                            + ", ".join(sorted(TASKS)))
         _check_keys(f"{op!r} task", t, ("op",) + TASKS[op][1])
+    for where, entry in [("job", spec),
+                         *((f"module {n!r}", d) for n, d in modules.items()),
+                         *((t["op"], t) for t in tasks)]:
+        for key, value in entry.items():
+            if key in _FIELD_KINDS and not _fits(value, _FIELD_KINDS[key][1]):
+                raise JobError(f"{where}: {key} must be "
+                               f"{_FIELD_KINDS[key][0]}, got {value!r}")
     given = spec.get("bounds", {})
     if not isinstance(given, dict):
         raise JobError(f"bounds must be an object, got {given!r}")
@@ -118,12 +139,21 @@ def _job_bounds(spec: dict) -> dict:
     return bounds
 
 
-def _integer(where, key, value, least):
-    """A task or module field as an int, at least ``least`` unless that is
-    None.  A float, a string or a bool is an error, never truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise JobError(f"{where}: {key} must be an integer, got {value!r}")
-    if least is not None and value < least:
+def _fits(value, kind):
+    """Whether a JSON value is of the kind, as ``_FIELD_KINDS`` reads it."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return any(_fits(value, k) for k in kind)
+    if isinstance(kind, type):
+        return isinstance(value, kind) and (
+            kind is bool or not isinstance(value, bool))
+    return value == kind
+
+
+def _at_least(where, key, value, least):
+    """A task field, whose type is checked on loading, at least ``least``."""
+    if value < least:
         raise JobError(f"{where}: {key} must be >= {least}, got {value}")
     return value
 
@@ -143,7 +173,7 @@ def build_ring(spec: dict):
     gens = [_parse(amb, s, f"ideal generator {i}")
             for i, s in enumerate(spec.get("ideal", []))]
     try:
-        return QuotientRing(amb, gens, domain=bool(spec.get("domain", False)))
+        return QuotientRing(amb, gens, domain=spec.get("domain", False))
     except ValueError as e:
         raise JobError(f"invalid ring data: {e}") from e
 
@@ -174,8 +204,7 @@ MODULE_TYPES = {
              ("twists",)),
     "presentation": (_presentation, ("twists", "matrix")),
     "syzygy": (lambda r, d, get, w: syzygy_module(
-        get(d["of"]), _integer(w, "n", d["n"], None),
-        trim=bool(d.get("trim", False))),
+        get(d["of"]), d["n"], trim=d.get("trim", False)),
         ("of", "n", "trim")),
     "dual": (lambda r, d, get, w: dual(get(d["of"])), ("of",)),
     "transpose": (lambda r, d, get, w: transpose(get(d["of"])), ("of",)),
@@ -183,8 +212,7 @@ MODULE_TYPES = {
                ("left", "right")),
     "direct_sum": (lambda r, d, get, w: get(d["left"]).direct_sum(
         get(d["right"])), ("left", "right")),
-    "twist": (lambda r, d, get, w: get(d["of"]).twist(
-        _integer(w, "s", d["s"], None)), ("of", "s")),
+    "twist": (lambda r, d, get, w: get(d["of"]).twist(d["s"]), ("of", "s")),
 }
 
 
@@ -252,8 +280,7 @@ class TaskContext:
 
 def _index_range(t, lo, hi):
     """The task's ``lo`` and ``hi``; a swapped range would report nothing."""
-    lo = _integer(t["op"], "lo", t.get("lo", lo), None)
-    hi = _integer(t["op"], "hi", t.get("hi", hi), None)
+    lo, hi = t.get("lo", lo), t.get("hi", hi)
     if lo > hi:
         raise JobError(f"{t['op']}: lo must be <= hi, got lo {lo} and hi {hi}")
     return lo, hi
@@ -263,7 +290,7 @@ def _task_tor_lengths(ctx, t):
     m = ctx.module(t["module"])
     n = ctx.module(t["against"])
     lo, hi = _index_range(t, 0, ctx.bounds["window"])
-    _integer("tor_lengths", "lo", lo, 0)
+    _at_least("tor_lengths", "lo", lo, 0)
     cap = lo + ctx.bounds["window"] * 4
     out = {"lengths": {str(i): _fmt_len(tor_length(m, n, i))
                        for i in range(lo, min(hi, cap) + 1)}}
@@ -284,7 +311,7 @@ def _task_theta_additivity(ctx, t):
     m = ctx.module(t["module"])
     y = ctx.module(t["on"])
     # no runs would make all_additive a verdict drawn from nothing
-    count = _integer("theta_additivity", "count", t.get("count", 5), 1)
+    count = _at_least("theta_additivity", "count", t.get("count", 5), 1)
     rng = random.Random(t.get("seed", ctx.seed))
     runs = []
     for _ in range(count):
@@ -310,19 +337,16 @@ def _task_depth_zero(ctx, t):
 def _task_rigidity(ctx, t):
     m = ctx.module(t["module"])
     n = ctx.module(t["against"])
-    window = _integer("rigidity_probe", "window",
-                      t.get("window", ctx.bounds["window"]), 0)
+    window = _at_least("rigidity_probe", "window",
+                       t.get("window", ctx.bounds["window"]), 0)
     return rigidity_probe(m, n, window=window)
 
 
 def _period_and_window(ctx, t):
     """The task's ``q`` and ``window`` for ``complete_resolution``: an absent
     (or null) q is chosen there, and a negative window would check nothing."""
-    q = t.get("q")
-    if q is not None:
-        _integer(t["op"], "q", q, None)
-    return q, _integer(t["op"], "window",
-                       t.get("window", min(ctx.bounds["window"], 6)), 0)
+    window = t.get("window", min(ctx.bounds["window"], 6))
+    return t.get("q"), _at_least(t["op"], "window", window, 0)
 
 
 def _task_tate(ctx, t, kind):
@@ -350,7 +374,7 @@ def _task_periodicity(ctx, t):
 def _task_is_isomorphic(ctx, t):
     m = ctx.module(t["module"])
     n = ctx.module(t["other"])
-    res = is_isomorphic(m, n, allow_twist=bool(t.get("allow_twist", True)),
+    res = is_isomorphic(m, n, allow_twist=t.get("allow_twist", True),
                         sample_budget=ctx.bounds["iso_budget"],
                         seed=ctx.seed)
     return _iso_payload(res, ctx.ring)
@@ -358,8 +382,7 @@ def _task_is_isomorphic(ctx, t):
 
 def _task_betti(ctx, t):
     m = ctx.module(t["module"])
-    window = _integer("betti", "window", t.get("window", ctx.bounds["window"]),
-                      None)
+    window = t.get("window", ctx.bounds["window"])
     return complexity_estimate(m, max(window, 4))
 
 

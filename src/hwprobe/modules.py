@@ -15,9 +15,10 @@ Over an Artinian ring every graded piece is a finite F_p-space, and
 and minimal kernels degree by degree, shared by the resolution's strand
 step, the (co)homology modules of ``homalg`` and ``PresentedModule.length``.
 
-The column layout of M (x) N has one home here: ``tensor`` and the Tor maps
-of ``homalg`` both build on ``_tensor_block_cols`` and ``_free_tensor_rels``,
-and its Hom maps on ``_dual_block_cols``, the same layout of the transpose.
+The column layout of M (x) N has one home here: ``tensor`` and the
+(co)homology maps of ``homalg`` both build on ``_tensor_block_cols`` and
+``_free_tensor_rels``; the Hom side is that layout on the transposed
+differentials of ``homalg.DualComplex``.
 """
 
 from collections import defaultdict
@@ -640,17 +641,6 @@ def _tensor_block_cols(d_cols, g_n):
     for col in d_cols:
         for k in range(g_n):
             out.append({(j * g_n + k, m): coef for (j, m), coef in col.items()})
-    return out
-
-
-def _dual_block_cols(d_cols, nrows, g_n):
-    """Columns of d^T (x) 1_N for d with ``nrows`` rows, in one pass: item
-    for item ``_tensor_block_cols(transpose_cols(d_cols, nrows), g_n)``."""
-    out = [{} for _ in range(nrows * g_n)]
-    for j, col in enumerate(d_cols):
-        for (r, m), coef in col.items():
-            for k in range(g_n):
-                out[r * g_n + k][(j * g_n + k, m)] = coef
     return out
 
 

@@ -13,7 +13,7 @@ always verified on a window.
 
 from .freemod import compose_cols, unit_vector, vec_degree
 from .groebner import composes_to_zero, express_in_terms
-from .homalg import depth, hom_maps, length_at, module_at, tensor_maps
+from .homalg import DualComplex, depth, length_at, module_at
 from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
 from .quotient import QuotientRing
@@ -144,12 +144,10 @@ class CompleteResolution:
                    for i in range(-window, min(window + 2, end))):
             return False
         r1 = free_module(ring, (0,))
-        for i in range(-window, min(window + 1, end)):
-            if length_at(tensor_maps, self, r1, i) != 0:
-                return False
-            if length_at(hom_maps, self, r1, i) != 0:
-                return False
-        return True
+        t_star = DualComplex(self)
+        return all(length_at(self, r1, i) == 0
+                   and length_at(t_star, r1, -i) == 0
+                   for i in range(-window, min(window + 1, end)))
 
 
 def complete_resolution(module: PresentedModule, q=None,
@@ -221,28 +219,28 @@ def complete_resolution(module: PresentedModule, q=None,
 
 def tate_tor(cr: CompleteResolution, n_module, i):
     """Tate homology at any integer index, as a presented module."""
-    return module_at(tensor_maps, cr, n_module, i)[0]
+    return module_at(cr, n_module, i)[0]
 
 
 def tate_tor_length(cr, n_module, i):
     """Length of Tate homology at any integer index."""
-    return _periodic_length(n_module, cr, tensor_maps, (i - cr.base) % cr.q)
+    return _periodic_length(n_module, cr, cr.base + (i - cr.base) % cr.q)
 
 
 def tate_ext(cr: CompleteResolution, n_module, i):
     """Tate cohomology at any integer index, as a presented module."""
-    return module_at(hom_maps, cr, n_module, i)[0]
+    return module_at(DualComplex(cr), n_module, -i)[0]
 
 
 def tate_ext_length(cr, n_module, i):
     """Length of Tate cohomology at any integer index."""
-    return _periodic_length(n_module, cr, hom_maps, (i - cr.base) % cr.q)
+    return _periodic_length(n_module, DualComplex(cr),
+                            -cr.base - (i - cr.base) % cr.q)
 
 
 @memoized
-def _periodic_length(n_module, cr, side, k):
-    # The length at i depends only on k = (i - base) mod q, so it is read at
-    # base + k.  Like the ranks it reads, it is memoized on the module with
-    # the complex in the key: a memo on the complex keyed by the module would
-    # close a cycle with them, and keep the ring alive until the collector.
-    return length_at(side, cr, n_module, cr.base + k)
+def _periodic_length(n_module, cx, i):
+    # The length at i depends only on (i - base) mod q, so it is read at the
+    # index of that class in [base, base + q), negated on the dual; memoized
+    # on the module, like the ranks it reads, never on the complex.
+    return length_at(cx, n_module, i)

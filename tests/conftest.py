@@ -28,7 +28,7 @@ from hwprobe.freemod import (
 from hwprobe.freemod import schreyer_key
 from hwprobe.groebner import InhomogeneousError, poly_det, vec_nf_ideal
 from hwprobe.hilbert import minimalize_monomials, std_monomials_of_degree
-from hwprobe.homalg import _cycle_data, hom_maps, tensor_maps
+from hwprobe.homalg import DualComplex, _cycle_data, tensor_maps
 
 
 def poly(ring_q, text):
@@ -135,7 +135,7 @@ def tensor_cycle_data(cx, n, i):
 
 def hom_cycle_data(cx, n, i):
     """Cycle data of H^i(Hom(C, N)) in Hom(C_i, N), or None if C_i or N is 0."""
-    return _cycle_data(n, hom_maps(cx, n, i))
+    return _cycle_data(n, tensor_maps(DualComplex(cx), n, -i))
 
 
 def reference_minimal_generators(ring_q, vectors, twists, modulo=None):
@@ -355,8 +355,8 @@ def reference_buchberger_core(order, gens, twists, track=False, blocks=()):
 
 
 def reference_hom_maps(cx, n, i):
-    """The package's earlier ``homalg.hom_maps``, kept as a reference for
-    the Hom side built as the tensor side of the dual complex.
+    """The package's earlier Hom-side layout, kept as a reference for the
+    Hom side built as the tensor side of ``homalg.DualComplex``.
 
     Returns ``(F_i, F_{i+1}, Hom(d_{i+1}, N), Hom(d_i, N), twists)``, or None
     if C_i or N is zero: each block column is laid out by scanning every

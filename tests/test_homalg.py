@@ -30,14 +30,15 @@ from hwprobe import (
     torsion_submodule,
     transpose,
 )
-from hwprobe import hilbert, homalg
+from hwprobe import hilbert, homalg, modules
+from hwprobe.freemod import vec_degree
+from hwprobe.groebner import composes_to_zero
 from hwprobe.homalg import (
+    DualComplex,
     KoszulComplex,
     ext_is_zero,
-    hom_maps,
     length_at,
     module_at,
-    tensor_maps,
 )
 from hwprobe.resolution import resolution_of
 
@@ -78,7 +79,7 @@ def test_ideal_dual_rank_bookkeeping(threefold):
 def hom_generator_maps(m, n):
     """Hom(M, N) = Ext^0 with each generator vector of ``module_at`` read as
     a map M -> N: block j of the vector is the image of generator j."""
-    h, gens = module_at(hom_maps, resolution_of(m, 1), n, 0)
+    h, gens = module_at(DualComplex(resolution_of(m, 1)), n, 0)
     assert h.ngens == len(gens)
     g_n = n.ngens
     maps = []
@@ -202,7 +203,7 @@ def test_lengths_read_one_numerator_per_differential(monkeypatch):
     monkeypatch.setattr(homalg, "submodule_numerator", counting)
     assert [tor_length(m, n, i) for i in range(1, 7)] == [1, 0, 1, 0, 1, 0]
     assert len(calls) == 7
-    # the Hom side of the same N and complex keeps entries of its own: its
+    # the dual of the same complex keeps memo entries of its own on N: its
     # vanishing, read after Tor, agrees with the Ext modules themselves
     assert [ext_is_zero(m, n, i) for i in range(4)] == \
         [ext(m, n, i).is_zero() for i in range(4)]
@@ -224,6 +225,74 @@ def test_mcm_module_is_totally_reflexive(cusp, cusp_m):
     r1 = free_module(cusp, (0,))
     assert ext_is_zero(cusp_m, r1, 1)
     assert ext_is_zero(cusp_m, r1, 2)
+
+
+# -- the dual complex ----------------------------------------------------------
+
+def dual_complex_cases(cusp, cusp_m, gp_ring):
+    """(complex, indices of its dual to check): a resolution, whose dual is
+    defined up to index 1, a Koszul complex and a complete resolution of
+    period four over GP, and the matrix-factorization one over the cusp."""
+    from conftest import gp_matrix_cols
+    from hwprobe import complete_resolution
+    gp_n = PresentedModule(gp_ring, (0, 0), gp_matrix_cols(gp_ring, 1))
+    return [(resolution_of(cusp_m, 4), range(-4, 2)),
+            (resolution_of(gp_n, 4), range(-4, 2)),
+            (KoszulComplex(cusp), range(-3, 3)),
+            (KoszulComplex(gp_ring), range(-5, 3)),
+            (complete_resolution(gp_n, 4, window=2), range(-5, 6)),
+            (complete_resolution(cusp_m), range(-3, 4))]
+
+
+def test_dual_of_the_dual_is_the_complex(cusp, cusp_m, gp_ring):
+    for cx, indices in dual_complex_cases(cusp, cusp_m, gp_ring):
+        twice = DualComplex(DualComplex(cx))
+        for j in indices:
+            assert twice.twists_at(j) == cx.twists_at(j)
+            assert twice.twists_at(-j) == cx.twists_at(-j)
+            if j <= 1:
+                assert twice.differential(1 - j) == cx.differential(1 - j)
+
+
+def test_dual_complex_is_a_graded_complex(cusp, cusp_m, gp_ring):
+    # d o d = 0, and each column of d_j has the degree of its generator
+    for cx, indices in dual_complex_cases(cusp, cusp_m, gp_ring):
+        d = DualComplex(cx)
+        amb = cx.ring.ambient
+        for j in indices:
+            assert d.twists_at(j) == tuple(-t for t in cx.twists_at(-j))
+            if j < max(indices):
+                assert composes_to_zero(cx.ring, d.differential(j),
+                                        d.differential(j + 1))
+            cols = d.differential(j)
+            assert len(cols) == len(d.twists_at(j))
+            assert all(vec_degree(amb, c, d.twists_at(j - 1)) == t
+                       for c, t in zip(cols, d.twists_at(j)) if c)
+
+
+def test_ext_through_a_fresh_dual_reads_the_memo(gp_ring, monkeypatch):
+    # duals of one complex are equal, so a second Ext through a new wrapper
+    # finds every rank (dim 0) and numerator (dim 1) the first one computed
+    from conftest import gp_matrix_cols
+    calls = []
+    rank, numerator = modules.Blocks.rank, homalg.submodule_numerator
+    monkeypatch.setattr(modules.Blocks, "rank", lambda *a: calls.append(a)
+                        or rank(*a))
+    monkeypatch.setattr(homalg, "submodule_numerator",
+                        lambda *a: calls.append(a) or numerator(*a))
+    cusp = define_ring(["x", "y"], [3, 2], 7, ["x^2 - y^3"], domain=True)
+    cusp_m = ideal_module(cusp, [P(cusp, "x"), P(cusp, "y")])
+    gp_n = PresentedModule(gp_ring, (0, 0), gp_matrix_cols(gp_ring, 1))
+    for m, n in ((gp_n, residue_field_module(gp_ring)), (cusp_m, cusp_m)):
+        res = resolution_of(m, 3)
+        assert DualComplex(res) == DualComplex(res) != DualComplex(
+            KoszulComplex(m.ring))
+        assert hash(DualComplex(res)) == hash(DualComplex(res))
+        first = [ext_is_zero(m, n, i) for i in range(3)]
+        made = len(calls)
+        assert made > 0
+        assert [ext_is_zero(m, n, i) for i in range(3)] == first
+        assert len(calls) == made
 
 
 # -- depth and grade ---------------------------------------------------------
@@ -250,11 +319,11 @@ def test_koszul_complex_is_zero_below_degree_zero(cusp, cusp_m, gp_ring):
         koszul = KoszulComplex(n.ring)
         assert koszul.twists_at(-1) == () and koszul.differential(-1) == []
         assert koszul.differential(0) == [{}]
-        assert length_at(tensor_maps, koszul, n, 0) == n.ngens == top
-        assert length_at(hom_maps, koszul, n, 0) == socle == \
+        assert length_at(koszul, n, 0) == n.ngens == top
+        assert length_at(DualComplex(koszul), n, 0) == socle == \
             ext(residue_field_module(n.ring), n, 0).length()
-        assert length_at(tensor_maps, koszul, n, -1) == 0
-        assert length_at(hom_maps, koszul, n, -1) == 0
+        assert length_at(koszul, n, -1) == 0
+        assert length_at(DualComplex(koszul), n, 1) == 0
 
 
 def test_grade_examples(cusp, cusp_m, threefold):

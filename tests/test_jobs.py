@@ -9,7 +9,9 @@ from hwprobe import homalg, tate
 from hwprobe.catalog import catalog, catalog_names
 from hwprobe.homalg import dual, tensor, transpose
 from hwprobe.jobs import (
+    JOB_KEYS,
     MODULE_TYPES,
+    TASKS,
     JobError,
     build_modules,
     build_ring,
@@ -318,6 +320,64 @@ def test_non_integer_module_fields_are_rejected(definition, field):
     with pytest.raises(JobError, match=f"module 'd': {field} must be an "
                                        "integer"):
         run_job(spec)
+
+
+# a valid value for every field a job reads, and values of a wrong JSON
+# type for it: a string, a number, a boolean, null, a list or an object
+VALID_FIELDS = {
+    "field": 7, "variables": ["x", "y"], "weights": [3, 2],
+    "ideal": ["x^2 - y^3"], "domain": True, "name": "cusp", "expected": {},
+    "gens": ["x", "y"], "twists": [0], "matrix": [["x"]], "of": "m", "n": 1,
+    "trim": False, "left": "m", "right": "m", "s": 1, "module": "m",
+    "against": "m", "on": "m", "other": "m", "lo": 0, "hi": 1, "count": 1,
+    "seed": 0, "window": 2, "q": 2, "allow_twist": True, "method": "auto"}
+NAME, INT = [["m"], 3, None, True, {}], ["1", 1.5, True, [1], None, {}]
+BOOL, STRS = ["false", 0, None, [True]], ["xy", [3], None, ["x", ["y"]], {}]
+WRONG_VALUES = {
+    **dict.fromkeys(("name", "module", "against", "on", "other", "of", "left",
+                     "right"), NAME),
+    **dict.fromkeys(("field", "n", "s", "lo", "hi", "count", "seed", "window"),
+                    INT),
+    **dict.fromkeys(("domain", "trim", "allow_twist"), BOOL),
+    **dict.fromkeys(("variables", "ideal", "gens"), STRS),
+    **dict.fromkeys(("weights", "twists"), [3, "0", None, {}]),
+    "q": ["2", 2.0, True, [2], {}], "expected": [3, "x", [1], None],
+    "matrix": [["x"], [[1]], "x", [["x"], "y"]],
+    "method": ["bogus", None, 1, ["auto"], "Auto"]}
+
+
+def field_specs():
+    """``(field, build)`` for every field of the ring, of each module type
+    and of each task op: ``build(value)`` is a job with that field set to
+    the value and every other field valid."""
+    def valid(fields):
+        return {f: VALID_FIELDS[f] for f in fields}
+
+    ring = valid(JOB_KEYS - {"modules", "tasks", "bounds"})
+    for key in sorted(ring):
+        yield key, lambda v, key=key: minimal_spec(**dict(ring, **{key: v}))
+    for kind, (_, fields) in MODULE_TYPES.items():
+        for key in fields:
+            yield key, lambda v, kind=kind, fields=fields, key=key: \
+                minimal_spec(modules={
+                    "m": {"type": "ideal", "gens": ["x", "y"]},
+                    "d": dict(valid(fields), type=kind, **{key: v})})
+    for op, (_, fields) in TASKS.items():
+        for key in fields:
+            yield key, lambda v, op=op, fields=fields, key=key: minimal_spec(
+                tasks=[dict(valid(fields), op=op, **{key: v})])
+
+
+def test_every_field_of_a_wrong_json_type_is_a_job_error():
+    # a misread field would run on a hypothesis the job never stated
+    # ("domain": "false" asserting a domain) or crash with a TypeError
+    cases = list(field_specs())
+    assert {key for key, _ in cases} == set(WRONG_VALUES)
+    for key, build in cases:
+        load_jobspec(json.dumps(build(VALID_FIELDS[key])))
+        for value in WRONG_VALUES[key]:
+            with pytest.raises(JobError, match=rf"\b{key} must be"):
+                run_job(build(value))
 
 
 def test_theta_additivity_needs_a_run():

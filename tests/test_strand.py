@@ -28,8 +28,8 @@ normalizing does not shrink.
 ``minimal_generators`` itself, the strand test in any dimension, is checked
 to keep exactly the vectors the reference keeps, over curves in dimension 1.
 
-``hom_maps`` (Hom(C, N) as the tensor side of the transposed complex) is
-checked item for item against the package's earlier block layout,
+The Hom side, the tensor side of ``DualComplex`` (the transposed complex),
+is checked item for item against the package's earlier block layout,
 ``reference_hom_maps`` in ``conftest``.
 
 ``Blocks.minimal_kernel``, which skips the images above the target's top
@@ -100,17 +100,15 @@ from hwprobe.hilbert import (
     tpoly_sub,
 )
 from hwprobe.homalg import (
+    DualComplex,
     KoszulComplex,
     _module_blocks,
     ext_is_zero,
-    hom_maps,
     length_at,
     module_at,
     tensor_maps,
 )
 from hwprobe.modules import (
-    _dual_block_cols,
-    _tensor_block_cols,
     _tensor_twists,
     homology_length,
     subquotient,
@@ -254,9 +252,9 @@ def test_rank_lengths_match_groebner_reference(data):
     n = random_artinian_module(data, ring)
     res = resolution_of(m, 4)
     for i in range(4):
-        assert length_at(tensor_maps, res, n, i) == \
+        assert length_at(res, n, i) == \
             reference_length(ring, tensor_cycle_data(res, n, i))
-        assert length_at(hom_maps, res, n, i) == \
+        assert length_at(DualComplex(res), n, -i) == \
             reference_length(ring, hom_cycle_data(res, n, i))
 
 
@@ -264,9 +262,9 @@ def test_gp_tate_lengths_match_groebner_reference(gp_ring):
     n = gp_n(gp_ring)
     cr = complete_resolution(n, 4, window=4)
     for i in range(-4, 5):
-        assert length_at(tensor_maps, cr, n, i) == \
+        assert length_at(cr, n, i) == \
             reference_length(gp_ring, tensor_cycle_data(cr, n, i))
-        assert length_at(hom_maps, cr, n, i) == \
+        assert length_at(DualComplex(cr), n, -i) == \
             reference_length(gp_ring, hom_cycle_data(cr, n, i))
 
 
@@ -307,9 +305,9 @@ def random_module(data, ring, rels=(0, 2)):
 def assert_lengths_match_reference(cx, n, indices):
     ring = n.ring
     for i in indices:
-        assert length_at(tensor_maps, cx, n, i) == \
+        assert length_at(cx, n, i) == \
             reference_length(ring, tensor_cycle_data(cx, n, i))
-        assert length_at(hom_maps, cx, n, i) == \
+        assert length_at(DualComplex(cx), n, -i) == \
             reference_length(ring, hom_cycle_data(cx, n, i))
 
 
@@ -366,8 +364,8 @@ def test_infinite_lengths_match_cycle_data():
     cr = complete_resolution(m, 2, window=2)
     for cx, indices in ((resolution_of(m, 3), range(3)), (cr, range(-2, 3))):
         assert_lengths_match_reference(cx, m, indices)
-        assert None in [length_at(tensor_maps, cx, m, i) for i in indices]
-        assert None in [length_at(hom_maps, cx, m, i) for i in indices]
+        assert None in [length_at(cx, m, i) for i in indices]
+        assert None in [length_at(DualComplex(cx), m, -i) for i in indices]
 
 
 # -- modules degree by degree ------------------------------------------------
@@ -437,12 +435,12 @@ def test_random_artinian_modules_match_cycle_data(data):
     n = random_artinian_module(data, ring)
     res = resolution_of(m, 4)
     for i in range(4):
-        for side, build in ((tensor_maps, tensor_cycle_data),
-                            (hom_maps, hom_cycle_data)):
-            new, _ = module_at(side, res, n, i)
+        for cx, j, build in ((res, i, tensor_cycle_data),
+                             (DualComplex(res), -i, hom_cycle_data)):
+            new, _ = module_at(cx, n, j)
             assert_matches_reference(
                 new, cycle_data_module(ring, build(res, n, i)))
-            assert new.length() == length_at(side, res, n, i)
+            assert new.length() == length_at(cx, n, j)
 
 
 def count_cycle_data_calls(monkeypatch):
@@ -550,7 +548,8 @@ def test_gp_hom_and_dual_match_cycle_data(gp_ring):
 
 def assert_hom_layout_matches_reference(cx, n, indices):
     for i in indices:
-        new, ref = hom_maps(cx, n, i), reference_hom_maps(cx, n, i)
+        new = tensor_maps(DualComplex(cx), n, -i)
+        ref = reference_hom_maps(cx, n, i)
         if ref is None:
             assert new is None
             continue
@@ -630,8 +629,8 @@ def test_minimal_kernel_matches_the_reference(data):
     with patch.object(modules.Blocks, "minimal_kernel", checked):
         res = resolution_of(m, 4)
         for i in range(3):
-            module_at(tensor_maps, res, n, i)
-            module_at(hom_maps, res, n, i)
+            module_at(res, n, i)
+            module_at(DualComplex(res), n, -i)
     assert set(kinds) == {("source_mod",), ("target_mod",)} | (
         {()} if m.rels else set())
 
@@ -654,8 +653,8 @@ def test_strand_steps_read_degrees_from_the_step(gp_ring, monkeypatch):
             monkeypatch.setattr(owner, "vec_degree", counting)
     assert res.extend(6).betti_numbers(6) == [1, 4, 13, 40, 121, 364, 1093]
     assert calls == []
-    for side in (tensor_maps, hom_maps):
-        mod, _ = module_at(side, res_n, k, 2)
+    for cx, i in ((res_n, 2), (DualComplex(res_n), -2)):
+        mod, _ = module_at(cx, k, i)
         assert mod.ngens and calls == list(mod.rels)
         calls.clear()
 
@@ -698,8 +697,8 @@ def test_ranks_and_images_match_the_reference(data):
     blocks = _module_blocks(n)
     res = resolution_of(random_module(data, ring, rels=(1, 3)), 3)
     for i in range(3):
-        for side in (tensor_maps, hom_maps):
-            maps = side(res, n, i)
+        for cx, j in ((res, i), (DualComplex(res), -i)):
+            maps = tensor_maps(cx, n, j)
             if maps is None:
                 continue
             f_i, f_out, outgoing, incoming = maps
@@ -707,18 +706,6 @@ def test_ranks_and_images_match_the_reference(data):
                 blocks, outgoing, _tensor_twists(f_out, n))
             assert_rank_and_image_match_reference(
                 blocks, incoming, _tensor_twists(f_i, n))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(nrows=st.integers(0, 3), g_n=st.integers(1, 3), data=st.data())
-def test_dual_block_cols_match_the_two_pass_layout(nrows, g_n, data):
-    monos = [(0, 0), (1, 0), (0, 1), (2, 1)]
-    entry = st.tuples(st.integers(0, max(nrows - 1, 0)), st.sampled_from(monos))
-    d_cols = data.draw(st.lists(st.dictionaries(
-        entry, st.integers(1, 6), max_size=4 if nrows else 0), max_size=4))
-    two_pass = _tensor_block_cols(transpose_cols(d_cols, nrows), g_n)
-    assert [list(c.items()) for c in _dual_block_cols(d_cols, nrows, g_n)] \
-        == [list(c.items()) for c in two_pass]
 
 
 # -- one minimality test in every dimension ------------------------------------

@@ -275,9 +275,9 @@ def test_verify_checks_one_index_per_residue_class(gp_ring, monkeypatch):
     cr = complete_resolution(n, 4, window=2)
     calls = []
 
-    def counting(side, cx, module, i):
+    def counting(cx, module, i):
         calls.append(i)
-        return length_at(side, cx, module, i)
+        return length_at(cx, module, i)
 
     length_at = tate.length_at
     monkeypatch.setattr(tate, "length_at", counting)
@@ -323,9 +323,9 @@ def test_tate_length_memo_keeps_infinite_lengths(monkeypatch):
     cr = complete_resolution(m, 2, window=3)
     calls = []
 
-    def counting(side, cx, n, i):
+    def counting(cx, n, i):
         calls.append(i)
-        return length_at(side, cx, n, i)
+        return length_at(cx, n, i)
 
     length_at = tate.length_at
     monkeypatch.setattr(tate, "length_at", counting)
