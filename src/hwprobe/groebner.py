@@ -526,11 +526,6 @@ def composes_to_zero(ring_q, outer, inner):
                    for c in compose_cols(ring_q.ambient, outer, inner))
 
 
-def module_groebner(ring_q, gens, twists):
-    """Groebner basis of <gens> + I*F, for membership over R = S/I."""
-    return groebner_basis(ring_q, gens, twists)
-
-
 def syzygies_over_quotient(ring_q, cols, twists):
     """Generators of the R-syzygy module of the given columns.
 
@@ -801,7 +796,7 @@ def saturate(ring_q, u_cols, twists, ideal_elems, basis=None):
     steps = 0
     while True:
         nxt = colon_by_elements(ring_q, cur, twists, ideal_elems)
-        gb = basis or module_groebner(ring_q, cur, twists)
+        gb = basis or groebner_basis(ring_q, cur, twists)
         basis = None
         if all(gb.contains(v) for v in nxt):
             return cur, steps

@@ -60,7 +60,7 @@ generators of M* and M** that ``module_at`` returns with each module.
 from itertools import combinations
 
 from . import hilbert as hb
-from .freemod import pack_mono, transpose_cols
+from .freemod import pack_mono, pack_vec, transpose_cols
 from .groebner import express_in_terms, kernel_into_quotient, saturate
 from .hilbert import std_monomials
 from .modules import (
@@ -217,7 +217,8 @@ def _strand_module(n, maps):
     B is the image of the incoming map.  The generators are the vectors of
     the kernel Z of the outgoing map that are independent of
     B + sum_x x * Z in their degree; the relations are the minimal kernel of
-    the free module on them into (middle)/B.
+    the free module on them into (middle)/B.  Both stay packed until they
+    leave the frame.
     """
     ring = n.ring
     if maps is None:
@@ -225,13 +226,15 @@ def _strand_module(n, maps):
     f_i, f_out, outgoing, incoming = maps
     middle = _tensor_twists(f_i, n)
     blocks = _module_blocks(n)
+    free = ring_blocks(ring)
     b = blocks.image(incoming, middle)
-    gens, gen_twists = blocks.minimal_kernel(middle, outgoing, blocks,
-                                             _tensor_twists(f_out, n),
-                                             source_mod=b)
-    rels, _ = ring_blocks(ring).minimal_kernel(gen_twists, gens, blocks,
-                                               middle, target_mod=b)
-    return PresentedModule(ring, gen_twists, rels, normalize=False), gens
+    gens, gen_twists = blocks.minimal_kernel(
+        middle, [pack_vec(c) for c in outgoing], blocks,
+        _tensor_twists(f_out, n), source_mod=b)
+    rels, _ = free.minimal_kernel(gen_twists, gens, blocks, middle,
+                                  target_mod=b)
+    return (PresentedModule(ring, gen_twists, free.unpack(rels),
+                            normalize=False), blocks.unpack(gens))
 
 
 def _module_blocks(n):

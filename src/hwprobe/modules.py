@@ -37,11 +37,11 @@ from .freemod import (
 )
 from .groebner import (
     InhomogeneousError,
+    groebner_basis,
     kernel_into_quotient,
     minimal_by_degree,
     minimal_generators,
     minimalize_presentation,
-    module_groebner,
     poly_det,
     vec_nf_ideal,
 )
@@ -53,13 +53,16 @@ class HypothesisError(ValueError):
 
 
 class PresentedModule:
-    """M = coker(P) for a homogeneous matrix P over a quotient ring."""
+    """M = coker(P) for a homogeneous matrix P over a quotient ring; with
+    ``normalize=False`` the relations, which every such caller passes
+    reduced mod I, are only checked for homogeneity and components."""
 
     def __init__(self, ring, twists, rel_cols, *, normalize=True):
         self.ring = ring
         twists = int_tuple(twists, "twists")
-        cols = [vec_nf_ideal(ring, c) for c in rel_cols]
-        cols = [c for c in cols if c]
+        if normalize:
+            rel_cols = [vec_nf_ideal(ring, c) for c in rel_cols]
+        cols = [c for c in rel_cols if c]
         for c in cols:
             if vec_degree(ring.ambient, c, twists) is None:
                 raise InhomogeneousError("relation columns must be homogeneous")
@@ -94,7 +97,7 @@ class PresentedModule:
     @memoized
     def rel_gb(self):
         """Groebner basis of <relations> + I*F, for membership over R."""
-        return module_groebner(self.ring, self.rels, self.twists)
+        return groebner_basis(self.ring, self.rels, self.twists)
 
     def element_nf(self, v):
         """Canonical representative of a coset of the relation submodule."""
@@ -220,7 +223,6 @@ class PresentedModule:
         punctured spectrum; the empty locus reports -1.
         """
         from itertools import combinations
-        from .groebner import groebner_basis
         rq = self.ring
         amb = rq.ambient
         r = self.rank()
@@ -309,7 +311,7 @@ def subquotient(ring, free_twists, z_gens, b_gens, basis=None):
     Groebner basis of <B> + I*F when known, as a module's ``rel_gb`` is.
     """
     amb = ring.ambient
-    gbB = module_groebner(ring, b_gens, free_twists) if basis is None else basis
+    gbB = groebner_basis(ring, b_gens, free_twists) if basis is None else basis
     kept = minimal_generators(ring, z_gens, free_twists, modulo=gbB)
     if not kept:
         return PresentedModule(ring, (), ()), []
@@ -323,7 +325,7 @@ def subquotient(ring, free_twists, z_gens, b_gens, basis=None):
 
 def submodule_numerator(ring, free_twists, cols):
     """Hilbert numerator of F/(<cols> + I*F)."""
-    gb = module_groebner(ring, cols, free_twists)
+    gb = groebner_basis(ring, cols, free_twists)
     init = gb.initial_module()
     return hb.module_numerator(ring.ambient, free_twists, init)
 
@@ -359,9 +361,10 @@ class Blocks:
     order is the tuple order, so each pivot is the one tuples give, and x^m
     adds ``pack_mono(m)``.  Packing a column or a table row raises
     ValueError once an exponent reaches ``ring.DEGREE_LIMIT``, so fields
-    never carry.  Columns are packed where they enter; ``std``, the rows
-    (memoized on N) and image pivots stay packed; ``minimal_kernel``
-    unpacks the vectors it returns.
+    never carry.  Vectors are packed once, where they enter; ``std``, the
+    rows (memoized on N), image pivots and the vectors ``minimal_kernel``
+    takes and returns stay packed, and ``unpack`` turns vectors back into
+    tuples where they leave the frame.
     """
 
     def __init__(self, ring, owner, std):
@@ -388,92 +391,86 @@ class Blocks:
             isub_shifted(out, row(k, (t & low) + m), (c - k) << s, -coef, p)
         return out
 
+    def unpack(self, vectors):
+        """Packed vectors of a sum, written in the standard monomials of its
+        copies, as tuple-keyed vectors: each standard monomial is read once."""
+        nvars = self.ring.ambient.nvars
+        monos = {f: unpack_mono(f, nvars)
+                 for table in self.std for ms in table for f in ms}
+        s, low = self.shift, self.low
+        return [{((t >> s) - 1, monos[t & low]): c for t, c in v.items()}
+                for v in vectors]
+
     def dim(self, ncomps):
         """dim_k of the sum of ``ncomps`` components."""
-        g = len(self.std)
-        return sum(len(ms) for j in range(ncomps) for ms in self.std[j % g])
+        return sum(self.sizes((0,) * ncomps).values())
 
     def sizes(self, twists):
         """dim_k of the sum with component twists ``twists``, by degree."""
-        g = len(self.std)
         out = defaultdict(int)
         for c, a in enumerate(twists):
-            for e, ms in enumerate(self.std[c % g]):
+            for e, ms in enumerate(self.std[c % self.g]):
                 out[a + e] += len(ms)
         return out
 
-    def rank(self, cols, twists):
-        """F_p-rank of the map from a sum into the sum with component twists
-        ``twists`` given by its columns.
+    def _spans(self, cols, twists, sizes):
+        """The image of the map from a sum into the sum with component twists
+        ``twists`` given by its columns, degree by degree: ``(D, span_D,
+        dim target_D)``, span_D in echelon form, packed; ``sizes`` are the
+        target's.
 
         The map is R-linear, so its image is the R-submodule the columns
         span: the spans of ``groebner.minimal_by_degree``, fed the columns
-        of each degree D in normal form with dim target_D as ``full``, so
-        products and columns in degree D stop once span_D fills it.  Above
-        the target's top twist every standard monomial of positive degree
-        is x * (one of degree D - w(x)), so once span_D is full for max(w)
-        degrees in a row ending at or above that twist, every higher degree
-        is full too, and the rest of the rank is read from the target's
-        sizes.
+        of each degree D in normal form, from the lowest column degree up to
+        the target's top degree, with dim target_D as ``full``, so products
+        and columns in degree D stop once span_D fills it.
         """
-        amb = self.ring.ambient
+        mono_deg = self.ring.ambient.mono_deg
         by_degree = defaultdict(list)
         for col in cols:
             if col:
                 j, m = next(iter(col))
-                by_degree[twists[j] + amb.mono_deg(m)].append(col)
-        sizes = self.sizes(twists)
+                by_degree[twists[j] + mono_deg(m)].append(col)
         if not by_degree or not sizes:
-            return 0
+            return
         pieces = ((d, (self.mul_nf(pack_vec(col), 0)
                        for col in by_degree.get(d, ())), sizes.get(d, 0))
                   for d in range(min(by_degree), max(sizes) + 1))
-        top_w = max(amb.weights)
-        top_twist = max(twists)
+        for d, span, _ in minimal_by_degree(self.ring.ambient, self.variables,
+                                            pieces, self.mul_nf):
+            yield d, span, sizes.get(d, 0)
+
+    def rank(self, cols, twists):
+        """F_p-rank of such a map: the sum of its ``_spans``.
+
+        Above the target's top twist every standard monomial of positive
+        degree is x * (one of degree D - w(x)), so once span_D is full for
+        max(w) degrees in a row ending at or above that twist, every higher
+        degree is full too, and the rest of the rank is read from the
+        target's sizes.
+        """
+        sizes = self.sizes(twists)
+        top_w = max(self.ring.ambient.weights)
         rank = run = 0
-        for d, span, _ in minimal_by_degree(amb, self.variables, pieces,
-                                            self.mul_nf):
+        for d, span, full in self._spans(cols, twists, sizes):
             rank += len(span)
-            run = run + 1 if len(span) == sizes.get(d, 0) else 0
-            if run >= top_w and d >= top_twist:
+            run = run + 1 if len(span) == full else 0
+            if run >= top_w and d >= max(twists):
                 return rank + sum(s for e, s in sizes.items() if e > d)
         return rank
 
     def image(self, cols, twists):
-        """The image of such a map in the sum with component twists
-        ``twists``, degree by degree: ``{D: echelon pivots}``, packed.
-
-        The rows are x^m times each column c, m over the standard monomials
-        of c's component in the source, in that order, so the pivots depend
-        only on it.  A row in a degree the pivots already fill reduces to
-        zero, as does every row above the target's top degree, so neither
-        is computed.
-        """
-        mono_deg = self.ring.ambient.mono_deg
-        p = self.p
-        g = self.g
-        sizes = self.sizes(twists)
-        out = defaultdict(dict)
-        for c, col in enumerate(cols):
-            if not col:
-                continue
-            j, t = next(iter(col))
-            d = twists[j] + mono_deg(t)
-            col = pack_vec(col)
-            for e, ms in enumerate(self.std[c % g]):
-                pivots, full = out[d + e], sizes.get(d + e, 0)
-                for m in ms:
-                    if len(pivots) == full:
-                        break
-                    row_insert(self.mul_nf(col, m), pivots, None, p)
-        return {d: pivots for d, pivots in out.items() if pivots}
+        """The image of such a map, ``{D: echelon pivots}``, packed: the
+        nonzero ``_spans``."""
+        return {d: span for d, span, _ in
+                self._spans(cols, twists, self.sizes(twists)) if span}
 
     def minimal_kernel(self, twists, cols, target, target_twists, *,
                        source_mod=None, target_mod=None):
         """Minimal generators of the kernel of the map from the sum with
         component twists ``twists`` into the sum of ``target``'s copies with
         component twists ``target_twists``, with their degrees:
-        ``(vectors, twists)``.
+        ``(vectors, twists)``.  The columns and the vectors are packed.
 
         In degree D the rows are the images of the basis vectors x^m * e_j,
         each followed by an identity coordinate (packed below every image
@@ -495,7 +492,6 @@ class Blocks:
         p = self.p
         g = self.g
         s = self.shift
-        cols = [pack_vec(c) for c in cols]
         tables = [self.std[j % g] for j in range(len(twists))]
         tg = len(target.std)
         top = max((a + len(target.std[c % tg]) - 1
@@ -519,15 +515,10 @@ class Blocks:
                      for t, row in pivots.items() if t >> s == 0]
                 yield d, z, len(z)
 
-        # unpack_term on the kept vectors, each standard monomial read once
-        nvars = self.ring.ambient.nvars
-        monos = {f: unpack_mono(f, nvars)
-                 for table in self.std for ms in table for f in ms}
         gens, degrees = [], []
         for d, _, kept in minimal_by_degree(self.ring.ambient, self.variables,
                                             kernels(), self.mul_nf, source_mod):
-            gens += ({((t >> s) - 1, monos[t & self.low]): c
-                      for t, c in v.items()} for v in kept)
+            gens += kept
             degrees += [d] * len(kept)
         return gens, tuple(degrees)
 

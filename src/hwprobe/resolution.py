@@ -27,7 +27,7 @@ computed prefix.
 
 import math
 
-from .freemod import vec_degree
+from .freemod import pack_vec, vec_degree
 from .groebner import composes_to_zero, minimal_generators, syzygies_over_quotient
 from .modules import PresentedModule, ring_blocks
 from .ring import memoized
@@ -52,6 +52,7 @@ class Resolution:
 
     def extend(self, t):
         amb = self.ring.ambient
+        packed = None  # over an Artinian ring, the last level in the frame
         while len(self.diffs) < t:
             cols = self.diffs[-1]
             ambient_twists = self.level_twists[-2]
@@ -62,8 +63,11 @@ class Resolution:
                 continue
             if self.ring.dim == 0:
                 free = ring_blocks(self.ring)
-                nxt, twists = free.minimal_kernel(src_twists, cols, free,
-                                                  ambient_twists)
+                if packed is None:
+                    packed = [pack_vec(c) for c in cols]
+                packed, twists = free.minimal_kernel(src_twists, packed, free,
+                                                     ambient_twists)
+                nxt = free.unpack(packed)
             else:
                 syz = syzygies_over_quotient(self.ring, cols, ambient_twists)
                 nxt = minimal_generators(self.ring, syz, src_twists)
@@ -92,11 +96,10 @@ class Resolution:
         return [len(self.level_twists[i]) for i in range(window + 1)]
 
     def differential(self, i):
-        """Columns of d_i: F_i -> F_{i-1}; d_0 is the zero map F_0 -> 0."""
-        if i < 0:
-            raise ValueError("differentials are indexed from 0")
-        if i == 0:
-            return [{} for _ in self.level_twists[0]]
+        """Columns of d_i: F_i -> F_{i-1}; for i <= 0 the zero map out of
+        F_i, which is zero itself for i < 0."""
+        if i <= 0:
+            return [{} for _ in self.twists_at(i)]
         if i > self.length:
             self.extend(i)
         return self.diffs[i - 1]

@@ -12,7 +12,7 @@ always verified on a window.
 """
 
 from .freemod import compose_cols, unit_vector, vec_degree
-from .groebner import composes_to_zero, express_in_terms
+from .groebner import composes_to_zero, express_in_terms, vec_nf_ideal
 from .homalg import DualComplex, depth, length_at, module_at
 from .isomorphism import ISO, is_isomorphic
 from .modules import HypothesisError, PresentedModule, free_module
@@ -52,7 +52,9 @@ class MatrixFactorization:
                     raise ArithmeticError(f"{name} != f*I in column {j}")
 
     def module(self):
-        return PresentedModule(self.ring, self.row_twists, self.a_cols,
+        """coker A over R, A's columns (over S) reduced mod f."""
+        return PresentedModule(self.ring, self.row_twists,
+                               [vec_nf_ideal(self.ring, c) for c in self.a_cols],
                                normalize=False)
 
 

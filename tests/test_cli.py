@@ -165,6 +165,13 @@ def test_selftest_quick():
     assert "FAIL" not in out.stdout
 
 
+def test_full_selftest_passes(capsys):
+    from hwprobe.selftest import run_selftest
+    assert run_selftest(quick=False) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "FAIL" not in out
+
+
 def test_anomaly_exit_code_writes_certificate(tmp_path, monkeypatch):
     from hwprobe import cli
 

@@ -28,7 +28,6 @@ from hwprobe.groebner import (
     groebner_basis,
     minimal_generators,
     minimalize_presentation,
-    module_groebner,
     saturate,
     syzygy_generators,
 )
@@ -161,7 +160,7 @@ def test_gp_second_differential_columns_are_syzygies(gp_ring):
     d2 = gp_matrix_cols(gp_ring, 2)
     from hwprobe.groebner import syzygies_over_quotient
     syz = syzygies_over_quotient(gp_ring, d1, (0, 0))
-    gb = module_groebner(gp_ring, syz, (1, 1))
+    gb = groebner_basis(gp_ring, syz, (1, 1))
     for col in d2:
         assert gb.contains(col)
 
@@ -171,7 +170,7 @@ def test_colon_and_saturation_in_polynomial_ring():
     amb = r.ambient
     u = [as_vec(P(amb, "x^2*y"))]
     sat, steps = saturate(r, u, (0,), [P(amb, "y")])
-    gb = module_groebner(r, sat, (0,))
+    gb = groebner_basis(r, sat, (0,))
     assert gb.contains(as_vec(P(amb, "x^2")))
     assert not gb.contains(as_vec(P(amb, "x")))
     assert steps >= 1
@@ -185,7 +184,7 @@ def test_saturation_of_nilpotent_quotient_is_everything():
     amb = r.ambient
     # 0 : (x)^infty inside k[x]/(x^2): saturating 0 gives the whole module
     sat, _ = saturate(r, [], (0,), [P(amb, "x")])
-    gb = module_groebner(r, sat, (0,))
+    gb = groebner_basis(r, sat, (0,))
     assert gb.contains({(0, (0,)): 1})
 
 
@@ -195,7 +194,7 @@ def test_colon_of_free_by_irrelevant_ideal():
     # U = F free (whole module): colon is everything
     whole = [{(0, (0, 0)): 1}]
     out = colon_by_elements(r, whole, (0,), [P(amb, "x"), P(amb, "y")])
-    gb = module_groebner(r, out, (0,))
+    gb = groebner_basis(r, out, (0,))
     assert gb.contains({(0, (0, 0)): 1})
 
 
@@ -457,11 +456,11 @@ def test_packing_bound_is_applied():
     with pytest.raises(ValueError, match="packing bound"):
         rq.nf({(DEGREE_LIMIT, 0): 1})
     # an ideal block x*y*e_1, packed once per ring, is checked in every run
-    assert set(module_groebner(rq, [], (0, top - 2)).leading_terms()) == {
+    assert set(groebner_basis(rq, [], (0, top - 2)).leading_terms()) == {
         (0, (1, 1)), (1, (1, 1))}
     for twists in [(0, top - 1), (top - 1, 0)]:
         with pytest.raises(ValueError, match="packing bound"):
-            module_groebner(rq, [], twists)
+            groebner_basis(rq, [], twists)
         with pytest.raises(ValueError, match="packing bound"):
             syzygy_generators(rq, [], twists)
     with pytest.raises(ValueError, match="packing bound"):

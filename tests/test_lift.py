@@ -23,7 +23,7 @@ from hwprobe import (
 )
 from hwprobe import homalg, tate
 from hwprobe.freemod import unit_vector, vec_mul_term
-from hwprobe.groebner import express_in_terms, module_groebner, vec_nf_ideal
+from hwprobe.groebner import express_in_terms, groebner_basis, vec_nf_ideal
 
 RINGS = [
     # the cusp, A = k[t^3, t^4, t^5] and the Gasharov-Peeva ring
@@ -84,8 +84,8 @@ def test_lifts_are_certified_by_membership(data):
     targets.append({})
     lifts = express_in_terms(ring, targets, gens, aux, twists)
     assert len(lifts) == len(targets)
-    span = module_groebner(ring, gens + aux, twists)
-    modulo = module_groebner(ring, aux, twists)
+    span = groebner_basis(ring, gens + aux, twists)
+    modulo = groebner_basis(ring, aux, twists)
     for v, c in zip(targets, lifts):
         if span.normal_form(v):
             assert c is None

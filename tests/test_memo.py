@@ -50,21 +50,21 @@ def test_memoized_keys_by_owner_and_arguments():
     assert calls == [1, 0, 1]
 
 
-def counting_module_groebner(monkeypatch):
+def counting_groebner_basis(monkeypatch):
     calls = []
-    module_groebner = modules.module_groebner
+    groebner_basis = modules.groebner_basis
 
     def counting(*args):
         calls.append(args)
-        return module_groebner(*args)
+        return groebner_basis(*args)
 
-    monkeypatch.setattr(modules, "module_groebner", counting)
+    monkeypatch.setattr(modules, "groebner_basis", counting)
     return calls
 
 
 def test_rel_gb_and_its_initial_module_are_computed_once(cusp, monkeypatch):
     m = quotient_module(cusp, [poly(cusp, "x")])
-    calls = counting_module_groebner(monkeypatch)
+    calls = counting_groebner_basis(monkeypatch)
     gb = m.rel_gb()
     assert m.rel_gb() is gb
     assert m.hilbert_numerator() is m.hilbert_numerator()
@@ -80,14 +80,14 @@ def test_saturation_torsion_reuses_the_relation_basis(cusp, cusp_m,
     m = tensor(cusp_m, dual(cusp_m))
     gb = m.rel_gb()
     calls = []
-    module_groebner = groebner.module_groebner
+    groebner_basis = groebner.groebner_basis
 
     def counting(ring, gens, twists):
         calls.append((list(gens), twists))
-        return module_groebner(ring, gens, twists)
+        return groebner_basis(ring, gens, twists)
 
     for owner in (groebner, modules):
-        monkeypatch.setattr(owner, "module_groebner", counting)
+        monkeypatch.setattr(owner, "groebner_basis", counting)
     t, _ = torsion_submodule(m, "saturation")
     assert t.length() == 2 and m.rel_gb() is gb
     assert calls and (list(m.rels), m.twists) not in calls
@@ -113,7 +113,7 @@ def test_hw_check_builds_m_star_once(cusp, monkeypatch):
 def test_equal_owners_built_apart_share_nothing(cusp, monkeypatch):
     a = quotient_module(cusp, [poly(cusp, "x")])
     b = quotient_module(cusp, [poly(cusp, "x")])
-    calls = counting_module_groebner(monkeypatch)
+    calls = counting_groebner_basis(monkeypatch)
     assert a.rel_gb() is not b.rel_gb()
     assert len(calls) == 2
     r1 = define_ring(["x", "y"], [3, 2], 7, ["x^2 - y^3"])

@@ -154,8 +154,17 @@ def test_levels_below_f0_are_zero():
     res = resolution_of(residue_field_module(r), 3)
     assert res.twists_at(-1) == ()
     assert res.differential(0) == [{}]
-    with pytest.raises(ValueError):
-        res.differential(-1)
+    assert res.differential(-1) == res.differential(-5) == []
+
+
+def test_dual_of_a_resolution_is_zero_above_its_start(gp_ring):
+    # (C*)_2 = (C_{-2})* = 0, so the dual's d_2 is the empty map and its
+    # homology there vanishes
+    from hwprobe.homalg import DualComplex, length_at
+    k = residue_field_module(gp_ring)
+    dual = DualComplex(resolution_of(k, 2))
+    assert dual.differential(2) == []
+    assert length_at(dual, k, 2) == 0
 
 
 def test_readers_extend_only_missing_levels(threefold, monkeypatch):

@@ -36,6 +36,9 @@ is checked item for item against the package's earlier block layout,
 degree and stops the strand test once the span fills the kernel, is checked
 to return the vectors of the package's earlier routine, in the same order,
 at every call a resolution and its Tor and Ext modules make.
+``Blocks.image``, the nonzero spans of the loop that ``Blocks.rank`` reads,
+is another echelon basis of the space the earlier row loop spans, with the
+same pivots.
 """
 
 import random
@@ -83,13 +86,19 @@ from hwprobe import (
     transpose,
     verify_short_exact,
 )
-from hwprobe.freemod import transpose_cols, vec_component, vec_degree
+from hwprobe.freemod import (
+    row_insert,
+    transpose_cols,
+    unpack_term,
+    vec_component,
+    vec_degree,
+)
 from hwprobe import freemod, groebner, homalg, modules, resolution
 from hwprobe.groebner import (
     GroebnerBasis,
+    groebner_basis,
     kernel_into_quotient,
     minimal_generators,
-    module_groebner,
     syzygies_over_quotient,
 )
 from hwprobe.hilbert import (
@@ -616,15 +625,25 @@ def test_minimal_kernel_matches_the_reference(data):
     n = random_module(data, ring)
     real = modules.Blocks.minimal_kernel
     kinds = Counter()
+    nvars = ring.ambient.nvars
+
+    def unpack(vectors):
+        return [{unpack_term(t, nvars): c for t, c in v.items()}
+                for v in vectors]
 
     def checked(blocks, twists, cols, target, target_twists, **mods):
-        got, degrees = real(blocks, twists, cols, target, target_twists, **mods)
-        ref = reference_minimal_kernel(blocks, twists, cols, target, **mods)
+        # the real step takes and returns packed vectors, the reference
+        # tuple-keyed ones
+        packed, degrees = real(blocks, twists, cols, target, target_twists,
+                               **mods)
+        got = unpack(packed)
+        ref = reference_minimal_kernel(blocks, twists, unpack(cols), target,
+                                       **mods)
         assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
         # each vector's degree is the one the step kept it in
         assert degrees == tuple(vec_degree(ring.ambient, v, twists) for v in got)
         kinds[tuple(sorted(mods))] += 1
-        return got, degrees
+        return packed, degrees
 
     with patch.object(modules.Blocks, "minimal_kernel", checked):
         res = resolution_of(m, 4)
@@ -659,19 +678,58 @@ def test_strand_steps_read_degrees_from_the_step(gp_ring, monkeypatch):
         calls.clear()
 
 
+def recording(monkeypatch, fn, arg):
+    """Record argument ``arg`` of every call of ``fn``, through every
+    binding of it in the package; returns the list."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[arg])
+        return fn(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hwprobe.") and getattr(mod, fn.__name__,
+                                                   None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counting)
+    return calls
+
+
+def test_strand_frame_packs_each_vector_once(gp_ring, monkeypatch):
+    # an Artinian resolution packs the columns of d_1 as they enter the
+    # frame and hands each later level on packed; a strand module's
+    # relations leave the frame reduced mod I, so it makes no normal form
+    k = residue_field_module(gp_ring)
+    res_n = resolution_of(gp_n(gp_ring), 4)
+    # the frame's table rows, memoized on R and on k, are packed here
+    resolution_of(k, 6)
+    module_at(res_n, k, 2)
+    packed = recording(monkeypatch, freemod.pack_vec, 0)
+    res = Resolution(k).extend(6)
+    assert res.betti_numbers(6) == [1, 4, 13, 40, 121, 364, 1093]
+    assert packed == res.diffs[0]
+    reduced = recording(monkeypatch, groebner.vec_nf_ideal, 1)
+    mod, _ = module_at(res_n, k, 2)
+    assert mod.ngens and reduced == []
+
+
 # -- ranks from spans -----------------------------------------------------------
 
 
-def pivot_items(image):
-    """An image's pivots with the order of their rows and entries."""
-    return {d: [(key, list(row.items())) for key, row in pivots.items()]
-            for d, pivots in image.items()}
-
-
 def assert_rank_and_image_match_reference(blocks, cols, twists):
+    # the image's spans are another echelon basis of the reference's space:
+    # in every degree the same pivot keys, every reference row reduces to
+    # zero against the new pivots, and every new row is monic at its key
     assert blocks.rank(cols, twists) == reference_rank(blocks, cols)
-    assert pivot_items(blocks.image(cols, twists)) == \
-        pivot_items(reference_image(blocks, cols, twists))
+    image = blocks.image(cols, twists)
+    ref = reference_image(blocks, cols, twists)
+    assert {d: set(pivots) for d, pivots in image.items()} == \
+        {d: set(pivots) for d, pivots in ref.items()}
+    p = blocks.ring.p
+    for d, pivots in image.items():
+        assert all(row_insert(dict(row), dict(pivots), None, p) is None
+                   for row in ref[d].values())
+        assert all(max(row) == key and row[key] == 1
+                   for key, row in pivots.items())
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -759,6 +817,6 @@ def test_minimal_generators_keep_what_the_reference_keeps(data):
         reference_minimal_generators(ring, vectors, twists)
     b = [random_vector(data, amb, twists, lo + data.draw(st.integers(0, top)))
          for _ in range(data.draw(st.integers(1, 2)))]
-    gb = module_groebner(ring, [v for v in b if v], twists)
+    gb = groebner_basis(ring, [v for v in b if v], twists)
     assert minimal_generators(ring, vectors, twists, modulo=gb) == \
         reference_minimal_generators(ring, vectors, twists, modulo=gb)
