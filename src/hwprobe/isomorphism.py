@@ -11,9 +11,9 @@ runs out without a witness).
 """
 
 import random
-from dataclasses import dataclass, field
 from itertools import product
 from operator import neg
+from types import SimpleNamespace
 
 from .freemod import row_insert, sum_rows
 from .hilbert import std_monomials_of_degree
@@ -27,13 +27,12 @@ UNDECIDED = "UNDECIDED"
 _EXHAUST_LIMIT = 200_000  # largest bar space searched exhaustively
 
 
-@dataclass
-class IsoResult:
-    verdict: str
-    twist: int = 0
-    certificate: GradedMap | None = None
-    invariant: str | None = None
-    detail: dict = field(default_factory=dict)
+class IsoResult(SimpleNamespace):
+    def __init__(self, verdict, twist=0, certificate=None, invariant=None,
+                 detail=None):
+        super().__init__(verdict=verdict, twist=twist, certificate=certificate,
+                         invariant=invariant,
+                         detail={} if detail is None else detail)
 
     def __bool__(self):
         return self.verdict == ISO

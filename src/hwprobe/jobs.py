@@ -9,7 +9,6 @@ job and tool version give byte-identical output (timing is therefore kept
 out of the structured format unless explicitly requested).
 """
 
-import hashlib
 import json
 import random
 import time
@@ -67,6 +66,7 @@ def canonical_text(spec: dict) -> str:
 
 
 def job_hash(spec: dict) -> str:
+    import hashlib  # here, not at the top: hashlib loads OpenSSL
     blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
 

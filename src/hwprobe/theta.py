@@ -9,7 +9,7 @@ always certifies stabilization by recomputing at the next stable index.
 """
 
 import random
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .freemod import unit_vector
 from .groebner import (
@@ -39,13 +39,12 @@ CONJECTURE_HOLDS = "CONJECTURE_HOLDS"
 COUNTEREXAMPLE_CANDIDATE = "COUNTEREXAMPLE_CANDIDATE"
 
 
-@dataclass
-class ThetaResult:
-    value: int
-    stable_index: int
-    lengths: dict
-    replacement_index: int
-    periodicity: dict = field(default_factory=dict)
+class ThetaResult(SimpleNamespace):
+    def __init__(self, value, stable_index, lengths, replacement_index,
+                 periodicity):
+        super().__init__(value=value, stable_index=stable_index,
+                         lengths=lengths, replacement_index=replacement_index,
+                         periodicity=periodicity)
 
     def to_dict(self):
         return {"value": self.value, "stable_index": self.stable_index,

@@ -109,6 +109,21 @@ def test_malformed_bounds_are_input_error(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+def test_false_domain_assertion_is_input_error(tmp_path):
+    # the coordinate axes hold the monomials x*y, x*z, y*z and no variable,
+    # so their ideal is not prime
+    jobfile = tmp_path / "axes.json"
+    jobfile.write_text(json.dumps({
+        "field": 101, "variables": ["x", "y", "z"], "weights": [1, 1, 1],
+        "ideal": ["x*y", "x*z", "y*z"], "domain": True,
+        "modules": {"m": {"type": "ideal", "gens": ["x"]}},
+        "tasks": [{"op": "hw_check", "module": "m"}]}))
+    out = run_cli("run", str(jobfile))
+    assert out.returncode == 2, out.stderr
+    assert "not a domain" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_negative_tor_index_is_input_error(tmp_path):
     jobfile = tmp_path / "bad.json"
     jobfile.write_text(json.dumps({

@@ -3,8 +3,12 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
+
+from test_cli import child_env
 
 import hwprobe
 
@@ -403,3 +407,46 @@ def test_bench_references_resolve():
     assert ("hwprobe.jobs", "build_modules") in refs
     assert ("hwprobe.selftest", "_check_expected") in refs
     assert _unresolved(refs) == []
+
+
+# hashlib loads OpenSSL and dataclasses loads inspect, ast, dis and tokenize:
+# about 4.5 MB of resident memory that resolutions, Tor/Ext and theta never use
+HEAVY_IMPORTS = {"hashlib", "_hashlib", "dataclasses", "inspect", "ast", "dis",
+                 "tokenize"}
+
+
+def _import_footprint(snippet=""):
+    """Import every module of the package in a fresh interpreter, then run
+    ``snippet``.  Returns the modules outside hwprobe that this loaded and
+    the lines the snippet printed."""
+    code = "".join(
+        ["import sys\n_before = set(sys.modules)\nimport hwprobe\n"]
+        + [f"import hwprobe.{p.stem}\n" for p in sorted(PACKAGE.glob("*.py"))
+           if p.stem != "__init__"]
+        + [snippet, "\nprint(*sorted(set(sys.modules) - _before))\n"])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env())
+    assert out.returncode == 0, out.stderr
+    *printed, added = out.stdout.splitlines()
+    return {m for m in added.split() if m.partition(".")[0] != "hwprobe"}, \
+        printed
+
+
+def test_import_footprint_is_measured():
+    added, printed = _import_footprint("import dataclasses\nprint('ok')")
+    assert "dataclasses" in added and printed == ["ok"]
+
+
+def test_package_import_is_lean():
+    added, _ = _import_footprint()
+    assert added & HEAVY_IMPORTS == set()
+
+
+def test_job_hash_loads_hashlib_at_its_first_call():
+    # the value is the cusp-hw input_hash of the goldens
+    added, printed = _import_footprint(
+        "from hwprobe.catalog import catalog\n"
+        "print(hwprobe.jobs.job_hash(catalog('cusp-hw')))")
+    assert "hashlib" in added
+    assert printed == ["sha256:cb7de1836b365e5badab48fa39f060c4f8418b831133f4e"
+                       "c185bc94b5a7da8e0"]

@@ -5,6 +5,7 @@ from hwprobe import (
     ISO,
     NOT_ISO,
     UNDECIDED,
+    IsoResult,
     PresentedModule,
     define_ring,
     free_module,
@@ -18,6 +19,25 @@ from hwprobe.isomorphism import _nullspace
 
 def P(rq, s):
     return parse_polynomial(rq.ambient, s)
+
+
+def test_iso_result_record():
+    r = IsoResult(NOT_ISO, 2, None, "hilbert function", {"deg": 1})
+    assert r == IsoResult(verdict=NOT_ISO, twist=2, invariant="hilbert function",
+                          detail={"deg": 1})
+    assert (r.verdict, r.twist, r.certificate, r.invariant, r.detail) == \
+        (NOT_ISO, 2, None, "hilbert function", {"deg": 1})
+    assert r != IsoResult(NOT_ISO, 3, None, "hilbert function", {"deg": 1})
+    assert r != IsoResult(NOT_ISO, 2, None, "generator degrees", {"deg": 1})
+    # the text the result printed as a dataclass
+    assert repr(r) == ("IsoResult(verdict='NOT_ISO', twist=2, certificate=None, "
+                       "invariant='hilbert function', detail={'deg': 1})")
+    a, b = IsoResult(ISO), IsoResult(verdict=ISO)
+    assert a == b and (a.twist, a.certificate, a.invariant) == (0, None, None)
+    a.detail["note"] = "set on a only"
+    assert b.detail == {} and a != b
+    assert [bool(IsoResult(v)) for v in (ISO, NOT_ISO, UNDECIDED)] == \
+        [True, False, False]
 
 
 def test_identity_is_isomorphism(cusp_m):

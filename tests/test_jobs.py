@@ -88,6 +88,22 @@ def test_ring_without_variables_is_a_job_error():
         run_job(load_jobspec(json.dumps(spec)))
 
 
+def test_domain_refuted_by_a_monomial_is_a_job_error():
+    spec = minimal_spec(variables=["x", "y", "z"], weights=[1, 1, 1],
+                        field=101, ideal=["x*y", "x*z", "y*z"],
+                        modules={"m": {"type": "ideal", "gens": ["x"]}},
+                        tasks=[{"op": "hw_check", "module": "m"}])
+    with pytest.raises(JobError, match="invalid ring data: .*monomial y\\*z"
+                                       ".*not a domain"):
+        run_job(load_jobspec(json.dumps(spec)))
+
+
+def test_every_catalog_ring_builds_with_its_domain_flag():
+    for name in catalog_names():
+        spec = catalog(name)
+        assert build_ring(spec).domain is spec["domain"], name
+
+
 def test_undefined_module_name():
     spec = minimal_spec(tasks=[{"op": "hw_check", "module": "nope"}])
     with pytest.raises(JobError):

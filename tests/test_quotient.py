@@ -90,6 +90,27 @@ def test_domain_scan_rejects_visible_factorization():
         define_ring(["x", "y"], [1, 1], 7, ["x*y"], domain=True)
 
 
+AXES = (["x", "y", "z"], [1, 1, 1], 101, ["x*y", "x*z", "y*z"])
+
+
+def test_domain_refuted_by_a_monomial_without_its_variables():
+    # a prime ideal that holds a monomial holds one of its variables; the
+    # ideal of the three coordinate axes holds x*y, x*z, y*z and no variable
+    with pytest.raises(NotDomainError, match="monomial .* none of its "
+                                             "variables"):
+        define_ring(*AXES, domain=True)
+    assert not define_ring(*AXES).domain
+
+
+def test_domain_kept_when_a_monomial_is_its_own_variable():
+    # k[x,y,z]/(x, y^2 - z^3) is the cusp: the monomial x of its basis is a
+    # variable that lies in the ideal, so nothing is refuted
+    r = define_ring(["x", "y", "z"], [1, 3, 2], 101, ["x", "y^2 - z^3"],
+                    domain=True)
+    assert r.domain and r.dim == 1
+    assert any(len(h) == 1 for h in r.gb)
+
+
 def test_domain_scan_accepts_catalog_equations(cusp, threefold, surface,
                                                fermat_dim1, torus_dim1):
     # construction already ran the scan; re-run it directly

@@ -100,6 +100,7 @@ from hwprobe.groebner import (
     kernel_into_quotient,
     minimal_generators,
     syzygies_over_quotient,
+    vec_nf_ideal,
 )
 from hwprobe.hilbert import (
     hilbert_numerator,
@@ -748,7 +749,9 @@ def test_ranks_and_images_match_the_reference(data):
                           min(twists) + data.draw(st.integers(0, 3 * top)))
             for _ in range(data.draw(st.integers(0, 4)))]
     assert_rank_and_image_match_reference(free, cols, twists)
-    m = PresentedModule(ring, twists, cols, normalize=False)
+    # normalize=False takes relations reduced mod I, as every caller has them
+    m = PresentedModule(ring, twists, [vec_nf_ideal(ring, c) for c in cols],
+                        normalize=False)
     assert m.length() == free.dim(m.ngens) - reference_rank(free, m.rels) \
         == series_total_if_finite(amb, m.hilbert_numerator())
     n = random_module(data, ring)

@@ -18,6 +18,7 @@ from hwprobe import (
     quotient_module,
     rigidity_probe,
     theta,
+    ThetaResult,
     theta_additivity_check,
     verify_short_exact,
 )
@@ -320,3 +321,21 @@ def test_short_exact_check_finds_ker_g_beyond_im_f():
     # the same g after x: R(-1) -> R is exact
     f1 = GradedMap(one.twist(-1), one, [{(0, (1, 0)): 1}])
     assert verify_short_exact(f1, g) == (True, "exact")
+
+
+def test_theta_result_record():
+    args = (-1, 4, {3: 0, 4: 1}, 3, {"via": "matrix-factorization"})
+    r = ThetaResult(*args)
+    assert r == ThetaResult(value=-1, stable_index=4, lengths={3: 0, 4: 1},
+                            replacement_index=3,
+                            periodicity={"via": "matrix-factorization"})
+    assert r != ThetaResult(0, *args[1:])
+    assert r != ThetaResult(*args[:4], {"via": "syzygy-isomorphism"})
+    # the text the result printed as a dataclass
+    assert repr(r) == ("ThetaResult(value=-1, stable_index=4, "
+                       "lengths={3: 0, 4: 1}, replacement_index=3, "
+                       "periodicity={'via': 'matrix-factorization'})")
+    assert r.to_dict() == {"value": -1, "stable_index": 4,
+                           "lengths": {"3": 0, "4": 1},
+                           "replacement_index": 3,
+                           "periodicity": {"via": "matrix-factorization"}}
