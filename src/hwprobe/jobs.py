@@ -1,7 +1,7 @@
 """Batch jobs: parse a job description, run its tasks, emit a report.
 
 A job file is a JSON document: one ring (field, variables, weights, ideal),
-named module definitions (each may reference previously defined names), a
+named module definitions (each may reference the others, in any order), a
 task list, and optional bounds.  Task failures from violated mathematical
 hypotheses are captured as task-level errors, never crashes; malformed input
 raises :class:`JobError`.  Structured reports are canonical JSON: identical
@@ -12,6 +12,13 @@ out of the structured format unless explicitly requested).
 import json
 import random
 import time
+
+# CPython's own SHA-256, the one hashlib falls back to: hashlib itself loads
+# OpenSSL, several MB of resident memory for one small digest per report
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    from _sha256 import sha256  # CPython 3.10 and 3.11
 
 from . import __version__
 from .grammar import ParseError, parse_polynomial
@@ -66,9 +73,8 @@ def canonical_text(spec: dict) -> str:
 
 
 def job_hash(spec: dict) -> str:
-    import hashlib  # here, not at the top: hashlib loads OpenSSL
     blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(blob.encode()).hexdigest()
+    return "sha256:" + sha256(blob.encode()).hexdigest()
 
 
 def load_jobspec(text: str) -> dict:
@@ -194,7 +200,8 @@ def _presentation(ring, d, get, where):
 
 
 # type -> (builder(ring, definition, get, where), the fields it reads besides
-# "type"); ``get`` looks up a module defined earlier in the job
+# "type"); ``get`` looks up a module the definition refers to, by one of
+# ``_REFERENCE_FIELDS``
 MODULE_TYPES = {
     "quotient": (lambda r, d, get, w: quotient_module(
         r, _polys(r, d["ideal"], w)), ("ideal",)),
@@ -216,19 +223,48 @@ MODULE_TYPES = {
 }
 
 
+_REFERENCE_FIELDS = ("of", "left", "right")
+
+
+def _definition_order(modules: dict) -> list:
+    """The names of ``modules``, each after the names its definition refers
+    to, and otherwise in the given order.
+
+    A reference to an undefined name or a cycle of references is a
+    :class:`JobError` naming the module that holds it.  The walk keeps its
+    own stack: nested functions recursing through each other would form a
+    reference cycle.
+    """
+    order, placed = [], set()
+    for root in modules:
+        path = [] if root in placed else [root]  # each refers to the next
+        while path:
+            name = path[-1]
+            d = modules[name]
+            for ref in (d[k] for k in _REFERENCE_FIELDS if k in d):
+                if ref not in modules:
+                    raise JobError(f"module {name!r}: undefined module {ref!r}")
+                if ref in path:
+                    raise JobError(f"module {name!r}: reference to {ref!r} "
+                                   "is cyclic")
+                if ref not in placed:
+                    path.append(ref)
+                    break
+            else:
+                placed.add(path.pop())
+                order.append(name)
+    return order
+
+
 def build_modules(spec: dict, ring) -> dict:
+    modules = spec.get("modules", {})
     out = {}
-
-    def get(name):
-        if name not in out:
-            raise JobError(f"module {name!r} referenced before definition")
-        return out[name]
-
-    for name, d in spec.get("modules", {}).items():
+    for name in _definition_order(modules):
+        d = modules[name]
         where = f"module {name!r}"
         build = MODULE_TYPES[d["type"]][0]
         try:
-            out[name] = build(ring, d, get, where)
+            out[name] = build(ring, d, out.__getitem__, where)
         except KeyError as e:
             raise JobError(f"{where}: missing field {e}") from e
         except (HypothesisError, ValueError) as e:

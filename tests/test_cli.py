@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hwprobe
-from hwprobe.catalog import catalog
+from hwprobe.catalog import catalog, catalog_names
 from hwprobe.jobs import canonical_text
 
 # The directory holding the hwprobe package this test process imported.  The
@@ -43,6 +43,19 @@ def test_catalog_out_writes_job_document(tmp_path):
     assert out.stdout == ""
     assert (tmp_path / "job.json").read_bytes() == \
         canonical_text(catalog("cusp-hw")).encode()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_document_runs_to_its_golden(tmp_path, name):
+    # the written document sorts its module definitions by name, so a
+    # definition may come before the ones it refers to
+    out = run_cli("catalog", name, "--out", "job.json", cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    out = subprocess.run([sys.executable, "-m", "hwprobe.cli", "run",
+                          "job.json", "--format", "structured", "--seed", "0"],
+                         capture_output=True, cwd=tmp_path, env=child_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_run_jobfile_structured(tmp_path):

@@ -410,7 +410,7 @@ def test_bench_references_resolve():
 
 
 # hashlib loads OpenSSL and dataclasses loads inspect, ast, dis and tokenize:
-# about 4.5 MB of resident memory that resolutions, Tor/Ext and theta never use
+# several MB of resident memory that no hwprobe path needs
 HEAVY_IMPORTS = {"hashlib", "_hashlib", "dataclasses", "inspect", "ast", "dis",
                  "tokenize"}
 
@@ -442,11 +442,17 @@ def test_package_import_is_lean():
     assert added & HEAVY_IMPORTS == set()
 
 
-def test_job_hash_loads_hashlib_at_its_first_call():
-    # the value is the cusp-hw input_hash of the goldens
+def test_catalog_jobs_load_no_heavy_module():
+    # run and emit every catalog job: hashing a job uses CPython's built-in
+    # SHA-256, so neither hashlib nor OpenSSL is loaded; the printed value is
+    # the cusp-hw input_hash of the goldens
     added, printed = _import_footprint(
-        "from hwprobe.catalog import catalog\n"
-        "print(hwprobe.jobs.job_hash(catalog('cusp-hw')))")
-    assert "hashlib" in added
+        "from hwprobe.catalog import catalog, catalog_names\n"
+        "for name in catalog_names():\n"
+        "    report = hwprobe.jobs.run_job(catalog(name))\n"
+        "    hwprobe.jobs.emit(report)\n"
+        "    if name == 'cusp-hw':\n"
+        "        print(report.input_hash)")
+    assert added & HEAVY_IMPORTS == set()
     assert printed == ["sha256:cb7de1836b365e5badab48fa39f060c4f8418b831133f4e"
                        "c185bc94b5a7da8e0"]

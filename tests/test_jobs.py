@@ -1,9 +1,12 @@
+import hashlib
 import json
 import random
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwprobe import homalg, tate
 from hwprobe.catalog import catalog, catalog_names
@@ -110,6 +113,32 @@ def test_undefined_module_name():
         run_job(spec)
 
 
+def test_definitions_may_come_in_any_order():
+    # each definition names a module defined after it in the object
+    spec = minimal_spec(modules={
+        "t": {"type": "twist", "of": "s", "s": 1},
+        "s": {"type": "direct_sum", "left": "m", "right": "d"},
+        "d": {"type": "dual", "of": "m"},
+        "m": {"type": "ideal", "gens": ["x", "y"]}})
+    built = build_modules(spec, build_ring(spec))
+    assert built["t"].twists == tuple(
+        a - 1 for a in built["m"].direct_sum(built["d"]).twists)
+
+
+@pytest.mark.parametrize("modules, message", [
+    ({"d": {"type": "dual", "of": "nope"}},
+     "module 'd': undefined module 'nope'"),
+    ({"d": {"type": "dual", "of": "d"}},
+     "module 'd': reference to 'd' is cyclic"),
+    ({"a": {"type": "tensor", "left": "m", "right": "b"},
+      "b": {"type": "transpose", "of": "a"},
+      "m": {"type": "ideal", "gens": ["x", "y"]}},
+     "module 'b': reference to 'a' is cyclic")])
+def test_undefined_or_cyclic_reference_is_a_job_error(modules, message):
+    with pytest.raises(JobError, match=re.escape(message)):
+        run_job(minimal_spec(modules=modules))
+
+
 def test_unknown_task_op_lists_available():
     spec = minimal_spec(tasks=[{"op": "frobnicate"}])
     with pytest.raises(JobError) as e:
@@ -150,6 +179,40 @@ def test_hash_is_stable_under_key_order():
     a = {"field": 7, "variables": ["x"], "weights": [1], "tasks": []}
     b = {"tasks": [], "weights": [1], "variables": ["x"], "field": 7}
     assert job_hash(a) == job_hash(b)
+
+
+def _reference_hash(spec):
+    compact = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return "sha256:" + hashlib.sha256(compact.encode()).hexdigest()
+
+
+def test_hash_is_the_sha256_of_the_compact_document():
+    for name in catalog_names():
+        assert job_hash(catalog(name)) == _reference_hash(catalog(name)), name
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_JSON, end=st.sampled_from([55, 56, 57, 63, 64, 65]),
+       blocks=st.integers(0, 2))
+def test_hash_matches_hashlib_across_padding_boundaries(value, end, blocks):
+    # a SHA-256 message of 55 bytes mod 64 still fits its length in the last
+    # block and one of 56 does not; pad the document to end there
+    spec = {"value": value, "pad": ""}
+    short = len(json.dumps(spec, sort_keys=True, separators=(",", ":")))
+    size = end + 64 * blocks
+    while size < short:
+        size += 64
+    spec["pad"] = "p" * (size - short)
+    compact = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    assert len(compact.encode()) == size
+    assert job_hash(spec) == _reference_hash(spec)
 
 
 def test_text_format_mentions_verdicts():
